@@ -78,7 +78,6 @@ class RunTrace:
     inv0: np.ndarray
     reg_kind: str
     penalty_lam: float = 0.0
-    penalty_cum_alpha: np.ndarray | None = None
 
     def sigmas(self) -> np.ndarray:
         prev = np.vstack([self.inv0[None, :], self.inv_rates[:-1]]) \
@@ -191,8 +190,8 @@ def bound_curve(rule: BoundRule, cfg: BoundConfig, grads, x_star=None,
     factor = 1.0 if rule is BoundRule.WEAK_PROXIMAL else 0.5
     curve = _reg_curve(trace, x_star, shifted=False) + factor * np.cumsum(duals)
     if rule in (BoundRule.COMPOSITE, BoundRule.MIRROR_DESCENT) and trace.penalty_lam > 0:
-        cum_alpha = trace.penalty_cum_alpha if trace.penalty_cum_alpha is not None else ts
-        curve = curve + cum_alpha * trace.penalty_lam * float(np.sum(np.abs(x_star)))
+        # alpha_{1:t} = t: every composite learner applies its penalty each round
+        curve = curve + ts * trace.penalty_lam * float(np.sum(np.abs(x_star)))
     return curve
 
 

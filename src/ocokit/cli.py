@@ -241,7 +241,14 @@ def cmd_run(args) -> int:
                                _fmt(rec.cum_regret[t]), _fmt(rec.bound[t]),
                                _fmt(rec.strong_ftrl_rhs[t])]))
     _emit(lines, args.out or cfg.get("out"))
-    return EXIT_OK if result.bound_ok else EXIT_VIOLATION
+    if result.bound_ok:
+        return EXIT_OK
+    # the first row that fails run_rounds' bound check, cum_regret <= bound + 1e-9
+    t = int(np.argmax(~(rec.cum_regret <= rec.bound + 1e-9)))
+    print(f"ocokit run: cum_regret exceeds the bound first at round {t + 1}, by "
+          f"{_fmt(rec.cum_regret[t] - rec.bound[t])} ({_fmt(rec.cum_regret[t])} > "
+          f"{_fmt(rec.bound[t])})", file=sys.stderr)
+    return EXIT_VIOLATION
 
 
 def cmd_compare(args) -> int:

@@ -236,43 +236,24 @@ def schedule_sigma(sched: LearningRateSchedule, t: int, sq_now=0.0, sq_prev=0.0)
 # ---------------------------------------------------------------------------
 
 class CompositePenalty:
-    """Weight lambda and round schedule alpha_t for a non-smooth penalty term.
+    """Weight lambda of a non-smooth penalty applied in every round (alpha_t = 1)."""
 
-    alpha_t must be non-increasing: every round (alpha_t = 1), first round
-    only (alpha_1 = 1, then 0), or zero.
-    """
-
-    ALL_ROUNDS = "all-rounds"
-    FIRST_ROUND_ONLY = "first-round-only"
-    ZERO = "zero"
-
-    def __init__(self, lam: float, alpha_schedule: str = ALL_ROUNDS):
+    def __init__(self, lam: float):
         if not (np.isfinite(lam) and lam >= 0):
             raise ValueError(f"penalty weight must be >= 0, got {lam}")
-        if alpha_schedule not in (self.ALL_ROUNDS, self.FIRST_ROUND_ONLY, self.ZERO):
-            raise ValueError(f"unknown alpha schedule {alpha_schedule!r}")
         self.lam = float(lam)
-        self.alpha_schedule = alpha_schedule
 
     def alpha(self, t: int) -> float:
         if t < 1:
             raise ValueError("alpha_t is defined for t >= 1")
-        if self.alpha_schedule == self.ALL_ROUNDS:
-            return 1.0
-        if self.alpha_schedule == self.FIRST_ROUND_ONLY:
-            return 1.0 if t == 1 else 0.0
-        return 0.0
+        return 1.0
 
     def cum_alpha(self, t: int) -> float:
         """alpha_{1:t}."""
-        if self.alpha_schedule == self.ALL_ROUNDS:
-            return float(t)
-        if self.alpha_schedule == self.FIRST_ROUND_ONLY:
-            return 1.0 if t >= 1 else 0.0
-        return 0.0
+        return float(t)
 
     def __repr__(self):
-        return f"CompositePenalty(lam={self.lam}, {self.alpha_schedule})"
+        return f"CompositePenalty(lam={self.lam})"
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,12 @@ from .bounds import (
     BoundRule,
     RegretRecord,
     RunTrace,
+    _reg_curve,
     best_comparator,
     bound_curve,
     cumulative_regret,
 )
-from .core import ConstantRate, FeasibleSet, negative_entropy
+from .core import ConstantRate, FeasibleSet
 from .learners import BoundConfig, FtrlCompositeL1, OnlineLearner
 from .mirror import MirrorDescent, extract_psi_subgradient
 from .streams import L1AdversaryStream
@@ -43,10 +44,13 @@ class _MirrorStability:
     Rebuilds the accumulated objective of the update's recentered FTRL form,
     with past penalty terms replaced by their tangents at the points where
     they were taken, and exposes the same objective / reg_increment hooks
-    the native learners provide.
+    the native learners provide.  Round t's tangent
+    lam_t ||x_{t+1}||_1 + g_psi . (x - x_{t+1}) is kept as its constant
+    lam_t ||x_{t+1}||_1 - g_psi . x_{t+1} and its slope g_psi, so the
+    tangent history at any comparator is one matrix-vector product.
     """
 
-    def __init__(self, learner: MirrorDescent):
+    def __init__(self, learner: MirrorDescent, T: int):
         if learner.regularizer != "quadratic" or \
                 learner.feasible_set.kind != FeasibleSet.UNCONSTRAINED:
             raise ValueError("stability accounting needs the unconstrained quadratic form")
@@ -59,21 +63,25 @@ class _MirrorStability:
         self.psi_const = 0.0
         self.prev_weights = learner.cum_weights.copy()
         self._last = None
-        self._tangents = []  # (lam_t, g_psi, x_next) per round
+        self.tangent_const = np.zeros(T)
+        self.tangent_slopes = np.zeros((T, dim))
 
     def after_step(self, x_prev, g, x_next):
-        lam_t = self.learner.penalty.alpha(self.learner.t) * self.learner.penalty.lam
+        t = self.learner.t
+        lam_t = self.learner.penalty.alpha(t) * self.learner.penalty.lam
         g_psi = extract_psi_subgradient(x_prev, x_next, g, self.learner.cum_weights, lam_t)
         sigma = np.maximum(self.learner.cum_weights - self.prev_weights, 0.0)
+        const = lam_t * float(np.sum(np.abs(x_next))) - float(g_psi @ x_next)
         self.g_sum = self.g_sum + g
         self.adj_sum = self.adj_sum + sigma * x_prev
         self.recentering += 0.5 * float(np.sum(sigma * x_prev ** 2))
-        self._last = (x_prev, sigma, lam_t, g_psi, x_next)
-        self._tangents.append((lam_t, g_psi, x_next))
+        self._last = (x_prev, sigma, const, g_psi)
+        self.tangent_const[t - 1] = const
+        self.tangent_slopes[t - 1] = g_psi
         self.prev_weights = self.learner.cum_weights.copy()
         # h_{0:t} includes this round's tangent of the penalty
         self.g_psi_sum = self.g_psi_sum + g_psi
-        self.psi_const += lam_t * float(np.sum(np.abs(x_next))) - float(g_psi @ x_next)
+        self.psi_const += const
 
     def objective(self, x) -> float:
         w = self.learner.cum_weights
@@ -81,27 +89,25 @@ class _MirrorStability:
         return float(self.g_sum @ x) + float(self.g_psi_sum @ x) + self.psi_const + quad
 
     def reg_increment(self, x) -> float:
-        x_prev, sigma, lam_t, g_psi, x_next = self._last
-        quad = 0.5 * float(np.sum(sigma * (x - x_prev) ** 2))
-        tangent = lam_t * float(np.sum(np.abs(x_next))) + float(g_psi @ (x - x_next))
-        return quad + tangent
+        x_prev, sigma, const, g_psi = self._last
+        return 0.5 * float(np.sum(sigma * (x - x_prev) ** 2)) + const + float(g_psi @ x)
 
-    def reg_total(self, x_star, sigmas, iterates, inv0, prefix: int) -> float:
-        base = 0.5 * float(np.sum(inv0 * x_star ** 2))
-        base += 0.5 * float(np.sum(sigmas[:prefix] * (x_star[None, :] - iterates[:prefix]) ** 2))
-        return base + self._psi_at(x_star, prefix)
-
-    def _psi_at(self, x_star, prefix: int) -> float:
-        total = 0.0
-        for lam_t, g_psi, x_next in self._tangents[:prefix]:
-            total += lam_t * float(np.sum(np.abs(x_next))) + float(g_psi @ (x_star - x_next))
-        return total
+    def penalty_curve(self, x_star) -> np.ndarray:
+        """The tangents' share of r_{0:t}(x*) for t = 1..T."""
+        return np.cumsum(self.tangent_const + self.tangent_slopes @ x_star)
 
 
 def run_rounds(learner, stream, T: int, rule: BoundRule | None = None,
                cfg: BoundConfig | None = None,
                comparator_set: FeasibleSet | None = None) -> RunResult:
-    """Drive ``T`` rounds and assemble the per-round regret record."""
+    """Drive ``T`` rounds and assemble the per-round regret record.
+
+    ``record.strong_ftrl_rhs`` is the stability decomposition of the
+    Strong FTRL Lemma at every prefix: r_{0:t}(x*) + penalty
+    + sum_{s<=t} stability_s, where the penalty is alpha_{1:t} lam ||x*||_1
+    (or, for mirror descent, the penalty's tangents at x*).  The whole curve
+    costs O(T n).  It is +inf for learners without stability hooks.
+    """
     if T < 0:
         raise ValueError(f"round count must be >= 0, got {T}")
     dim = learner.dim
@@ -118,7 +124,7 @@ def run_rounds(learner, stream, T: int, rule: BoundRule | None = None,
     mirror_acct = None
     if isinstance(learner, MirrorDescent):
         try:
-            mirror_acct = _MirrorStability(learner)
+            mirror_acct = _MirrorStability(learner, T)
         except ValueError:
             mirror_acct = None
 
@@ -145,8 +151,7 @@ def run_rounds(learner, stream, T: int, rule: BoundRule | None = None,
     trace = RunTrace(
         grads=grads, iterates=iterates, inv_rates=inv_rates, inv0=inv0,
         reg_kind=learner.reg_kind,
-        penalty_lam=getattr(getattr(learner, "penalty", None), "lam", 0.0),
-        penalty_cum_alpha=None)
+        penalty_lam=getattr(getattr(learner, "penalty", None), "lam", 0.0))
 
     if hasattr(stream, "best_fixed_point") and T > 0:
         x_star = stream.best_fixed_point()
@@ -163,29 +168,12 @@ def run_rounds(learner, stream, T: int, rule: BoundRule | None = None,
     else:
         bound = np.full(T, np.inf)
 
-    sigmas = trace.sigmas()
-
-    def reg_total(prefix: int) -> float:
-        if mirror_acct is not None:
-            return mirror_acct.reg_total(x_star, sigmas, iterates, inv0, prefix)
-        kind = learner.reg_kind
-        if kind == "centered":
-            inv = inv_rates[prefix - 1] if prefix >= 1 else inv0
-            base = 0.5 * float(np.sum(inv * x_star ** 2))
-        elif kind == "entropic":
-            inv = inv_rates[prefix - 1] if prefix >= 1 else inv0
-            base = float(inv.flat[0]) * negative_entropy(x_star)
-        elif kind == "proximal":
-            base = 0.5 * float(np.sum(inv0 * x_star ** 2))
-            base += 0.5 * float(np.sum(sigmas[:prefix] * (x_star[None, :] - iterates[:prefix]) ** 2))
-        else:
-            base = 0.0
-        if prefix >= 1 and penalty_cum[prefix - 1] > 0:
-            base += penalty_cum[prefix - 1] * float(np.sum(np.abs(x_star)))
-        return base
-
     if np.all(np.isfinite(stability)):
-        rhs = np.array([reg_total(t) + float(np.sum(stability[:t])) for t in range(1, T + 1)])
+        if mirror_acct is not None:
+            penalty = mirror_acct.penalty_curve(x_star)
+        else:
+            penalty = penalty_cum * float(np.sum(np.abs(x_star)))
+        rhs = _reg_curve(trace, x_star, shifted=False) + penalty + np.cumsum(stability)
     else:
         rhs = np.full(T, np.inf)
 

@@ -59,7 +59,27 @@ class BoundConfig:
                 raise ValueError(f"config field {name!r} must be > 0, got {value}")
 
 
-class OnlineLearner:
+class _ReadOnlyIterate:
+    """Publishes the iterate ``x`` read-only.
+
+    ``step`` hands callers the learner's own array, without a copy, and the
+    next step reads it back as x_prev; freezing it on assignment means a
+    caller's write raises instead of silently changing the learner's state.
+    Learners always rebind ``x`` to a fresh array and never write into it.
+    """
+
+    @property
+    def x(self):
+        return self._x
+
+    @x.setter
+    def x(self, value):
+        if value is not None:
+            value.flags.writeable = False
+        self._x = value
+
+
+class OnlineLearner(_ReadOnlyIterate):
     """Common bookkeeping: round index, gradient sums, diagnostics hooks."""
 
     reg_kind = NONE
@@ -259,7 +279,7 @@ class FtrlCompositeL1(OnlineLearner):
         if isinstance(schedule, AdaGradRate) and centering == CENTERED and schedule.offset <= 0:
             raise ValueError("centered adaptive rates need offset > 0")
         super().__init__(dim, feasible_set)
-        self.penalty = CompositePenalty(lam, CompositePenalty.ALL_ROUNDS)
+        self.penalty = CompositePenalty(lam)
         self.schedule = schedule
         self.centering = centering
         self.adj_sum = np.zeros(dim)

@@ -29,7 +29,7 @@ from .core import (
     soft_threshold_argmin,
     softmax_simplex,
 )
-from .learners import DualAveraging, _broadcast_inv
+from .learners import DualAveraging, _broadcast_inv, _ReadOnlyIterate
 
 QUADRATIC = "quadratic"
 ENTROPIC = "entropic"
@@ -61,7 +61,7 @@ def extract_psi_subgradient(x_prev, x_next, g, cum_weights, alpha_lam: float,
     return g_psi
 
 
-class MirrorDescent:
+class MirrorDescent(_ReadOnlyIterate):
     """x_{t+1} = argmin g_t . x + alpha_t psi(x) + B_t(x, x_t).
 
     B_t is the divergence of the accumulated regularizer: quadratic-diagonal
@@ -93,7 +93,7 @@ class MirrorDescent:
             raise ValueError(f"unknown regularizer {regularizer!r}")
         self.dim = int(dim)
         self.schedule = schedule
-        self.penalty = CompositePenalty(lam, CompositePenalty.ALL_ROUNDS)
+        self.penalty = CompositePenalty(lam)
         self.feasible_set = feasible_set
         self.regularizer = regularizer
         self.g_inf = g_inf
@@ -166,7 +166,7 @@ class MirrorDescent:
         return self.penalty.cum_alpha(self.t) * self.penalty.lam
 
 
-class MdAsFtrl:
+class MdAsFtrl(_ReadOnlyIterate):
     """The mirror-descent update rewritten as a proximally recentered FTRL.
 
     Accumulates g_{1:t}, the penalty subgradients g_psi_{1:t-1} extracted at
@@ -181,7 +181,7 @@ class MdAsFtrl:
             raise ValueError(f"dimension must be >= 1, got {dim}")
         self.dim = int(dim)
         self.schedule = schedule
-        self.penalty = CompositePenalty(lam, CompositePenalty.ALL_ROUNDS)
+        self.penalty = CompositePenalty(lam)
         self.t = 0
         self.g_sum = np.zeros(dim)
         self.g_psi_sum = np.zeros(dim)
@@ -235,7 +235,7 @@ class MdAsFtrl:
 # Lazy vs greedy projection families (constant rate, quadratic regularizer)
 # ---------------------------------------------------------------------------
 
-class LazyProjection:
+class LazyProjection(_ReadOnlyIterate):
     """Projects the accumulated unconstrained solution once per round.
 
     Variants are bookkeeping styles of the same family: "projection" keeps
@@ -286,7 +286,7 @@ class LazyProjection:
         return self.x
 
 
-class GreedyProjection:
+class GreedyProjection(_ReadOnlyIterate):
     """Projects after every step, from the previous projected point.
 
     "projection" is the two-step update Proj(x_t - eta g_t); "explicit"

@@ -66,6 +66,30 @@ class TestRun:
         assert out == ""
         assert target.read_text().startswith("round,loss")
 
+    def test_bound_violation_names_the_first_failing_round(self, tmp_path, capsys, monkeypatch):
+        real_run_rounds = cli.run_rounds
+
+        def crossing(*args, **kwargs):
+            result = real_run_rounds(*args, **kwargs)
+            rec = result.record
+            rec.bound = rec.cum_regret + 1.0
+            rec.bound[6:] = rec.cum_regret[6:] - 0.25  # rows 7 on exceed it by 0.25
+            result.bound_ok = False
+            return result
+
+        cfg = write_config(tmp_path, RUN_CFG)
+        _, clean_out, clean_err = run_cli(["run", "--config", cfg], capsys)
+        monkeypatch.setattr(cli, "run_rounds", crossing)
+        code, out, err = run_cli(["run", "--config", cfg], capsys)
+        assert clean_err == ""
+        assert code == 1
+        assert err.count("\n") == 1
+        assert "first at round 7, by 0.25 (" in err
+        # stdout is still the CSV, with only the bound column changed
+        strip_bound = [line.split(",")[:4] + line.split(",")[5:] for line in out.splitlines()]
+        assert strip_bound == [line.split(",")[:4] + line.split(",")[5:]
+                               for line in clean_out.splitlines()]
+
     def test_mismatched_learner_bound_pairing_is_usage_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, RUN_CFG.replace("da-closed-form", "prox-closed-form"))
         code, _, err = run_cli(["run", "--config", cfg], capsys)
