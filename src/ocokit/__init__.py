@@ -1,9 +1,9 @@
 """Adaptive online convex optimization learners with a verification harness.
 
-Learners (gradient-sum, proximally recentered, composite L1, entropic,
-strongly convex), mirror descent and its exact FTRL reformulation, regret
-bounds evaluated per round, and brute-force oracles that certify every
-closed-form update.
+Learners (one quadratic FTRL solver with gradient-sum, proximally
+recentered and composite-L1 presets; entropic; strongly convex), mirror
+descent and its exact FTRL reformulation, regret bounds evaluated per
+round, and brute-force oracles that certify every closed-form update.
 """
 
 from .bounds import (
@@ -22,7 +22,6 @@ from .core import (
     ConsistencyError,
     ConstantRate,
     FeasibleSet,
-    InverseLinearRate,
     InverseSqrtRate,
     InvariantViolation,
     LearningRateSchedule,
@@ -44,6 +43,7 @@ from .learners import (
     EntropicFtrl,
     FtrlCompositeL1,
     FtrlProximal,
+    QuadraticFtrl,
     StronglyConvexOgd,
 )
 from .mirror import (

@@ -12,10 +12,9 @@ import math
 
 import numpy as np
 
-# Centralized tolerances: closed form vs. numeric oracle, state/trajectory
-# equivalence, and exact algebraic identities.
+# Centralized tolerances: closed form vs. numeric oracle, and exact algebraic
+# identities.
 TOL_ORACLE = 1e-6
-TOL_STATE = 1e-8
 TOL_ALGEBRA = 1e-12
 
 
@@ -140,8 +139,6 @@ class LearningRateSchedule:
     is nonnegative.
     """
 
-    per_coordinate = False
-
     def inverse_rate(self, t: int, sq_sum=0.0):
         raise NotImplementedError
 
@@ -180,24 +177,12 @@ class InverseSqrtRate(LearningRateSchedule):
         return f"InverseSqrtRate(scale={self.scale}, shift={self.shift})"
 
 
-class InverseLinearRate(LearningRateSchedule):
-    """eta_t = 1/t, the rate for losses with unit strong convexity."""
-
-    def inverse_rate(self, t, sq_sum=0.0):
-        return float(t)
-
-    def __repr__(self):
-        return "InverseLinearRate()"
-
-
 class AdaGradRate(LearningRateSchedule):
     """Per-coordinate eta_{t,i} = scale / sqrt(offset^2 + sum_s g_{s,i}^2).
 
     A zero denominator encodes an infinite rate (inverse_rate returns 0 for
     that coordinate); step solvers fall back to their tie-break there.
     """
-
-    per_coordinate = True
 
     def __init__(self, scale: float, offset: float = 0.0):
         if not (np.isfinite(scale) and scale > 0):
@@ -263,22 +248,16 @@ class CompositePenalty:
 class RegularizerSpec:
     """Snapshot of an accumulated regularizer r_{0:t}.
 
-    Quadratic-diagonal: r(x) = sum_i w_i x_i^2 / 2 (per-coordinate weights),
-    centered at the origin or proximally at the current iterate.  Entropic:
-    r(x) = w (log n + sum_i x_i log x_i) on the probability simplex.
+    Quadratic-diagonal: r(x) = sum_i w_i x_i^2 / 2 (per-coordinate weights).
+    Entropic: r(x) = w (log n + sum_i x_i log x_i) on the probability simplex.
     """
 
     QUADRATIC = "quadratic-diagonal"
     ENTROPIC = "entropic"
 
-    CENTERED = "centered"
-    PROXIMAL = "proximal"
-
-    def __init__(self, kind, weights, centering=CENTERED):
+    def __init__(self, kind, weights):
         if kind not in (self.QUADRATIC, self.ENTROPIC):
             raise ValueError(f"unknown regularizer kind {kind!r}")
-        if centering not in (self.CENTERED, self.PROXIMAL):
-            raise ValueError(f"unknown centering {centering!r}")
         if kind == self.QUADRATIC:
             weights = np.atleast_1d(np.asarray(weights, dtype=float))
             if np.any(weights < 0) or not np.all(np.isfinite(weights)):
@@ -289,11 +268,10 @@ class RegularizerSpec:
                 raise ValueError("entropic weight must be finite and >= 0")
         self.kind = kind
         self.weights = weights
-        self.centering = centering
 
     @classmethod
-    def quadratic_diagonal(cls, weights, centering=CENTERED) -> "RegularizerSpec":
-        return cls(cls.QUADRATIC, weights, centering)
+    def quadratic_diagonal(cls, weights) -> "RegularizerSpec":
+        return cls(cls.QUADRATIC, weights)
 
     @classmethod
     def entropic(cls, weight: float) -> "RegularizerSpec":
@@ -334,20 +312,50 @@ def bregman_divergence(reg: RegularizerSpec, u, v) -> float:
 # Closed-form single-step solvers
 # ---------------------------------------------------------------------------
 
-def soft_threshold_argmin(b: float, lam: float, a: float) -> float:
-    """argmin_x  b*x + lam*|x| + (a/2) x^2.
+def _all(mask) -> bool:
+    """mask.all(), without the fixed cost of a reduction on a tiny array."""
+    return np.count_nonzero(mask) == mask.size
 
-    Zero iff |b| <= lam, otherwise -(b - sign(b) lam)/a.
+
+def soft_threshold_argmin(b, lam, a):
+    """argmin_x  b*x + lam*|x| + (a/2) x^2, elementwise over broadcast arrays.
+
+    Zero iff |b| <= lam, otherwise -(b - sign(b) lam)/a, computed as b
+    shrunk toward zero by lam: (clip(b, -lam, lam) - b)/a, which is the
+    same float.  Scalar arguments give a float, arrays an array.
     """
-    if not (np.isfinite(b) and np.isfinite(lam) and np.isfinite(a)):
+    b = np.asarray(b, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    a = np.asarray(a, dtype=float)
+    if not (_all(np.isfinite(b)) and _all(np.isfinite(lam)) and _all(np.isfinite(a))):
         raise ValueError("soft threshold requires finite arguments")
-    if a <= 0:
+    if not _all(a > 0):
         raise ValueError(f"quadratic coefficient must be > 0, got {a}")
-    if lam < 0:
+    if not _all(lam >= 0):
         raise ValueError(f"l1 weight must be >= 0, got {lam}")
-    if abs(b) <= lam:
-        return 0.0
-    return -(b - math.copysign(lam, b)) / a
+    x = (np.minimum(np.maximum(b, -lam), lam) - b) / a
+    return float(x) if x.ndim == 0 else x
+
+
+def _l1_step(b, lam: float, inv, box: float | None = None) -> np.ndarray:
+    """argmin_x  b.x + lam ||x||_1 + sum_i inv_i x_i^2 / 2, per coordinate.
+
+    Coordinates with inv_i > 0 soft-threshold.  A coordinate with inv_i = 0
+    (an infinite rate) goes to 0 if |b_i| <= lam, else to the corner of the
+    box of half-width ``box`` opposite b_i; with no box it is unbounded and
+    raises UnsupportedCombination.  The result is not clamped to the box.
+    """
+    live = inv > 0
+    if _all(live):
+        return soft_threshold_argmin(b, lam, inv)
+    x = soft_threshold_argmin(b, lam, np.where(live, inv, 1.0))
+    flat = np.abs(b) <= lam
+    if box is None:
+        if not _all(live | flat):
+            raise UnsupportedCombination(
+                "coordinate with infinite rate and active linear term is unbounded")
+        return np.where(live, x, 0.0)
+    return np.where(live, x, np.where(flat, 0.0, -np.copysign(box, b)))
 
 
 def project_l2_ball(v, radius: float) -> np.ndarray:

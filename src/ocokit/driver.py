@@ -45,9 +45,10 @@ class _MirrorStability:
     with past penalty terms replaced by their tangents at the points where
     they were taken, and exposes the same objective / reg_increment hooks
     the native learners provide.  Round t's tangent
-    lam_t ||x_{t+1}||_1 + g_psi . (x - x_{t+1}) is kept as its constant
-    lam_t ||x_{t+1}||_1 - g_psi . x_{t+1} and its slope g_psi, so the
-    tangent history at any comparator is one matrix-vector product.
+    lam_t ||x_{t+1}||_1 + g_psi . (x - x_{t+1}) reduces to its slope term
+    g_psi . x, since g_psi = lam_t sign(x_{t+1}) on the support and
+    x_{t+1} = 0 off it; the tangent history at any comparator is then one
+    matrix-vector product.
     """
 
     def __init__(self, learner: MirrorDescent, T: int):
@@ -60,10 +61,8 @@ class _MirrorStability:
         self.g_psi_sum = np.zeros(dim)
         self.adj_sum = np.zeros(dim)
         self.recentering = 0.0
-        self.psi_const = 0.0
         self.prev_weights = learner.cum_weights.copy()
         self._last = None
-        self.tangent_const = np.zeros(T)
         self.tangent_slopes = np.zeros((T, dim))
 
     def after_step(self, x_prev, g, x_next):
@@ -71,30 +70,27 @@ class _MirrorStability:
         lam_t = self.learner.penalty.alpha(t) * self.learner.penalty.lam
         g_psi = extract_psi_subgradient(x_prev, x_next, g, self.learner.cum_weights, lam_t)
         sigma = np.maximum(self.learner.cum_weights - self.prev_weights, 0.0)
-        const = lam_t * float(np.sum(np.abs(x_next))) - float(g_psi @ x_next)
         self.g_sum = self.g_sum + g
         self.adj_sum = self.adj_sum + sigma * x_prev
         self.recentering += 0.5 * float(np.sum(sigma * x_prev ** 2))
-        self._last = (x_prev, sigma, const, g_psi)
-        self.tangent_const[t - 1] = const
+        self._last = (x_prev, sigma, g_psi)
         self.tangent_slopes[t - 1] = g_psi
         self.prev_weights = self.learner.cum_weights.copy()
         # h_{0:t} includes this round's tangent of the penalty
         self.g_psi_sum = self.g_psi_sum + g_psi
-        self.psi_const += const
 
     def objective(self, x) -> float:
         w = self.learner.cum_weights
         quad = 0.5 * float(np.sum(w * x ** 2)) - float(self.adj_sum @ x) + self.recentering
-        return float(self.g_sum @ x) + float(self.g_psi_sum @ x) + self.psi_const + quad
+        return float(self.g_sum @ x) + float(self.g_psi_sum @ x) + quad
 
     def reg_increment(self, x) -> float:
-        x_prev, sigma, const, g_psi = self._last
-        return 0.5 * float(np.sum(sigma * (x - x_prev) ** 2)) + const + float(g_psi @ x)
+        x_prev, sigma, g_psi = self._last
+        return 0.5 * float(np.sum(sigma * (x - x_prev) ** 2)) + float(g_psi @ x)
 
     def penalty_curve(self, x_star) -> np.ndarray:
         """The tangents' share of r_{0:t}(x*) for t = 1..T."""
-        return np.cumsum(self.tangent_const + self.tangent_slopes @ x_star)
+        return np.cumsum(self.tangent_slopes @ x_star)
 
 
 def run_rounds(learner, stream, T: int, rule: BoundRule | None = None,

@@ -5,6 +5,13 @@ sums, proximal adjustment sums, current iterate) and exposes ``step(g)``,
 which consumes the round-t subgradient and returns the next iterate.  Loss
 linearization is the caller's job: learners only ever see g_t.
 
+Dual averaging, proximal FTRL and composite-L1 FTRL are one solver,
+``QuadraticFtrl``: they differ only in where the incremental quadratic
+regularizers are centered (the origin or the iterates) and in whether the
+accumulated penalty t lam ||x||_1 is kept.  ``DualAveraging``,
+``FtrlProximal`` and ``FtrlCompositeL1`` are presets that fix those two
+choices and check which schedules and feasible sets they accept.
+
 Instances are single-threaded state machines; distinct instances share
 nothing and may run on distinct threads.
 """
@@ -24,12 +31,12 @@ from .core import (
     InverseSqrtRate,
     LearningRateSchedule,
     UnsupportedCombination,
+    _l1_step,
     as_point,
     clamp_box,
     negative_entropy,
     project_l2_ball,
     project_l2_ball_weighted,
-    soft_threshold_argmin,
     softmax_simplex,
 )
 
@@ -91,7 +98,6 @@ class OnlineLearner(_ReadOnlyIterate):
         self.feasible_set = feasible_set
         self.t = 0
         self.g_sum = np.zeros(dim)
-        self.sq_sum = np.zeros(dim)
         self.x = np.zeros(dim)
         # diagnostics refreshed by each step
         self.last_sigma = np.zeros(dim)
@@ -122,230 +128,163 @@ class OnlineLearner(_ReadOnlyIterate):
 
 
 def _broadcast_inv(value, dim):
-    return np.broadcast_to(np.asarray(value, dtype=float), (dim,)).copy()
+    inv = np.empty(dim)
+    inv[...] = value  # a scalar rate or a per-coordinate array, copied
+    return inv
 
 
-class DualAveraging(OnlineLearner):
-    """Gradient-sum learner with regularizers centered at the starting point.
+class QuadraticFtrl(OnlineLearner):
+    """FTRL with diagonal quadratic regularizers and an accumulated L1 penalty.
 
-    x_{t+1} = argmin g_{1:t} . x + (1/2 eta) ||x||^2 over the feasible set,
-    solved lazily: the unconstrained solution -eta g_{1:t} is projected once
-    per round.  Supported schedules: constant, 1/sqrt(t+1) decay, and the
-    per-coordinate adaptive rate with a strictly positive offset (the offset
-    stands in for the not-yet-seen current gradient; the rate applied at
-    step t is the one determined by rounds 1..t-1).
+    Solves, per coordinate, by one array soft threshold
+        x_{t+1,i} = argmin b_i x + t lam |x| + x^2 / (2 eta_{t,i})
+    and then projects onto the feasible set.  With centering="centered" the
+    incremental regularizers sit at the origin and b = g_{1:t}; with
+    "proximal" they sit at the iterates, and b = g_{1:t} - a_{1:t} with the
+    adjustment sum a_t = sigma_t x_t.  The penalty weight grows as
+    alpha_{1:t} = t, which is what drives iterates to exact zero.  Centered
+    at the origin, an adaptive rate applied at step t is the one determined
+    by rounds 1..t-1 (its offset stands in for the not-yet-seen gradient).
+
+    Ball projections are lazy: weighted by the per-coordinate rates under
+    AdaGrad, radial otherwise; a ball admits no L1 term.  A coordinate with
+    an infinite rate (inverse rate 0) goes to 0 inside the threshold band,
+    to the box corner on a box, and raises UnsupportedCombination otherwise.
     """
-
-    reg_kind = CENTERED
 
     def __init__(self, dim: int, schedule: LearningRateSchedule,
-                 feasible_set: FeasibleSet | None = None):
+                 feasible_set: FeasibleSet | None = None, centering: str = CENTERED,
+                 lam: float = 0.0):
         feasible_set = feasible_set or FeasibleSet.unconstrained()
         if feasible_set.kind == FeasibleSet.SIMPLEX:
             raise UnsupportedCombination("use EntropicFtrl on the simplex")
-        if isinstance(schedule, AdaGradRate):
-            if schedule.offset <= 0:
-                raise ValueError("centered adaptive rates need offset > 0")
-        elif isinstance(schedule, InverseSqrtRate):
-            if schedule.shift != 1:
-                raise UnsupportedCombination("centered sqrt decay requires shift=1")
-        elif not isinstance(schedule, ConstantRate):
-            raise UnsupportedCombination(f"unsupported schedule {schedule!r} for dual averaging")
-        super().__init__(dim, feasible_set)
-        self.schedule = schedule
-        self.last_inv_rate = _broadcast_inv(schedule.inverse_rate(0, self.sq_sum), dim)
-
-    def step(self, g) -> np.ndarray:
-        prev_inv = self.last_inv_rate
-        if isinstance(self.schedule, AdaGradRate):
-            # data-driven part lags one round; the offset covers the gap
-            inv = _broadcast_inv(self.schedule.inverse_rate(self.t, self.sq_sum), self.dim)
-            g = self._take(g)
-            self.sq_sum = self.sq_sum + g * g
-        else:
-            g = self._take(g)
-            inv = _broadcast_inv(self.schedule.inverse_rate(self.t, self.sq_sum), self.dim)
-            self.sq_sum = self.sq_sum + g * g
-        self.last_sigma = np.maximum(inv - prev_inv, 0.0)
-        self.last_inv_rate = inv
-        u = np.where(inv > 0, -self.g_sum / np.where(inv > 0, inv, 1.0), 0.0)
-        self.x = self._project(u, inv)
-        return self.x
-
-    def _project(self, u, inv):
-        fs = self.feasible_set
-        if fs.kind == FeasibleSet.UNCONSTRAINED:
-            return u
-        if fs.kind == FeasibleSet.BOX:
-            return clamp_box(u, fs.radius)
-        if isinstance(self.schedule, AdaGradRate):
-            return project_l2_ball_weighted(u, inv, fs.radius)
-        return project_l2_ball(u, fs.radius)
-
-    def objective(self, x) -> float:
-        x = as_point(x, dim=self.dim)
-        return float(self.g_sum @ x + 0.5 * np.sum(self.last_inv_rate * x ** 2))
-
-    def reg_increment(self, x) -> float:
-        x = as_point(x, dim=self.dim)
-        return float(0.5 * np.sum(self.last_sigma * x ** 2))
-
-
-class FtrlProximal(OnlineLearner):
-    """FTRL with incremental regularizers recentered at each iterate.
-
-    Maintains g_{1:t}, per-coordinate squared sums, and the adjustment sum
-    a_{1:t} with a_t = sigma_t x_t, and solves
-        x_{t+1} = argmin (g_{1:t} - a_{1:t}) . x + sum_i x_i^2 / (2 eta_{t,i})
-    over the feasible set (closed form per coordinate on a box; lazy
-    projection otherwise).  With the per-coordinate adaptive rate a bounded
-    feasible set is required.
-    """
-
-    reg_kind = PROXIMAL
-
-    def __init__(self, dim: int, schedule: LearningRateSchedule, feasible_set: FeasibleSet):
-        if feasible_set.kind == FeasibleSet.SIMPLEX:
-            raise UnsupportedCombination("use EntropicFtrl on the simplex")
-        if feasible_set.kind == FeasibleSet.UNCONSTRAINED and isinstance(schedule, AdaGradRate):
-            raise UnsupportedCombination(
-                "per-coordinate adaptive rates need a bounded feasible set")
-        if isinstance(schedule, (ConstantRate, InverseSqrtRate, AdaGradRate)):
-            pass
-        else:
-            raise UnsupportedCombination(f"unsupported schedule {schedule!r} for proximal FTRL")
-        super().__init__(dim, feasible_set)
-        self.schedule = schedule
-        self.adj_sum = np.zeros(dim)
-        self._recentering_value = 0.0  # sum_s sigma_s ||x_s||^2 contribution
-        self._last_center = self.x
-        self.last_inv_rate = _broadcast_inv(schedule.inverse_rate(0, self.sq_sum), dim)
-
-    def step(self, g) -> np.ndarray:
-        x_prev = self.x
-        prev_inv = self.last_inv_rate
-        g = self._take(g)
-        self.sq_sum = self.sq_sum + g * g
-        inv = _broadcast_inv(self.schedule.inverse_rate(self.t, self.sq_sum), self.dim)
-        sigma = np.maximum(inv - prev_inv, 0.0)
-        self.adj_sum = self.adj_sum + sigma * x_prev
-        self._recentering_value += 0.5 * float(np.sum(sigma * x_prev ** 2))
-        self.last_sigma = sigma
-        self.last_inv_rate = inv
-        self._last_center = x_prev
-        z = self.g_sum - self.adj_sum
-        u = np.where(inv > 0, -z / np.where(inv > 0, inv, 1.0), 0.0)
-        self.x = self._project(u, inv)
-        return self.x
-
-    def _project(self, u, inv):
-        fs = self.feasible_set
-        if fs.kind == FeasibleSet.UNCONSTRAINED:
-            return u
-        if fs.kind == FeasibleSet.BOX:
-            return clamp_box(u, fs.radius)
-        if isinstance(self.schedule, AdaGradRate):
-            return project_l2_ball_weighted(u, inv, fs.radius)
-        return project_l2_ball(u, fs.radius)
-
-    def objective(self, x) -> float:
-        x = as_point(x, dim=self.dim)
-        quad = 0.5 * np.sum(self.last_inv_rate * x ** 2) - self.adj_sum @ x
-        return float(self.g_sum @ x + quad + self._recentering_value)
-
-    def reg_increment(self, x) -> float:
-        x = as_point(x, dim=self.dim)
-        return float(0.5 * np.sum(self.last_sigma * (x - self._last_center) ** 2))
-
-
-class FtrlCompositeL1(OnlineLearner):
-    """FTRL that keeps the full accumulated L1 penalty in the update.
-
-    Solves, per coordinate,
-        x_{t+1,i} = argmin b_i x + alpha_{1:t} lam |x| + x^2 / (2 eta_{t,i})
-    by soft thresholding, where b is the accumulated linear coefficient
-    (g_{1:t}, minus the recentering adjustment when proximal).  The penalty
-    weight grows as alpha_{1:t} = t, which is what drives iterates to exact
-    zero; lam = 0 reduces to the plain gradient-sum learner.
-    """
-
-    def __init__(self, dim: int, schedule: LearningRateSchedule, lam: float,
-                 centering: str = CENTERED, feasible_set: FeasibleSet | None = None):
-        feasible_set = feasible_set or FeasibleSet.unconstrained()
-        if feasible_set.kind not in (FeasibleSet.UNCONSTRAINED, FeasibleSet.BOX):
-            raise UnsupportedCombination("composite L1 supports unconstrained or box sets")
         if centering not in (CENTERED, PROXIMAL):
             raise ValueError(f"centering must be centered or proximal, got {centering!r}")
-        if isinstance(schedule, AdaGradRate) and centering == CENTERED and schedule.offset <= 0:
+        self._lagged = centering == CENTERED and isinstance(schedule, AdaGradRate)
+        if self._lagged and schedule.offset <= 0:
             raise ValueError("centered adaptive rates need offset > 0")
         super().__init__(dim, feasible_set)
         self.penalty = CompositePenalty(lam)
+        if feasible_set.kind == FeasibleSet.L2_BALL and lam > 0:
+            raise UnsupportedCombination("no closed form for ball + L1")
         self.schedule = schedule
         self.centering = centering
+        self.sq_sum = np.zeros(dim)
         self.adj_sum = np.zeros(dim)
-        self._recentering_value = 0.0
+        self._recentering_value = 0.0  # sum_s sigma_s ||x_s||^2 / 2
         self._last_center = self.x
-        self.last_inv_rate = _broadcast_inv(schedule.inverse_rate(0, self.sq_sum), dim)
+        self.last_inv_rate = self._inverse_rate()
 
     @property
     def reg_kind(self):
         return self.centering
 
+    def _inverse_rate(self):
+        return _broadcast_inv(self.schedule.inverse_rate(self.t, self.sq_sum), self.dim)
+
     def step(self, g) -> np.ndarray:
         x_prev = self.x
         prev_inv = self.last_inv_rate
-        if self.centering == CENTERED and isinstance(self.schedule, AdaGradRate):
-            inv = _broadcast_inv(self.schedule.inverse_rate(self.t, self.sq_sum), self.dim)
-            g = self._take(g)
-            self.sq_sum = self.sq_sum + g * g
-        else:
-            g = self._take(g)
-            self.sq_sum = self.sq_sum + g * g
-            inv = _broadcast_inv(self.schedule.inverse_rate(self.t, self.sq_sum), self.dim)
+        inv = self._inverse_rate() if self._lagged else None  # from rounds 1..t-1
+        g = self._take(g)
+        self.sq_sum = self.sq_sum + g * g
+        if inv is None:
+            inv = self._inverse_rate()
         sigma = np.maximum(inv - prev_inv, 0.0)
+        b = self.g_sum
         if self.centering == PROXIMAL:
             self.adj_sum = self.adj_sum + sigma * x_prev
             self._recentering_value += 0.5 * float(np.sum(sigma * x_prev ** 2))
+            b = b - self.adj_sum
         self.last_sigma = sigma
         self.last_inv_rate = inv
         self._last_center = x_prev
-        b = self.g_sum - self.adj_sum
-        threshold = self.penalty.cum_alpha(self.t) * self.penalty.lam
-        self.x = self._solve(b, threshold, inv)
+        fs = self.feasible_set
+        box = fs.radius if fs.kind == FeasibleSet.BOX else None
+        x = _l1_step(b, self.penalty_cum_weight(), inv, box)
+        self.x = self._project(x, inv)
         return self.x
 
-    def _solve(self, b, threshold, inv):
-        x = np.empty(self.dim)
-        for i in range(self.dim):
-            if inv[i] > 0:
-                x[i] = soft_threshold_argmin(b[i], threshold, inv[i])
-            elif abs(b[i]) <= threshold:
-                x[i] = 0.0
-            elif self.feasible_set.kind == FeasibleSet.BOX:
-                x[i] = -math.copysign(self.feasible_set.radius, b[i])
-            else:
-                raise UnsupportedCombination(
-                    "coordinate with infinite rate and active linear term is unbounded")
-        if self.feasible_set.kind == FeasibleSet.BOX:
-            x = clamp_box(x, self.feasible_set.radius)
-        return x
+    def _project(self, x, inv):
+        fs = self.feasible_set
+        if fs.kind == FeasibleSet.UNCONSTRAINED:
+            return x
+        if fs.kind == FeasibleSet.BOX:
+            return clamp_box(x, fs.radius)
+        if isinstance(self.schedule, AdaGradRate):
+            return project_l2_ball_weighted(x, inv, fs.radius)
+        return project_l2_ball(x, fs.radius)
 
     def penalty_cum_weight(self) -> float:
         return self.penalty.cum_alpha(self.t) * self.penalty.lam
 
     def objective(self, x) -> float:
         x = as_point(x, dim=self.dim)
-        quad = 0.5 * np.sum(self.last_inv_rate * x ** 2) - self.adj_sum @ x
-        l1 = self.penalty_cum_weight() * np.sum(np.abs(x))
-        return float(self.g_sum @ x + quad + l1 + self._recentering_value)
+        quad = 0.5 * np.sum(self.last_inv_rate * x ** 2)
+        if self.centering == PROXIMAL:
+            quad = quad - self.adj_sum @ x
+        value = self.g_sum @ x + quad
+        if self.penalty.lam:
+            value = value + self.penalty_cum_weight() * np.sum(np.abs(x))
+        return float(value + self._recentering_value)
 
     def reg_increment(self, x) -> float:
         x = as_point(x, dim=self.dim)
-        if self.centering == PROXIMAL:
-            quad = 0.5 * np.sum(self.last_sigma * (x - self._last_center) ** 2)
-        else:
-            quad = 0.5 * np.sum(self.last_sigma * x ** 2)
-        return float(quad + self.penalty.alpha(self.t) * self.penalty.lam * np.sum(np.abs(x)))
+        d = x - self._last_center if self.centering == PROXIMAL else x
+        value = 0.5 * np.sum(self.last_sigma * d ** 2)
+        if self.penalty.lam:
+            value = value + self.penalty.lam * np.sum(np.abs(x))  # alpha_t = 1
+        return float(value)
+
+
+class DualAveraging(QuadraticFtrl):
+    """Gradient-sum learner: regularizers centered at the starting point.
+
+    x_{t+1} = argmin g_{1:t} . x + (1/2 eta) ||x||^2 over the feasible set,
+    solved lazily: the unconstrained solution -eta g_{1:t} is projected once
+    per round.  Supported schedules: constant, 1/sqrt(t+1) decay, and the
+    per-coordinate adaptive rate with a strictly positive offset.
+    """
+
+    def __init__(self, dim: int, schedule: LearningRateSchedule,
+                 feasible_set: FeasibleSet | None = None):
+        if isinstance(schedule, InverseSqrtRate) and schedule.shift != 1:
+            raise UnsupportedCombination("centered sqrt decay requires shift=1")
+        if not isinstance(schedule, (ConstantRate, InverseSqrtRate, AdaGradRate)):
+            raise UnsupportedCombination(f"unsupported schedule {schedule!r} for dual averaging")
+        super().__init__(dim, schedule, feasible_set)
+
+
+class FtrlProximal(QuadraticFtrl):
+    """FTRL with incremental regularizers recentered at each iterate.
+
+    Solves x_{t+1} = argmin (g_{1:t} - a_{1:t}) . x + sum_i x_i^2 / (2 eta_{t,i})
+    over the feasible set.  With the per-coordinate adaptive rate a bounded
+    feasible set is required.
+    """
+
+    def __init__(self, dim: int, schedule: LearningRateSchedule, feasible_set: FeasibleSet):
+        if feasible_set.kind == FeasibleSet.UNCONSTRAINED and isinstance(schedule, AdaGradRate):
+            raise UnsupportedCombination(
+                "per-coordinate adaptive rates need a bounded feasible set")
+        if not isinstance(schedule, (ConstantRate, InverseSqrtRate, AdaGradRate)):
+            raise UnsupportedCombination(f"unsupported schedule {schedule!r} for proximal FTRL")
+        super().__init__(dim, schedule, feasible_set, PROXIMAL)
+
+
+class FtrlCompositeL1(QuadraticFtrl):
+    """FTRL that keeps the full accumulated L1 penalty t lam ||x||_1 in the update.
+
+    Unconstrained or on a box; lam = 0 reduces to the plain gradient-sum
+    learner.
+    """
+
+    def __init__(self, dim: int, schedule: LearningRateSchedule, lam: float,
+                 centering: str = CENTERED, feasible_set: FeasibleSet | None = None):
+        if feasible_set is not None and \
+                feasible_set.kind not in (FeasibleSet.UNCONSTRAINED, FeasibleSet.BOX):
+            raise UnsupportedCombination("composite L1 supports unconstrained or box sets")
+        super().__init__(dim, schedule, feasible_set, centering, lam)
 
 
 class EntropicFtrl(OnlineLearner):
@@ -377,7 +316,6 @@ class EntropicFtrl(OnlineLearner):
     def step(self, g) -> np.ndarray:
         prev_inv = float(self.last_inv_rate[0])
         g = self._take(g)
-        self.sq_sum = self.sq_sum + g * g
         self.sup_sq_sum += float(np.max(np.abs(g))) ** 2
         inv = self._inv(self.sup_sq_sum)
         self.last_sigma = np.full(self.dim, max(inv - prev_inv, 0.0))

@@ -22,11 +22,11 @@ from .core import (
     FeasibleSet,
     LearningRateSchedule,
     UnsupportedCombination,
+    _l1_step,
     as_point,
     clamp_box,
     project_l2_ball,
     project_l2_ball_weighted,
-    soft_threshold_argmin,
     softmax_simplex,
 )
 from .learners import DualAveraging, _broadcast_inv, _ReadOnlyIterate
@@ -135,19 +135,9 @@ class MirrorDescent(_ReadOnlyIterate):
             else:
                 self.x = project_l2_ball(u, self.feasible_set.radius)
             return self.x
-        x = np.empty(self.dim)
-        for i in range(self.dim):
-            b = g[i] - w[i] * x_prev[i]
-            if w[i] > 0:
-                x[i] = soft_threshold_argmin(b, alpha_lam, w[i])
-            elif abs(b) <= alpha_lam:
-                x[i] = 0.0
-            else:
-                raise UnsupportedCombination(
-                    "coordinate with no accumulated curvature and active gradient")
-        if self.feasible_set.kind == FeasibleSet.BOX:
-            x = clamp_box(x, self.feasible_set.radius)
-        self.x = x
+        box = self.feasible_set.radius if self.feasible_set.kind == FeasibleSet.BOX else None
+        x = _l1_step(g - w * x_prev, alpha_lam, w, box)
+        self.x = x if box is None else clamp_box(x, box)
         return self.x
 
     def extract_last_psi_subgradient(self, x_prev, g) -> np.ndarray:
@@ -203,16 +193,7 @@ class MdAsFtrl(_ReadOnlyIterate):
         self.adj_sum = self.adj_sum + sigma * x_prev
         self.cum_weights = w
         alpha_lam = self.penalty.alpha(self.t) * self.penalty.lam
-        b = self.g_sum + self.g_psi_sum - self.adj_sum
-        x = np.empty(self.dim)
-        for i in range(self.dim):
-            if w[i] > 0:
-                x[i] = soft_threshold_argmin(b[i], alpha_lam, w[i])
-            elif abs(b[i]) <= alpha_lam:
-                x[i] = 0.0
-            else:
-                raise UnsupportedCombination(
-                    "coordinate with no accumulated curvature and active linear term")
+        x = _l1_step(self.g_sum + self.g_psi_sum - self.adj_sum, alpha_lam, w)
         self.x = x
         # fold this round's penalty subgradient into the linearized history
         self.last_g_psi = extract_psi_subgradient(x_prev, x, g, w, alpha_lam)

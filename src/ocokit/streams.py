@@ -67,18 +67,6 @@ class L1AdversaryStream:
         return StreamEvent(t=t, g=g, loss_at=lambda y, g=g: float(g @ as_point(y, dim=1)))
 
 
-class ReplayStream:
-    """Re-emits a recorded gradient sequence as linear losses."""
-
-    def __init__(self, grads):
-        self.grads = [as_point(g) for g in grads]
-        self.dim = self.grads[0].size if self.grads else 1
-
-    def event(self, t: int, x_t) -> StreamEvent:
-        g = self.grads[t - 1]
-        return StreamEvent(t=t, g=g, loss_at=lambda y, g=g: float(g @ as_point(y, dim=g.size)))
-
-
 # ---------------------------------------------------------------------------
 # Random linear losses
 # ---------------------------------------------------------------------------

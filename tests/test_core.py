@@ -8,7 +8,6 @@ from ocokit.core import (
     AdaGradRate,
     ConstantRate,
     FeasibleSet,
-    InverseLinearRate,
     InverseSqrtRate,
     InvariantViolation,
     RegularizerSpec,
@@ -136,13 +135,6 @@ def test_schedule_sigma_constant():
         assert core.schedule_sigma(sched, t) == pytest.approx(0.0, abs=1e-15)
 
 
-def test_schedule_sigma_inverse_linear():
-    sched = InverseLinearRate()
-    assert core.schedule_sigma(sched, 0) == 0.0
-    for t in range(1, 8):
-        assert core.schedule_sigma(sched, t) == pytest.approx(1.0)
-
-
 def test_schedule_sigma_adagrad_per_coordinate():
     # squared sums 9 then 25 with half-width 1: increments (5 - 3)/sqrt(2)
     sched = AdaGradRate(scale=math.sqrt(2) * 1.0)
@@ -159,7 +151,7 @@ def test_schedule_sigma_rejects_increasing_rate():
 def test_sigma_increments_sum_to_inverse_rate():
     rng = np.random.default_rng(4)
     schedules = [ConstantRate(0.7), InverseSqrtRate(1.3, shift=1),
-                 InverseSqrtRate(0.9, shift=0), InverseLinearRate(),
+                 InverseSqrtRate(0.9, shift=0),
                  AdaGradRate(1.1, offset=0.4)]
     for sched in schedules:
         sq = 0.0
