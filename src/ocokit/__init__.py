@@ -14,11 +14,9 @@ from .bounds import (
     bound_curve,
     bound_value,
     cumulative_regret,
-    strong_ftrl_decomposition,
 )
 from .core import (
     AdaGradRate,
-    CompositePenalty,
     ConsistencyError,
     ConstantRate,
     FeasibleSet,

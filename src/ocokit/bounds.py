@@ -137,6 +137,12 @@ def _reg_curve(trace: RunTrace, x_star: np.ndarray, shifted: bool) -> np.ndarray
     return np.zeros(T)
 
 
+def _penalty_curve(trace: RunTrace, x_star: np.ndarray) -> np.ndarray:
+    """alpha_{1:t} lam ||x*||_1 = t lam ||x*||_1 for t = 1..T (alpha_t = 1)."""
+    ts = np.arange(1, trace.inv_rates.shape[0] + 1, dtype=float)
+    return ts * trace.penalty_lam * float(np.sum(np.abs(x_star)))
+
+
 def bound_curve(rule: BoundRule, cfg: BoundConfig, grads, x_star=None,
                 trace: RunTrace | None = None) -> np.ndarray:
     """The chosen guarantee evaluated at every prefix t = 1..T."""
@@ -190,8 +196,7 @@ def bound_curve(rule: BoundRule, cfg: BoundConfig, grads, x_star=None,
     factor = 1.0 if rule is BoundRule.WEAK_PROXIMAL else 0.5
     curve = _reg_curve(trace, x_star, shifted=False) + factor * np.cumsum(duals)
     if rule in (BoundRule.COMPOSITE, BoundRule.MIRROR_DESCENT) and trace.penalty_lam > 0:
-        # alpha_{1:t} = t: every composite learner applies its penalty each round
-        curve = curve + ts * trace.penalty_lam * float(np.sum(np.abs(x_star)))
+        curve = curve + _penalty_curve(trace, x_star)
     return curve
 
 
@@ -205,19 +210,3 @@ def bound_value(rule: BoundRule, cfg: BoundConfig, grads, t: int,
         return 0.0
     return float(bound_curve(rule, cfg, grads, x_star=x_star, trace=trace)[t - 1])
 
-
-def strong_ftrl_decomposition(objective, reg_increments, iterates, x_star,
-                              reg_total_at_comparator: float) -> float:
-    """r_{0:T}(x*) + sum_t [h_{0:t}(x_t) - h_{0:t}(x_{t+1}) - r_t(x_t)].
-
-    ``objective(t, x)`` evaluates the accumulated objective h_{0:t};
-    ``reg_increments[t-1]`` is r_t(x_t); ``iterates`` holds x_1 .. x_{T+1}.
-    The returned value upper-bounds the cumulative regret against x*.
-    """
-    T = len(reg_increments)
-    if len(iterates) != T + 1:
-        raise ValueError(f"need T+1 iterates for T={T} rounds, got {len(iterates)}")
-    stability = 0.0
-    for t in range(1, T + 1):
-        stability += objective(t, iterates[t - 1]) - objective(t, iterates[t]) - reg_increments[t - 1]
-    return reg_total_at_comparator + stability

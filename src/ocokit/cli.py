@@ -143,6 +143,14 @@ def build_stream(cfg):
     raise UsageError(f"unknown stream {cfg.get('stream')!r} (choose from {', '.join(STREAMS)})")
 
 
+def _horizon_rate(cfg) -> float:
+    """The config's eta, else R / (G sqrt(T)), which is stored for the bound."""
+    if cfg.get("eta") is None:
+        _require(cfg, "T")
+        cfg["eta"] = cfg["R"] / (cfg["G"] * math.sqrt(cfg["T"]))
+    return cfg["eta"]
+
+
 def build_learner(name, cfg):
     n = cfg["n"]
     R, G = cfg["R"], cfg["G"]
@@ -151,11 +159,7 @@ def build_learner(name, cfg):
         sched = ConstantRate(eta) if eta else InverseSqrtRate(R / (math.sqrt(2) * G), shift=1)
         return DualAveraging(n, sched)
     if name == "constant-ogd":
-        if eta is None:
-            _require(cfg, "T")
-            eta = R / (G * math.sqrt(cfg["T"]))
-            cfg["eta"] = eta
-        return DualAveraging(n, ConstantRate(eta))
+        return DualAveraging(n, ConstantRate(_horizon_rate(cfg)))
     if name == "ftrl-proximal":
         sched = ConstantRate(eta) if eta else InverseSqrtRate(math.sqrt(2) * R / G, shift=0)
         return FtrlProximal(n, sched, FeasibleSet.l2_ball(R))
@@ -163,17 +167,9 @@ def build_learner(name, cfg):
         return FtrlProximal(n, AdaGradRate(math.sqrt(2) * cfg["R_inf"]),
                             FeasibleSet.box(cfg["R_inf"]))
     if name == "ftrl-l1":
-        if eta is None:
-            _require(cfg, "T")
-            eta = R / (G * math.sqrt(cfg["T"]))
-            cfg["eta"] = eta
-        return FtrlCompositeL1(n, ConstantRate(eta), cfg["lambda"])
+        return FtrlCompositeL1(n, ConstantRate(_horizon_rate(cfg)), cfg["lambda"])
     if name == "md-l1":
-        if eta is None:
-            _require(cfg, "T")
-            eta = R / (G * math.sqrt(cfg["T"]))
-            cfg["eta"] = eta
-        return MirrorDescent(n, ConstantRate(eta), lam=cfg["lambda"])
+        return MirrorDescent(n, ConstantRate(_horizon_rate(cfg)), lam=cfg["lambda"])
     if name == "entropic":
         if n < 2:
             raise UsageError("the entropic learner needs n >= 2")

@@ -217,28 +217,18 @@ def schedule_sigma(sched: LearningRateSchedule, t: int, sq_now=0.0, sq_prev=0.0)
 
 
 # ---------------------------------------------------------------------------
-# Composite penalties
+# Composite penalty
 # ---------------------------------------------------------------------------
 
-class CompositePenalty:
-    """Weight lambda of a non-smooth penalty applied in every round (alpha_t = 1)."""
+def penalty_weight(lam) -> float:
+    """Validate the weight lambda of the L1 penalty lambda ||x||_1.
 
-    def __init__(self, lam: float):
-        if not (np.isfinite(lam) and lam >= 0):
-            raise ValueError(f"penalty weight must be >= 0, got {lam}")
-        self.lam = float(lam)
-
-    def alpha(self, t: int) -> float:
-        if t < 1:
-            raise ValueError("alpha_t is defined for t >= 1")
-        return 1.0
-
-    def cum_alpha(self, t: int) -> float:
-        """alpha_{1:t}."""
-        return float(t)
-
-    def __repr__(self):
-        return f"CompositePenalty(lam={self.lam})"
+    Every composite learner applies the penalty once per round (alpha_t = 1),
+    so round t's penalty weight is lambda and the accumulated one t lambda.
+    """
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ValueError(f"penalty weight must be >= 0, got {lam}")
+    return float(lam)
 
 
 # ---------------------------------------------------------------------------

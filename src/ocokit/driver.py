@@ -17,6 +17,7 @@ from .bounds import (
     BoundRule,
     RegretRecord,
     RunTrace,
+    _penalty_curve,
     _reg_curve,
     best_comparator,
     bound_curve,
@@ -24,7 +25,7 @@ from .bounds import (
 )
 from .core import ConstantRate, FeasibleSet
 from .learners import BoundConfig, FtrlCompositeL1, OnlineLearner
-from .mirror import MirrorDescent, extract_psi_subgradient
+from .mirror import MirrorDescent
 from .streams import L1AdversaryStream
 
 
@@ -52,9 +53,8 @@ class _MirrorStability:
     """
 
     def __init__(self, learner: MirrorDescent, T: int):
-        if learner.regularizer != "quadratic" or \
-                learner.feasible_set.kind != FeasibleSet.UNCONSTRAINED:
-            raise ValueError("stability accounting needs the unconstrained quadratic form")
+        if learner.feasible_set.kind != FeasibleSet.UNCONSTRAINED:
+            raise ValueError("stability accounting needs an unconstrained set")
         self.learner = learner
         dim = learner.dim
         self.g_sum = np.zeros(dim)
@@ -65,10 +65,9 @@ class _MirrorStability:
         self._last = None
         self.tangent_slopes = np.zeros((T, dim))
 
-    def after_step(self, x_prev, g, x_next):
+    def after_step(self, x_prev, g):
         t = self.learner.t
-        lam_t = self.learner.penalty.alpha(t) * self.learner.penalty.lam
-        g_psi = extract_psi_subgradient(x_prev, x_next, g, self.learner.cum_weights, lam_t)
+        g_psi = self.learner.extract_last_psi_subgradient(x_prev, g)
         sigma = np.maximum(self.learner.cum_weights - self.prev_weights, 0.0)
         self.g_sum = self.g_sum + g
         self.adj_sum = self.adj_sum + sigma * x_prev
@@ -113,7 +112,6 @@ def run_rounds(learner, stream, T: int, rule: BoundRule | None = None,
     iterates = np.zeros((T, dim))
     inv_rates = np.zeros((T, dim))
     stability = np.zeros(T)
-    penalty_cum = np.zeros(T)
     inv0 = np.broadcast_to(np.asarray(learner.last_inv_rate, dtype=float), (dim,)).copy()
 
     is_native = isinstance(learner, OnlineLearner)
@@ -133,12 +131,11 @@ def run_rounds(learner, stream, T: int, rule: BoundRule | None = None,
         iterates[t - 1] = x_t
         x_next = learner.step(event.g)
         inv_rates[t - 1] = learner.last_inv_rate
-        penalty_cum[t - 1] = learner.penalty_cum_weight()
         if is_native:
             stability[t - 1] = (learner.objective(x_t) - learner.objective(x_next)
                                 - learner.reg_increment(x_t))
         elif mirror_acct is not None:
-            mirror_acct.after_step(x_t, event.g, x_next)
+            mirror_acct.after_step(x_t, event.g)
             stability[t - 1] = (mirror_acct.objective(x_t) - mirror_acct.objective(x_next)
                                 - mirror_acct.reg_increment(x_t))
         else:
@@ -146,8 +143,7 @@ def run_rounds(learner, stream, T: int, rule: BoundRule | None = None,
 
     trace = RunTrace(
         grads=grads, iterates=iterates, inv_rates=inv_rates, inv0=inv0,
-        reg_kind=learner.reg_kind,
-        penalty_lam=getattr(getattr(learner, "penalty", None), "lam", 0.0))
+        reg_kind=learner.reg_kind, penalty_lam=learner.lam)
 
     if hasattr(stream, "best_fixed_point") and T > 0:
         x_star = stream.best_fixed_point()
@@ -168,7 +164,7 @@ def run_rounds(learner, stream, T: int, rule: BoundRule | None = None,
         if mirror_acct is not None:
             penalty = mirror_acct.penalty_curve(x_star)
         else:
-            penalty = penalty_cum * float(np.sum(np.abs(x_star)))
+            penalty = _penalty_curve(trace, x_star)
         rhs = _reg_curve(trace, x_star, shifted=False) + penalty + np.cumsum(stability)
     else:
         rhs = np.full(T, np.inf)

@@ -25,7 +25,6 @@ import numpy as np
 
 from .core import (
     AdaGradRate,
-    CompositePenalty,
     ConstantRate,
     FeasibleSet,
     InverseSqrtRate,
@@ -35,6 +34,7 @@ from .core import (
     as_point,
     clamp_box,
     negative_entropy,
+    penalty_weight,
     project_l2_ball,
     project_l2_ball_weighted,
     softmax_simplex,
@@ -90,6 +90,7 @@ class OnlineLearner(_ReadOnlyIterate):
     """Common bookkeeping: round index, gradient sums, diagnostics hooks."""
 
     reg_kind = NONE
+    lam = 0.0  # weight of the L1 penalty, applied once per round
 
     def __init__(self, dim: int, feasible_set: FeasibleSet):
         if dim < 1:
@@ -114,17 +115,14 @@ class OnlineLearner(_ReadOnlyIterate):
 
     # Diagnostics for the stability decomposition; additive constants that a
     # learner cannot know (true loss values) are dropped, which leaves every
-    # h_{0:t}(x) - h_{0:t}(x') difference intact.
+    # h_{0:t}(x) - h_{0:t}(x') difference intact.  Both take one of the
+    # learner's own iterates, already validated, so neither re-validates x.
     def objective(self, x) -> float:
         raise NotImplementedError
 
     def reg_increment(self, x) -> float:
-        """r_t(x) (plus alpha_t * psi(x) for composite learners) of the last step."""
+        """r_t(x) (plus lam ||x||_1 for composite learners) of the last step."""
         raise NotImplementedError
-
-    def penalty_cum_weight(self) -> float:
-        """alpha_{1:t} * lambda of the explicit non-smooth penalty, if any."""
-        return 0.0
 
 
 def _broadcast_inv(value, dim):
@@ -164,8 +162,8 @@ class QuadraticFtrl(OnlineLearner):
         if self._lagged and schedule.offset <= 0:
             raise ValueError("centered adaptive rates need offset > 0")
         super().__init__(dim, feasible_set)
-        self.penalty = CompositePenalty(lam)
-        if feasible_set.kind == FeasibleSet.L2_BALL and lam > 0:
+        self.lam = penalty_weight(lam)
+        if feasible_set.kind == FeasibleSet.L2_BALL and self.lam > 0:
             raise UnsupportedCombination("no closed form for ball + L1")
         self.schedule = schedule
         self.centering = centering
@@ -201,7 +199,7 @@ class QuadraticFtrl(OnlineLearner):
         self._last_center = x_prev
         fs = self.feasible_set
         box = fs.radius if fs.kind == FeasibleSet.BOX else None
-        x = _l1_step(b, self.penalty_cum_weight(), inv, box)
+        x = _l1_step(b, self.t * self.lam, inv, box)
         self.x = self._project(x, inv)
         return self.x
 
@@ -215,25 +213,20 @@ class QuadraticFtrl(OnlineLearner):
             return project_l2_ball_weighted(x, inv, fs.radius)
         return project_l2_ball(x, fs.radius)
 
-    def penalty_cum_weight(self) -> float:
-        return self.penalty.cum_alpha(self.t) * self.penalty.lam
-
     def objective(self, x) -> float:
-        x = as_point(x, dim=self.dim)
         quad = 0.5 * np.sum(self.last_inv_rate * x ** 2)
         if self.centering == PROXIMAL:
             quad = quad - self.adj_sum @ x
         value = self.g_sum @ x + quad
-        if self.penalty.lam:
-            value = value + self.penalty_cum_weight() * np.sum(np.abs(x))
+        if self.lam:
+            value = value + self.t * self.lam * np.sum(np.abs(x))
         return float(value + self._recentering_value)
 
     def reg_increment(self, x) -> float:
-        x = as_point(x, dim=self.dim)
         d = x - self._last_center if self.centering == PROXIMAL else x
         value = 0.5 * np.sum(self.last_sigma * d ** 2)
-        if self.penalty.lam:
-            value = value + self.penalty.lam * np.sum(np.abs(x))  # alpha_t = 1
+        if self.lam:
+            value = value + self.lam * np.sum(np.abs(x))
         return float(value)
 
 
@@ -324,7 +317,6 @@ class EntropicFtrl(OnlineLearner):
         return self.x
 
     def objective(self, x) -> float:
-        x = as_point(x, dim=self.dim)
         return float(self.g_sum @ x + self.last_inv_rate[0] * negative_entropy(x))
 
     def reg_increment(self, x) -> float:
@@ -357,7 +349,6 @@ class StronglyConvexOgd(OnlineLearner):
 
     def objective(self, x) -> float:
         # sum of quadratic lower bounds, dropping the unknowable f_t(x_t) constants
-        x = as_point(x, dim=self.dim)
         quad = 0.5 * (self.t * float(x @ x) - 2.0 * float(x @ self._center_sum) + self._center_sq_sum)
         return float(self.g_sum @ x) - self._gx_sum + quad
 

@@ -1,22 +1,22 @@
 """Adaptive mirror descent and its exact FTRL reformulation.
 
-MirrorDescent carries only the current point plus schedule scalars; MdAsFtrl
-carries gradient and penalty-subgradient accumulators and recenters its
-incremental regularizers at its own iterates.  The two are deliberately
-independent implementations: their round-by-round agreement is a checked
-property, not a shared code path.  The lazy/greedy projection families show
-where the one-step and accumulated formulations stop being equivalent.
+Mirror descent here is quadratic only: diagonal quadratic regularizers with
+an optional L1 penalty, unconstrained, on a box or on an L2 ball (the
+simplex learner is ``learners.EntropicFtrl``).  MirrorDescent carries only
+the current point plus schedule scalars; MdAsFtrl carries gradient and
+penalty-subgradient accumulators and recenters its incremental
+regularizers at its own iterates.  The two are deliberately independent
+implementations: their round-by-round agreement is a checked property, not
+a shared code path.  The lazy/greedy projection families show where the
+one-step and accumulated formulations stop being equivalent.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from .core import (
     AdaGradRate,
-    CompositePenalty,
     ConsistencyError,
     ConstantRate,
     FeasibleSet,
@@ -25,108 +25,79 @@ from .core import (
     _l1_step,
     as_point,
     clamp_box,
+    penalty_weight,
     project_l2_ball,
     project_l2_ball_weighted,
-    softmax_simplex,
 )
 from .learners import DualAveraging, _broadcast_inv, _ReadOnlyIterate
 
-QUADRATIC = "quadratic"
-ENTROPIC = "entropic"
 
-
-def extract_psi_subgradient(x_prev, x_next, g, cum_weights, alpha_lam: float,
-                            residual_tol: float = 1e-9) -> np.ndarray:
+def extract_psi_subgradient(x_prev, x_next, g, cum_weights, alpha_lam: float) -> np.ndarray:
     """Recover the L1-penalty subgradient the mirror step implicitly used.
 
     Coordinate-wise: -alpha_lam where x_next < 0, +alpha_lam where > 0, and
     cum_weights * x_prev - g on exact zeros.  Validates membership in
     [-alpha_lam, alpha_lam] and the step's optimality residual
-    g + g_psi + cum_weights (x_next - x_prev) = 0.
+    g + g_psi + cum_weights (x_next - x_prev) = 0.  Both tolerances scale
+    with the operands, so rounding noise at large magnitudes passes: the
+    residual of coordinate i may reach 1e-9 max(1, |g_i|, |g_psi_i|,
+    |w_i x_next_i|, |w_i x_prev_i|), membership 1e-12 max(1, alpha_lam).
     """
     x_prev = as_point(x_prev)
     x_next = as_point(x_next, dim=x_prev.size)
     g = as_point(g, dim=x_prev.size)
     w = np.broadcast_to(np.asarray(cum_weights, dtype=float), x_prev.shape)
-    if alpha_lam < 0:
-        raise ValueError(f"penalty weight must be >= 0, got {alpha_lam}")
+    alpha_lam = penalty_weight(alpha_lam)
     g_psi = np.where(x_next > 0, alpha_lam,
                      np.where(x_next < 0, -alpha_lam, w * x_prev - g))
-    if np.any(np.abs(g_psi) > alpha_lam + 1e-12):
+    if np.any(np.abs(g_psi) > alpha_lam + 1e-12 * max(1.0, alpha_lam)):
         raise ConsistencyError(
             f"extracted subgradient leaves [-{alpha_lam}, {alpha_lam}]: {g_psi}")
     residual = g + g_psi + w * (x_next - x_prev)
-    if np.max(np.abs(residual)) > residual_tol:
-        raise ConsistencyError(f"optimality residual too large: {residual}")
+    # every tolerance is >= 1e-9, so the operands' scale matters only above it
+    if np.max(np.abs(residual)) > 1e-9:
+        scale = np.max(np.abs([g, g_psi, w * x_next, w * x_prev]), axis=0)
+        if np.any(np.abs(residual) > 1e-9 * np.maximum(scale, 1.0)):
+            raise ConsistencyError(f"optimality residual too large: {residual}")
     return g_psi
 
 
 class MirrorDescent(_ReadOnlyIterate):
-    """x_{t+1} = argmin g_t . x + alpha_t psi(x) + B_t(x, x_t).
+    """x_{t+1} = argmin g_t . x + lam ||x||_1 + B_t(x, x_t).
 
-    B_t is the divergence of the accumulated regularizer: quadratic-diagonal
-    (closed form via per-coordinate soft thresholding, optionally clamped to
-    a box, or projected for an indicator penalty) or entropic on the simplex
-    (multiplicative-weights softmax).  State is the current point plus the
-    scalars needed to evaluate the accumulated curvature.
+    B_t is the divergence of the accumulated diagonal quadratic regularizer,
+    sum_i w_i (x_i - x_{t,i})^2 / 2.  Closed form: per-coordinate soft
+    thresholding, clamped to a box, or (with no penalty) projected onto an
+    L2 ball.  State is the current point plus the scalars needed to
+    evaluate the accumulated curvature.
     """
 
+    reg_kind = "proximal"  # a trace hook shared with the native learners
+
     def __init__(self, dim: int, schedule: LearningRateSchedule, lam: float = 0.0,
-                 feasible_set: FeasibleSet | None = None, regularizer: str = QUADRATIC,
-                 g_inf: float | None = None):
+                 feasible_set: FeasibleSet | None = None):
         if dim < 1:
             raise ValueError(f"dimension must be >= 1, got {dim}")
+        self.lam = penalty_weight(lam)
         feasible_set = feasible_set or FeasibleSet.unconstrained()
-        if regularizer == ENTROPIC:
-            if feasible_set.kind != FeasibleSet.SIMPLEX:
-                raise UnsupportedCombination("entropic mirror descent runs on the simplex")
-            if lam != 0.0:
-                raise UnsupportedCombination("no closed form for entropic + L1")
-            if dim < 2 or g_inf is None or g_inf <= 0:
-                raise ValueError("entropic mirror descent needs dim >= 2 and g_inf > 0")
-        elif regularizer == QUADRATIC:
-            if feasible_set.kind == FeasibleSet.SIMPLEX:
-                raise UnsupportedCombination("use the entropic regularizer on the simplex")
-            if feasible_set.kind == FeasibleSet.L2_BALL and lam > 0:
-                raise UnsupportedCombination("no closed form for ball + L1")
-        else:
-            raise ValueError(f"unknown regularizer {regularizer!r}")
+        if feasible_set.kind == FeasibleSet.SIMPLEX:
+            raise UnsupportedCombination("use EntropicFtrl on the simplex")
+        if feasible_set.kind == FeasibleSet.L2_BALL and self.lam > 0:
+            raise UnsupportedCombination("no closed form for ball + L1")
         self.dim = int(dim)
         self.schedule = schedule
-        self.penalty = CompositePenalty(lam)
         self.feasible_set = feasible_set
-        self.regularizer = regularizer
-        self.g_inf = g_inf
         self.t = 0
         self.sq_sum = np.zeros(dim)
-        self.sup_sq_sum = 0.0
-        if regularizer == ENTROPIC:
-            self.x = np.full(dim, 1.0 / dim)
-        else:
-            self.x = feasible_set.project(np.zeros(dim))
+        self.x = feasible_set.project(np.zeros(dim))
         self.cum_weights = _broadcast_inv(schedule.inverse_rate(0, self.sq_sum), dim)
 
     def step(self, g) -> np.ndarray:
         g = as_point(g, dim=self.dim)
         self.t += 1
-        if self.regularizer == ENTROPIC:
-            return self._entropic_step(g)
-        return self._quadratic_step(g)
-
-    def _entropic_step(self, g) -> np.ndarray:
-        self.sup_sq_sum += float(np.max(np.abs(g))) ** 2
-        inv = math.sqrt(self.g_inf ** 2 + self.sup_sq_sum) / math.sqrt(math.log(self.dim))
-        self.cum_weights = np.full(self.dim, inv)
-        # multiplicative weights: x_i ∝ x_i exp(-eta g_i)
-        logits = np.log(self.x) - g / inv
-        self.x = softmax_simplex(logits)
-        return self.x
-
-    def _quadratic_step(self, g) -> np.ndarray:
         self.sq_sum = self.sq_sum + g * g
         w = _broadcast_inv(self.schedule.inverse_rate(self.t, self.sq_sum), self.dim)
         self.cum_weights = w
-        alpha_lam = self.penalty.alpha(self.t) * self.penalty.lam
         x_prev = self.x
         if self.feasible_set.kind == FeasibleSet.L2_BALL:
             u = np.where(w > 0, x_prev - g / np.where(w > 0, w, 1.0), 0.0)
@@ -136,24 +107,17 @@ class MirrorDescent(_ReadOnlyIterate):
                 self.x = project_l2_ball(u, self.feasible_set.radius)
             return self.x
         box = self.feasible_set.radius if self.feasible_set.kind == FeasibleSet.BOX else None
-        x = _l1_step(g - w * x_prev, alpha_lam, w, box)
+        x = _l1_step(g - w * x_prev, self.lam, w, box)
         self.x = x if box is None else clamp_box(x, box)
         return self.x
 
     def extract_last_psi_subgradient(self, x_prev, g) -> np.ndarray:
-        return extract_psi_subgradient(
-            x_prev, self.x, g, self.cum_weights,
-            self.penalty.alpha(self.t) * self.penalty.lam)
-
-    # Hooks shared with the native learners so the driver can record traces.
-    reg_kind = "proximal"
+        """The penalty subgradient of the last step, taken from x_prev with g."""
+        return extract_psi_subgradient(x_prev, self.x, g, self.cum_weights, self.lam)
 
     @property
     def last_inv_rate(self) -> np.ndarray:
         return self.cum_weights
-
-    def penalty_cum_weight(self) -> float:
-        return self.penalty.cum_alpha(self.t) * self.penalty.lam
 
 
 class MdAsFtrl(_ReadOnlyIterate):
@@ -162,7 +126,7 @@ class MdAsFtrl(_ReadOnlyIterate):
     Accumulates g_{1:t}, the penalty subgradients g_psi_{1:t-1} extracted at
     its own iterates, and the recentering sum of sigma_s x_s, then solves
         argmin (g_{1:t} + g_psi_{1:t-1} - sum_s sigma_s x_s) . x
-               + alpha_t lam ||x||_1 + sigma_{0:t} ||x||^2 / 2
+               + lam ||x||_1 + sigma_{0:t} ||x||^2 / 2
     per coordinate.  Supports the unconstrained quadratic + L1 family.
     """
 
@@ -171,7 +135,7 @@ class MdAsFtrl(_ReadOnlyIterate):
             raise ValueError(f"dimension must be >= 1, got {dim}")
         self.dim = int(dim)
         self.schedule = schedule
-        self.penalty = CompositePenalty(lam)
+        self.lam = penalty_weight(lam)
         self.t = 0
         self.g_sum = np.zeros(dim)
         self.g_psi_sum = np.zeros(dim)
@@ -192,11 +156,10 @@ class MdAsFtrl(_ReadOnlyIterate):
         sigma = np.maximum(w - prev_w, 0.0)
         self.adj_sum = self.adj_sum + sigma * x_prev
         self.cum_weights = w
-        alpha_lam = self.penalty.alpha(self.t) * self.penalty.lam
-        x = _l1_step(self.g_sum + self.g_psi_sum - self.adj_sum, alpha_lam, w)
+        x = _l1_step(self.g_sum + self.g_psi_sum - self.adj_sum, self.lam, w)
         self.x = x
         # fold this round's penalty subgradient into the linearized history
-        self.last_g_psi = extract_psi_subgradient(x_prev, x, g, w, alpha_lam)
+        self.last_g_psi = extract_psi_subgradient(x_prev, x, g, w, self.lam)
         self.g_psi_sum = self.g_psi_sum + self.last_g_psi
         return self.x
 

@@ -10,7 +10,6 @@ from ocokit.bounds import (
     bound_curve,
     bound_value,
     cumulative_regret,
-    strong_ftrl_decomposition,
 )
 from ocokit.core import ConstantRate, FeasibleSet, InverseSqrtRate
 from ocokit.driver import run_rounds
@@ -105,33 +104,19 @@ def test_weak_bound_dominates_sharp_bound():
     assert np.all(weak > sharp)  # strict: every round has a nonzero gradient
 
 
-def test_strong_ftrl_decomposition_single_round_example():
-    # r_0 = x^2/2 (eta = 1), f_1(x) = x: x_2 = -1, r_{0:1}(x*) at x* = -1 is 1/2,
-    # the stability term is 1/2, so the bound is 1 and equals the regret.
-    def objective(t, x):
-        return float(x[0] + 0.5 * x[0] ** 2)
-
-    value = strong_ftrl_decomposition(objective, [0.0],
-                                      [np.array([0.0]), np.array([-1.0])],
-                                      np.array([-1.0]), reg_total_at_comparator=0.5)
-    assert value == pytest.approx(1.0, abs=1e-12)
-    regret = 0.0 - (-1.0)
-    assert value >= regret - 1e-12
-
-
-def test_strong_ftrl_decomposition_zero_gradients():
-    def objective(t, x):
-        return float(0.5 * x[0] ** 2)
-
-    value = strong_ftrl_decomposition(objective, [0.0, 0.0],
-                                      [np.zeros(1)] * 3, np.zeros(1),
-                                      reg_total_at_comparator=0.0)
-    assert value == pytest.approx(0.0, abs=1e-15)
-
-
-def test_strong_ftrl_decomposition_iterate_count_mismatch():
-    with pytest.raises(ValueError):
-        strong_ftrl_decomposition(lambda t, x: 0.0, [0.0], [np.zeros(1)], np.zeros(1), 0.0)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_single_round_worked_example(seed):
+    # r_0 = x^2/2 (eta = 1) and f_1(x) = g x with |g| = 1: x_1 = 0, x_2 = -g and
+    # x* = -g.  r_{0:1}(x*) = 1/2 and the stability term is 1/2, so the
+    # decomposition is 1; the general FTRL bound r_0(x*) + g^2/2 is also 1;
+    # both equal the regret 0 - (-1).  (The stream rescales g to |g| = 1 up
+    # to rounding.)
+    result = run_rounds(DualAveraging(1, ConstantRate(1.0)), RandomLinearStream(seed, 1, 1.0),
+                        1, BoundRule.GENERAL_FTRL, BoundConfig(), FeasibleSet.box(1.0))
+    rec = result.record
+    for curve in (rec.cum_regret, rec.strong_ftrl_rhs, rec.bound):
+        assert curve.shape == (1,)
+        assert curve[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_decomposition_dominates_regret_on_random_runs():

@@ -43,7 +43,7 @@ class _TangentHistory:
         self.tangents = []  # (lam_t, g_psi, x_next) per round
 
     def after_step(self, x_prev, g, x_next):
-        lam_t = self.learner.penalty.alpha(self.learner.t) * self.learner.penalty.lam
+        lam_t = self.learner.lam  # alpha_t = 1
         g_psi = extract_psi_subgradient(x_prev, x_next, g, self.learner.cum_weights, lam_t)
         sigma = np.maximum(self.learner.cum_weights - self.prev_weights, 0.0)
         self.g_sum = self.g_sum + g
@@ -85,7 +85,7 @@ def quadratic_rhs(learner, stream, T, x_star):
         x_next = learner.step(event.g)
         iterates.append(x_t)
         inv_rates.append(np.broadcast_to(np.asarray(learner.last_inv_rate, dtype=float), (dim,)))
-        penalty_cum.append(learner.penalty_cum_weight())
+        penalty_cum.append(t * learner.lam)  # alpha_{1:t} = t
         if history is not None:
             history.after_step(x_t, event.g, x_next)
         stability.append(hooks.objective(x_t) - hooks.objective(x_next)

@@ -29,9 +29,6 @@ LEARNERS = {
     "strongly-convex-ogd": lambda: StronglyConvexOgd(2),
     "mirror-descent-l1": lambda: MirrorDescent(2, ConstantRate(0.3), lam=0.1),
     "mirror-descent-ball": lambda: MirrorDescent(2, ConstantRate(0.5), feasible_set=BALL),
-    "mirror-descent-entropic": lambda: MirrorDescent(
-        2, ConstantRate(1.0), feasible_set=FeasibleSet.simplex(), regularizer="entropic",
-        g_inf=1.0),
     "md-as-ftrl": lambda: MdAsFtrl(2, ConstantRate(0.3), lam=0.1),
 }
 for _variant in LazyProjection.VARIANTS:

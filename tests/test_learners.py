@@ -16,8 +16,10 @@ from ocokit.learners import (
     EntropicFtrl,
     FtrlCompositeL1,
     FtrlProximal,
+    QuadraticFtrl,
     StronglyConvexOgd,
 )
+from ocokit.mirror import MdAsFtrl, MirrorDescent
 
 
 class TestDualAveraging:
@@ -117,6 +119,18 @@ class TestFtrlCompositeL1:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
             FtrlCompositeL1(1, ConstantRate(1.0), -0.5)
+
+
+@pytest.mark.parametrize("make", [
+    lambda lam: FtrlCompositeL1(2, ConstantRate(1.0), lam),
+    lambda lam: QuadraticFtrl(2, ConstantRate(1.0), lam=lam),
+    lambda lam: MirrorDescent(2, ConstantRate(1.0), lam=lam),
+    lambda lam: MdAsFtrl(2, ConstantRate(1.0), lam=lam),
+], ids=["ftrl-composite-l1", "quadratic-ftrl", "mirror-descent", "md-as-ftrl"])
+@pytest.mark.parametrize("lam", [-0.1, math.nan, math.inf])
+def test_penalty_weight_must_be_finite_and_nonnegative(make, lam):
+    with pytest.raises(ValueError, match="penalty weight must be >= 0"):
+        make(lam)
 
 
 class TestEntropicFtrl:

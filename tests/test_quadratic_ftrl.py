@@ -328,7 +328,7 @@ def test_presets_keep_the_attributes_suites_read():
         assert learner.reg_kind == kind
         for attr in ("g_sum", "adj_sum", "sq_sum", "last_sigma", "last_inv_rate"):
             assert getattr(learner, attr).shape == (2,)
-        assert learner.penalty.lam in (0.0, 0.1)
+        assert learner.lam in (0.0, 0.1)
 
 
 def test_quadratic_ftrl_rejects_a_ball_with_l1_and_an_unknown_centering():
