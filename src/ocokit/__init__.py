@@ -12,7 +12,6 @@ from .bounds import (
     RunTrace,
     best_comparator,
     bound_curve,
-    bound_value,
     cumulative_regret,
 )
 from .core import (
@@ -29,7 +28,6 @@ from .core import (
     clamp_box,
     negative_entropy,
     project_l2_ball,
-    project_simplex,
     schedule_sigma,
     soft_threshold_argmin,
     softmax_simplex,

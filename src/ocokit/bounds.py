@@ -5,7 +5,11 @@ constants and the gradient stream.  Generic rates reconstruct the deployed
 regularizer from a RunTrace (per-round inverse rates and iterates recorded
 by the driver) and evaluate it at the realized hindsight comparator, which
 is the tightest checkable form of each guarantee.  ``bound_curve`` returns
-the whole prefix curve; ``bound_value`` indexes into it.
+the whole prefix curve.
+
+The Strong FTRL Lemma's stability terms come from the same trace:
+``_stability_terms`` evaluates h_{0:t}(x_t) - h_{0:t}(x_{t+1}) - r_t(x_t) for
+every round at once, after the run, so learners only ever ``step``.
 """
 
 from __future__ import annotations
@@ -65,11 +69,15 @@ class RegretRecord:
 
 @dataclass
 class RunTrace:
-    """What the driver records per round, enough to rebuild r_{0:t}.
+    """What the driver records per round, enough to rebuild r_{0:t} and h_{0:t}.
 
     ``inv_rates[t-1]`` is the cumulative inverse rate (1/eta_t per
     coordinate) the learner deployed at step t; ``inv0`` is the round-zero
-    value; ``iterates[t-1]`` is the point x_t that was played.
+    value; ``iterates[t-1]`` is the point x_t that was played.  ``psi`` holds
+    unconstrained mirror descent's penalty subgradients g_psi_t.  Its FTRL
+    form keeps the penalty's tangents lam ||x_{t+1}||_1 + g_psi_t.(x - x_{t+1}),
+    which reduce to their slopes g_psi_t.x: g_psi_t = lam sign(x_{t+1}) on
+    the support and x_{t+1} = 0 off it.
     """
 
     grads: np.ndarray
@@ -78,11 +86,11 @@ class RunTrace:
     inv0: np.ndarray
     reg_kind: str
     penalty_lam: float = 0.0
+    psi: np.ndarray | None = None
 
     def sigmas(self) -> np.ndarray:
-        prev = np.vstack([self.inv0[None, :], self.inv_rates[:-1]]) \
-            if len(self.inv_rates) else self.inv_rates
-        return np.maximum(self.inv_rates - prev, 0.0)
+        prev = np.vstack([self.inv0[None, :], self.inv_rates])[:-1]
+        return np.maximum(np.subtract(self.inv_rates, prev, out=prev), 0.0, out=prev)
 
 
 def cumulative_regret(losses, comparator_losses) -> np.ndarray:
@@ -143,6 +151,88 @@ def _penalty_curve(trace: RunTrace, x_star: np.ndarray) -> np.ndarray:
     return ts * trace.penalty_lam * float(np.sum(np.abs(x_star)))
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[t] @ b[t] for every row t, bit for bit (einsum and (a*b).sum(1) are not)."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _stability_terms(trace: RunTrace, next_iterates: np.ndarray) -> np.ndarray:
+    """h_{0:t}(x_t) - h_{0:t}(x_{t+1}) - r_t(x_t) for t = 1..T; +inf if unknown.
+
+    h_{0:t} is the accumulated objective the learner minimized after round t,
+    with the additive constants it cannot know (true loss values) dropped,
+    and ``next_iterates[t-1]`` is x_{t+1}.  Each family's pieces are prefix
+    sums of trace columns:
+    - quadratic FTRL: g_{1:t}.x + inv_t.x^2/2, minus a_{1:t}.x with
+      a_s = sigma_s x_s when proximal, plus t lam ||x||_1, plus the
+      recentering value sum_s sigma_s ||x_s||^2/2; r_t is
+      sigma_t ||x_t||^2/2 (0 when proximal) plus lam ||x_t||_1;
+    - mirror descent (``trace.psi`` set): the proximal form with the penalty
+      replaced by its tangents, linear term g_{1:t} + g_psi_{1:t}, and
+      r_t(x_t) = g_psi_t.x_t;
+    - entropic: g_{1:t}.x + inv_t (negative entropy of x), r_t =
+      sigma_t (negative entropy of x_t);
+    - strongly convex: the summed quadratic lower bounds
+      g_s.(x - x_s) + ||x - x_s||^2/2, and no regularizer.
+    Constants such as the recentering value cancel in the difference.  They
+    are kept, and every sum is taken in the order a round-by-round
+    evaluation of h_{0:t} takes it, so that the terms equal that evaluation
+    bit for bit (tests/test_decomposition_rhs.py keeps one as the oracle).
+    At most two (T, n) temporaries are alive at once.
+    """
+    X, Xn = trace.iterates, next_iterates
+    T = X.shape[0]
+    kind = trace.reg_kind
+    if kind not in ("centered", "proximal", "entropic", "strongly-convex"):
+        return np.full(T, np.inf)
+    buf = np.cumsum(trace.grads, axis=0)  # g_{1:t}
+    now, nxt = _row_dots(buf, X), _row_dots(buf, Xn)
+    if kind == "entropic":
+        ent, ent_next = (np.array([negative_entropy(x) for x in P]) for P in (X, Xn))
+        w = trace.inv_rates[:, 0]
+        return (now + w * ent) - (nxt + w * ent_next) - trace.sigmas()[:, 0] * ent
+    if kind == "strongly-convex":
+        ts = np.arange(1, T + 1, dtype=float)
+        gx = np.cumsum(_row_dots(trace.grads, X))
+        sq = np.cumsum(_row_dots(X, X))
+        centers = np.cumsum(X, axis=0, out=buf)
+
+        def h(P, lin):
+            return lin - gx + 0.5 * (ts * _row_dots(P, P) - 2.0 * _row_dots(P, centers) + sq)
+
+        return h(X, now) - h(Xn, nxt)
+    if trace.psi is not None:
+        np.cumsum(trace.psi, axis=0, out=buf)  # g_psi_{1:t}
+        now, nxt = now + _row_dots(buf, X), nxt + _row_dots(buf, Xn)
+    del buf
+    tmp = np.empty_like(X)
+
+    def half_weighted_sq(w, P):
+        return 0.5 * np.sum(np.multiply(w, np.square(P, out=tmp), out=tmp), axis=1)
+
+    inv = trace.inv_rates
+    quad_now, quad_next = half_weighted_sq(inv, X), half_weighted_sq(inv, Xn)
+    sigma = trace.sigmas()
+    inc = half_weighted_sq(sigma, X)  # sigma_t ||x_t||^2 / 2
+    rec = 0.0
+    if kind == "proximal":
+        adj = np.cumsum(np.multiply(sigma, X, out=sigma), axis=0, out=sigma)  # a_{1:t}
+        quad_now, quad_next = quad_now - _row_dots(adj, X), quad_next - _row_dots(adj, Xn)
+        rec = np.cumsum(inc)
+    if trace.psi is not None:
+        return (now + (quad_now + rec)) - (nxt + (quad_next + rec)) - _row_dots(trace.psi, X)
+    h_now, h_next = now + quad_now, nxt + quad_next
+    r_t = inc if kind == "centered" else 0.0
+    lam = trace.penalty_lam
+    if lam:
+        l1_now = np.sum(np.abs(X, out=tmp), axis=1)
+        l1_next = np.sum(np.abs(Xn, out=tmp), axis=1)
+        ts = np.arange(1, T + 1, dtype=float)
+        h_now, h_next = h_now + ts * lam * l1_now, h_next + ts * lam * l1_next
+        r_t = r_t + lam * l1_now
+    return (h_now + rec) - (h_next + rec) - r_t
+
+
 def bound_curve(rule: BoundRule, cfg: BoundConfig, grads, x_star=None,
                 trace: RunTrace | None = None) -> np.ndarray:
     """The chosen guarantee evaluated at every prefix t = 1..T."""
@@ -198,15 +288,3 @@ def bound_curve(rule: BoundRule, cfg: BoundConfig, grads, x_star=None,
     if rule in (BoundRule.COMPOSITE, BoundRule.MIRROR_DESCENT) and trace.penalty_lam > 0:
         curve = curve + _penalty_curve(trace, x_star)
     return curve
-
-
-def bound_value(rule: BoundRule, cfg: BoundConfig, grads, t: int,
-                x_star=None, trace: RunTrace | None = None) -> float:
-    """Evaluate the chosen regret guarantee at prefix t; non-decreasing in t."""
-    grads = np.atleast_2d(np.asarray(grads, dtype=float))
-    if t < 0 or t > grads.shape[0]:
-        raise ValueError(f"prefix {t} outside recorded history of length {grads.shape[0]}")
-    if t == 0:
-        return 0.0
-    return float(bound_curve(rule, cfg, grads, x_star=x_star, trace=trace)[t - 1])
-

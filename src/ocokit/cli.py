@@ -220,13 +220,16 @@ def cmd_run(args) -> int:
     _require(cfg, "learner", "stream", "T", "bound")
     if cfg["T"] < 0:
         raise UsageError("T must be >= 0")
-    learner = build_learner(cfg["learner"], cfg)
-    rule = _bound_rule(cfg)
-    stream = build_stream(cfg)
+    try:
+        learner = build_learner(cfg["learner"], cfg)
+        rule = _bound_rule(cfg)
+        stream = build_stream(cfg)
+        bc = BoundConfig(R=cfg["R"], R_inf=cfg["R_inf"], G=cfg["G"], G_inf=cfg["G_inf"],
+                         n=cfg["n"], eta=cfg.get("eta"))
+    except ValueError as err:  # a config value the constructors reject, e.g. lambda < 0
+        raise UsageError(str(err)) from None
     if getattr(stream, "dim", learner.dim) != learner.dim:
         raise UsageError("learner and stream dimensions differ")
-    bc = BoundConfig(R=cfg["R"], R_inf=cfg["R_inf"], G=cfg["G"], G_inf=cfg["G_inf"],
-                     n=cfg["n"], eta=cfg.get("eta"))
     if cfg["learner"] == "ogd-strongly-convex" and isinstance(stream, StronglyConvexQuadraticStream):
         bc.G = stream.gradient_cap
     result = run_rounds(learner, stream, cfg["T"], rule, bc, _comparator_set(cfg, learner))
@@ -258,8 +261,11 @@ def cmd_compare(args) -> int:
     T = cfg["T"]
     columns = {}
     for name in names:
-        learner = build_learner(name, dict(cfg))
-        stream = build_stream(dict(cfg))  # same seed: every learner sees the same draw
+        try:
+            learner = build_learner(name, dict(cfg))
+            stream = build_stream(dict(cfg))  # same seed: every learner sees the same draw
+        except ValueError as err:
+            raise UsageError(str(err)) from None
         losses, nonzeros = [], []
         for t in range(1, T + 1):
             event = stream.event(t, learner.x)

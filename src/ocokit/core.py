@@ -49,8 +49,9 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
 class FeasibleSet:
     """Unconstrained space, L2 ball, coordinate box, or probability simplex.
 
-    Supplies Euclidean projection and the minimizer of a linear objective
-    over the set (used for hindsight comparators).
+    Supplies the minimizer of a linear objective over the set (used for
+    hindsight comparators) and Euclidean projection onto every set but the
+    simplex, which only ``EntropicFtrl`` runs on, through its softmax.
     """
 
     UNCONSTRAINED = "unconstrained"
@@ -92,7 +93,7 @@ class FeasibleSet:
             return project_l2_ball(v, self.radius)
         if self.kind == self.BOX:
             return clamp_box(v, self.radius)
-        return project_simplex(v)
+        raise UnsupportedCombination("no Euclidean projection onto the simplex")
 
     def linear_minimizer(self, g) -> np.ndarray:
         """argmin of g . x over the set (minimum-norm choice on ties)."""
@@ -401,15 +402,3 @@ def softmax_simplex(z) -> np.ndarray:
     z = as_point(z)
     e = np.exp(z - z.max())
     return e / e.sum()
-
-
-def project_simplex(v) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort based)."""
-    v = as_point(v)
-    srt = np.sort(v)[::-1]
-    css = np.cumsum(srt) - 1.0
-    idx = np.arange(1, v.size + 1)
-    cond = srt - css / idx > 0
-    rho = int(np.nonzero(cond)[0][-1])
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)

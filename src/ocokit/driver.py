@@ -19,12 +19,13 @@ from .bounds import (
     RunTrace,
     _penalty_curve,
     _reg_curve,
+    _stability_terms,
     best_comparator,
     bound_curve,
     cumulative_regret,
 )
 from .core import ConstantRate, FeasibleSet
-from .learners import BoundConfig, FtrlCompositeL1, OnlineLearner
+from .learners import BoundConfig, FtrlCompositeL1
 from .mirror import MirrorDescent
 from .streams import L1AdversaryStream
 
@@ -39,69 +40,21 @@ class RunResult:
     decomposition_ok: bool
 
 
-class _MirrorStability:
-    """Stability accounting for mirror-descent runs.
-
-    Rebuilds the accumulated objective of the update's recentered FTRL form,
-    with past penalty terms replaced by their tangents at the points where
-    they were taken, and exposes the same objective / reg_increment hooks
-    the native learners provide.  Round t's tangent
-    lam_t ||x_{t+1}||_1 + g_psi . (x - x_{t+1}) reduces to its slope term
-    g_psi . x, since g_psi = lam_t sign(x_{t+1}) on the support and
-    x_{t+1} = 0 off it; the tangent history at any comparator is then one
-    matrix-vector product.
-    """
-
-    def __init__(self, learner: MirrorDescent, T: int):
-        if learner.feasible_set.kind != FeasibleSet.UNCONSTRAINED:
-            raise ValueError("stability accounting needs an unconstrained set")
-        self.learner = learner
-        dim = learner.dim
-        self.g_sum = np.zeros(dim)
-        self.g_psi_sum = np.zeros(dim)
-        self.adj_sum = np.zeros(dim)
-        self.recentering = 0.0
-        self.prev_weights = learner.cum_weights.copy()
-        self._last = None
-        self.tangent_slopes = np.zeros((T, dim))
-
-    def after_step(self, x_prev, g):
-        t = self.learner.t
-        g_psi = self.learner.extract_last_psi_subgradient(x_prev, g)
-        sigma = np.maximum(self.learner.cum_weights - self.prev_weights, 0.0)
-        self.g_sum = self.g_sum + g
-        self.adj_sum = self.adj_sum + sigma * x_prev
-        self.recentering += 0.5 * float(np.sum(sigma * x_prev ** 2))
-        self._last = (x_prev, sigma, g_psi)
-        self.tangent_slopes[t - 1] = g_psi
-        self.prev_weights = self.learner.cum_weights.copy()
-        # h_{0:t} includes this round's tangent of the penalty
-        self.g_psi_sum = self.g_psi_sum + g_psi
-
-    def objective(self, x) -> float:
-        w = self.learner.cum_weights
-        quad = 0.5 * float(np.sum(w * x ** 2)) - float(self.adj_sum @ x) + self.recentering
-        return float(self.g_sum @ x) + float(self.g_psi_sum @ x) + quad
-
-    def reg_increment(self, x) -> float:
-        x_prev, sigma, g_psi = self._last
-        return 0.5 * float(np.sum(sigma * (x - x_prev) ** 2)) + float(g_psi @ x)
-
-    def penalty_curve(self, x_star) -> np.ndarray:
-        """The tangents' share of r_{0:t}(x*) for t = 1..T."""
-        return np.cumsum(self.tangent_slopes @ x_star)
-
-
 def run_rounds(learner, stream, T: int, rule: BoundRule | None = None,
                cfg: BoundConfig | None = None,
                comparator_set: FeasibleSet | None = None) -> RunResult:
     """Drive ``T`` rounds and assemble the per-round regret record.
 
-    ``record.strong_ftrl_rhs`` is the stability decomposition of the
-    Strong FTRL Lemma at every prefix: r_{0:t}(x*) + penalty
+    The loop only plays and records: x_t, g_t, the deployed inverse rates
+    and, for unconstrained mirror descent, the penalty subgradient of each
+    step (checked as it is extracted).  ``record.strong_ftrl_rhs`` is then
+    the stability decomposition of the Strong FTRL Lemma at every prefix,
+    built from that trace in O(T n): r_{0:t}(x*) + penalty
     + sum_{s<=t} stability_s, where the penalty is alpha_{1:t} lam ||x*||_1
-    (or, for mirror descent, the penalty's tangents at x*).  The whole curve
-    costs O(T n).  It is +inf for learners without stability hooks.
+    (for mirror descent, the penalty's tangents at x*) and the stability
+    terms come from ``bounds._stability_terms``.  It is +inf for learners
+    whose accumulated objective is not known (mirror descent on a
+    constrained set).
     """
     if T < 0:
         raise ValueError(f"round count must be >= 0, got {T}")
@@ -109,18 +62,13 @@ def run_rounds(learner, stream, T: int, rule: BoundRule | None = None,
     losses = np.zeros(T)
     loss_fns = []
     grads = np.zeros((T, dim))
-    iterates = np.zeros((T, dim))
+    points = np.zeros((T + 1, dim))  # x_1..x_{T+1}; the trace keeps x_1..x_T
     inv_rates = np.zeros((T, dim))
-    stability = np.zeros(T)
     inv0 = np.broadcast_to(np.asarray(learner.last_inv_rate, dtype=float), (dim,)).copy()
-
-    is_native = isinstance(learner, OnlineLearner)
-    mirror_acct = None
-    if isinstance(learner, MirrorDescent):
-        try:
-            mirror_acct = _MirrorStability(learner, T)
-        except ValueError:
-            mirror_acct = None
+    mirror = isinstance(learner, MirrorDescent)
+    psi = None
+    if mirror and learner.feasible_set.kind == FeasibleSet.UNCONSTRAINED:
+        psi = np.zeros((T, dim))
 
     for t in range(1, T + 1):
         x_t = learner.x.copy()
@@ -128,22 +76,16 @@ def run_rounds(learner, stream, T: int, rule: BoundRule | None = None,
         losses[t - 1] = event.loss_at(x_t)
         loss_fns.append(event.loss_at)
         grads[t - 1] = event.g
-        iterates[t - 1] = x_t
-        x_next = learner.step(event.g)
+        points[t - 1] = x_t
+        learner.step(event.g)
         inv_rates[t - 1] = learner.last_inv_rate
-        if is_native:
-            stability[t - 1] = (learner.objective(x_t) - learner.objective(x_next)
-                                - learner.reg_increment(x_t))
-        elif mirror_acct is not None:
-            mirror_acct.after_step(x_t, event.g)
-            stability[t - 1] = (mirror_acct.objective(x_t) - mirror_acct.objective(x_next)
-                                - mirror_acct.reg_increment(x_t))
-        else:
-            stability[t - 1] = np.inf
+        if psi is not None:
+            psi[t - 1] = learner.extract_last_psi_subgradient(x_t, event.g)
+    points[T] = learner.x
 
     trace = RunTrace(
-        grads=grads, iterates=iterates, inv_rates=inv_rates, inv0=inv0,
-        reg_kind=learner.reg_kind, penalty_lam=learner.lam)
+        grads=grads, iterates=points[:T], inv_rates=inv_rates, inv0=inv0,
+        reg_kind=learner.reg_kind, penalty_lam=learner.lam, psi=psi)
 
     if hasattr(stream, "best_fixed_point") and T > 0:
         x_star = stream.best_fixed_point()
@@ -160,11 +102,10 @@ def run_rounds(learner, stream, T: int, rule: BoundRule | None = None,
     else:
         bound = np.full(T, np.inf)
 
+    stability = np.full(T, np.inf) if mirror and psi is None \
+        else _stability_terms(trace, points[1:])
     if np.all(np.isfinite(stability)):
-        if mirror_acct is not None:
-            penalty = mirror_acct.penalty_curve(x_star)
-        else:
-            penalty = _penalty_curve(trace, x_star)
+        penalty = np.cumsum(psi @ x_star) if psi is not None else _penalty_curve(trace, x_star)
         rhs = _reg_curve(trace, x_star, shifted=False) + penalty + np.cumsum(stability)
     else:
         rhs = np.full(T, np.inf)

@@ -3,7 +3,10 @@
 Each learner holds O(n) state (gradient sum, per-coordinate squared-gradient
 sums, proximal adjustment sums, current iterate) and exposes ``step(g)``,
 which consumes the round-t subgradient and returns the next iterate.  Loss
-linearization is the caller's job: learners only ever see g_t.
+linearization is the caller's job: learners only ever see g_t.  Learners
+keep no regret accounting: ``reg_kind`` names the family of their
+accumulated objective, and ``bounds`` evaluates it, the regularizer and the
+Strong FTRL stability terms from the driver's run trace.
 
 Dual averaging, proximal FTRL and composite-L1 FTRL are one solver,
 ``QuadraticFtrl``: they differ only in where the incremental quadratic
@@ -33,7 +36,6 @@ from .core import (
     _l1_step,
     as_point,
     clamp_box,
-    negative_entropy,
     penalty_weight,
     project_l2_ball,
     project_l2_ball_weighted,
@@ -43,7 +45,8 @@ from .core import (
 CENTERED = "centered"
 PROXIMAL = "proximal"
 ENTROPIC = "entropic"
-NONE = "none"
+STRONGLY_CONVEX = "strongly-convex"  # follow the leader on quadratic lower bounds
+NONE = "none"  # accumulated objective unknown: no stability terms
 
 
 @dataclass
@@ -87,7 +90,7 @@ class _ReadOnlyIterate:
 
 
 class OnlineLearner(_ReadOnlyIterate):
-    """Common bookkeeping: round index, gradient sums, diagnostics hooks."""
+    """Common bookkeeping: round index, gradient sum, deployed inverse rate."""
 
     reg_kind = NONE
     lam = 0.0  # weight of the L1 penalty, applied once per round
@@ -100,9 +103,7 @@ class OnlineLearner(_ReadOnlyIterate):
         self.t = 0
         self.g_sum = np.zeros(dim)
         self.x = np.zeros(dim)
-        # diagnostics refreshed by each step
-        self.last_sigma = np.zeros(dim)
-        self.last_inv_rate = np.zeros(dim)
+        self.last_inv_rate = np.zeros(dim)  # refreshed by each step
 
     def step(self, g) -> np.ndarray:
         raise NotImplementedError
@@ -112,17 +113,6 @@ class OnlineLearner(_ReadOnlyIterate):
         self.t += 1
         self.g_sum = self.g_sum + g
         return g
-
-    # Diagnostics for the stability decomposition; additive constants that a
-    # learner cannot know (true loss values) are dropped, which leaves every
-    # h_{0:t}(x) - h_{0:t}(x') difference intact.  Both take one of the
-    # learner's own iterates, already validated, so neither re-validates x.
-    def objective(self, x) -> float:
-        raise NotImplementedError
-
-    def reg_increment(self, x) -> float:
-        """r_t(x) (plus lam ||x||_1 for composite learners) of the last step."""
-        raise NotImplementedError
 
 
 def _broadcast_inv(value, dim):
@@ -169,8 +159,6 @@ class QuadraticFtrl(OnlineLearner):
         self.centering = centering
         self.sq_sum = np.zeros(dim)
         self.adj_sum = np.zeros(dim)
-        self._recentering_value = 0.0  # sum_s sigma_s ||x_s||^2 / 2
-        self._last_center = self.x
         self.last_inv_rate = self._inverse_rate()
 
     @property
@@ -192,11 +180,8 @@ class QuadraticFtrl(OnlineLearner):
         b = self.g_sum
         if self.centering == PROXIMAL:
             self.adj_sum = self.adj_sum + sigma * x_prev
-            self._recentering_value += 0.5 * float(np.sum(sigma * x_prev ** 2))
             b = b - self.adj_sum
-        self.last_sigma = sigma
         self.last_inv_rate = inv
-        self._last_center = x_prev
         fs = self.feasible_set
         box = fs.radius if fs.kind == FeasibleSet.BOX else None
         x = _l1_step(b, self.t * self.lam, inv, box)
@@ -212,22 +197,6 @@ class QuadraticFtrl(OnlineLearner):
         if isinstance(self.schedule, AdaGradRate):
             return project_l2_ball_weighted(x, inv, fs.radius)
         return project_l2_ball(x, fs.radius)
-
-    def objective(self, x) -> float:
-        quad = 0.5 * np.sum(self.last_inv_rate * x ** 2)
-        if self.centering == PROXIMAL:
-            quad = quad - self.adj_sum @ x
-        value = self.g_sum @ x + quad
-        if self.lam:
-            value = value + self.t * self.lam * np.sum(np.abs(x))
-        return float(value + self._recentering_value)
-
-    def reg_increment(self, x) -> float:
-        d = x - self._last_center if self.centering == PROXIMAL else x
-        value = 0.5 * np.sum(self.last_sigma * d ** 2)
-        if self.lam:
-            value = value + self.lam * np.sum(np.abs(x))
-        return float(value)
 
 
 class DualAveraging(QuadraticFtrl):
@@ -289,9 +258,7 @@ class EntropicFtrl(OnlineLearner):
 
     reg_kind = ENTROPIC
 
-    def __init__(self, dim: int, g_inf: float, feasible_set: FeasibleSet | None = None):
-        if feasible_set is not None and feasible_set.kind != FeasibleSet.SIMPLEX:
-            raise UnsupportedCombination("the entropic learner runs on the simplex")
+    def __init__(self, dim: int, g_inf: float):
         if dim < 2:
             raise ValueError(f"simplex learner needs dimension >= 2, got {dim}")
         if not (np.isfinite(g_inf) and g_inf > 0):
@@ -307,20 +274,12 @@ class EntropicFtrl(OnlineLearner):
         return math.sqrt(self.g_inf ** 2 + sup_sq) / math.sqrt(self._log_n)
 
     def step(self, g) -> np.ndarray:
-        prev_inv = float(self.last_inv_rate[0])
         g = self._take(g)
         self.sup_sq_sum += float(np.max(np.abs(g))) ** 2
         inv = self._inv(self.sup_sq_sum)
-        self.last_sigma = np.full(self.dim, max(inv - prev_inv, 0.0))
         self.last_inv_rate = np.full(self.dim, inv)
         self.x = softmax_simplex(-self.g_sum / inv)
         return self.x
-
-    def objective(self, x) -> float:
-        return float(self.g_sum @ x + self.last_inv_rate[0] * negative_entropy(x))
-
-    def reg_increment(self, x) -> float:
-        return float(self.last_sigma[0]) * negative_entropy(x)
 
 
 class StronglyConvexOgd(OnlineLearner):
@@ -330,27 +289,13 @@ class StronglyConvexOgd(OnlineLearner):
     f_t(x_t) + g_t . (x - x_t) + ||x - x_t||^2 / 2; no explicit regularizer.
     """
 
-    reg_kind = NONE
+    reg_kind = STRONGLY_CONVEX
 
     def __init__(self, dim: int):
         super().__init__(dim, FeasibleSet.unconstrained())
-        self._gx_sum = 0.0
-        self._center_sum = np.zeros(dim)
-        self._center_sq_sum = 0.0
 
     def step(self, g) -> np.ndarray:
         x_prev = self.x
         g = self._take(g)
-        self._gx_sum += float(g @ x_prev)
-        self._center_sum = self._center_sum + x_prev
-        self._center_sq_sum += float(x_prev @ x_prev)
         self.x = x_prev - g / self.t
         return self.x
-
-    def objective(self, x) -> float:
-        # sum of quadratic lower bounds, dropping the unknowable f_t(x_t) constants
-        quad = 0.5 * (self.t * float(x @ x) - 2.0 * float(x @ self._center_sum) + self._center_sq_sum)
-        return float(self.g_sum @ x) - self._gx_sum + quad
-
-    def reg_increment(self, x) -> float:
-        return 0.0

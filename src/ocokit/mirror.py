@@ -72,7 +72,7 @@ class MirrorDescent(_ReadOnlyIterate):
     evaluate the accumulated curvature.
     """
 
-    reg_kind = "proximal"  # a trace hook shared with the native learners
+    reg_kind = "proximal"  # the regularizer family bounds reads from the run trace
 
     def __init__(self, dim: int, schedule: LearningRateSchedule, lam: float = 0.0,
                  feasible_set: FeasibleSet | None = None):

@@ -168,13 +168,11 @@ class LogisticStream:
         self.dim = int(dim)
 
     @classmethod
-    def synthetic(cls, seed: int, n: int, T: int, density: float = 0.3,
-                  true_nonzeros: int | None = None) -> "LogisticStream":
+    def synthetic(cls, seed: int, n: int, T: int, density: float = 0.3) -> "LogisticStream":
         """Sparse random features, labels drawn from a sparse ground-truth model."""
         rng = np.random.default_rng(seed)
-        k = true_nonzeros if true_nonzeros is not None else max(1, n // 5)
         w = np.zeros(n)
-        support = rng.choice(n, size=min(k, n), replace=False)
+        support = rng.choice(n, size=max(1, n // 5), replace=False)
         w[support] = rng.normal(0.0, 2.0, size=support.size)
         examples = []
         for _ in range(T):

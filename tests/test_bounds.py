@@ -8,7 +8,6 @@ from ocokit.bounds import (
     RegretRecord,
     best_comparator,
     bound_curve,
-    bound_value,
     cumulative_regret,
 )
 from ocokit.core import ConstantRate, FeasibleSet, InverseSqrtRate
@@ -46,27 +45,27 @@ def test_closed_form_bound_values():
     cfg = BoundConfig(R=1.0, G=1.0, R_inf=1.0, n=2)
     grads = np.zeros((100, 1))
     star = np.array([1.0])
-    assert bound_value(BoundRule.DA_CLOSED_FORM, cfg, grads, 100, x_star=star) == \
+    assert bound_curve(BoundRule.DA_CLOSED_FORM, cfg, grads, x_star=star)[99] == \
         pytest.approx(math.sqrt(2) * 10, abs=1e-9)
-    assert bound_value(BoundRule.PROX_CLOSED_FORM, cfg, grads, 100) == \
+    assert bound_curve(BoundRule.PROX_CLOSED_FORM, cfg, grads)[99] == \
         pytest.approx(2 * math.sqrt(2) * 10, abs=1e-9)
     grads2 = np.array([[3.0], [4.0]])
-    assert bound_value(BoundRule.ADAGRAD_PER_COORD, cfg, grads2, 2) == \
+    assert bound_curve(BoundRule.ADAGRAD_PER_COORD, cfg, grads2)[1] == \
         pytest.approx(10 * math.sqrt(2), abs=1e-12)
-    assert bound_value(BoundRule.STRONGLY_CONVEX_LOG, cfg, grads, 1) == pytest.approx(0.5)
+    assert bound_curve(BoundRule.STRONGLY_CONVEX_LOG, cfg, grads)[0] == pytest.approx(0.5)
 
 
 def test_missing_config_field_is_an_error():
     with pytest.raises(ValueError):
-        bound_value(BoundRule.DA_CLOSED_FORM, BoundConfig(), np.zeros((3, 1)), 2)
+        bound_curve(BoundRule.DA_CLOSED_FORM, BoundConfig(), np.zeros((3, 1)))
 
 
 def test_entropic_bound_cap():
     cfg = BoundConfig(G_inf=1.0, n=4)
     grads = np.ones((10, 4))
+    curve = bound_curve(BoundRule.ENTROPIC, cfg, grads)
     for t in range(1, 11):
-        value = bound_value(BoundRule.ENTROPIC, cfg, grads, t)
-        assert value <= 2.0 * math.sqrt(t * math.log(4)) + 1e-12
+        assert curve[t - 1] <= 2.0 * math.sqrt(t * math.log(4)) + 1e-12
 
 
 def test_bound_curves_are_monotone():
@@ -80,16 +79,6 @@ def test_bound_curves_are_monotone():
                             x_star=result.x_star, trace=result.trace)
         assert np.all(np.diff(curve) >= -1e-9)
     assert np.all(np.diff(result.record.bound) >= -1e-9)
-
-
-def test_bound_value_indexes_the_curve():
-    rng = np.random.default_rng(1)
-    grads = rng.normal(size=(20, 3))
-    cfg = BoundConfig(R_inf=1.0)
-    curve = bound_curve(BoundRule.ADAGRAD_PER_COORD, cfg, grads)
-    for t in (1, 7, 20):
-        assert bound_value(BoundRule.ADAGRAD_PER_COORD, cfg, grads, t) == \
-            pytest.approx(curve[t - 1], abs=1e-12)
 
 
 def test_weak_bound_dominates_sharp_bound():

@@ -116,6 +116,20 @@ class TestRun:
         code, _, err = run_cli(["run", "--config", "/nonexistent/x.cfg"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("learner,bound,line", [
+        ("ftrl-l1", "composite", "lambda = -0.1"),
+        ("md-l1", "mirror-descent", "lambda = -0.1"),
+        ("constant-ogd", "non-adaptive", "eta = -1"),
+        ("dual-averaging", "da-closed-form", "R = -1"),
+    ])
+    def test_invalid_config_value_is_usage_error(self, tmp_path, capsys, learner, bound, line):
+        cfg = write_config(tmp_path, f"learner = {learner}\nstream = random-linear\n"
+                                     f"bound = {bound}\nT = 10\nn = 2\n{line}\n")
+        code, out, err = run_cli(["run", "--config", cfg], capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("ocokit: ")
+
     def test_adversary_run_with_mirror_descent(self, tmp_path, capsys):
         cfg = write_config(tmp_path, """
 learner = md-l1
@@ -165,6 +179,14 @@ eta = 0.1
 """)
         code, _, err = run_cli(["compare", "--config", cfg], capsys)
         assert code == 2
+
+    def test_invalid_config_value_is_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "learners = ftrl-l1, md-l1\nstream = random-linear\n"
+                                     "T = 10\nn = 2\nlambda = -0.1\n")
+        code, out, err = run_cli(["compare", "--config", cfg], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "ocokit: penalty weight must be >= 0, got -0.1\n"
 
 
 class TestReproL1:

@@ -170,7 +170,8 @@ def test_feasible_set_validation_and_membership():
     simplex = FeasibleSet.simplex()
     assert simplex.contains([0.25, 0.75])
     assert not simplex.contains([0.5, 0.2])
-    assert np.allclose(simplex.project([2.0, 0.0]), [1.0, 0.0])
+    with pytest.raises(core.UnsupportedCombination):
+        simplex.project([2.0, 0.0])
 
 
 def test_linear_minimizers():

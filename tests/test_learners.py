@@ -163,8 +163,8 @@ class TestEntropicFtrl:
             assert np.all(x >= 0)
 
     def test_needs_simplex_and_positive_cap(self):
-        with pytest.raises(UnsupportedCombination):
-            EntropicFtrl(3, 1.0, feasible_set=FeasibleSet.box(1.0))
+        with pytest.raises(ValueError):
+            EntropicFtrl(1, 1.0)
         with pytest.raises(ValueError):
             EntropicFtrl(3, 0.0)
 

@@ -326,7 +326,7 @@ def test_presets_keep_the_attributes_suites_read():
                           (FtrlCompositeL1(2, ConstantRate(0.5), 0.1), "centered")):
         learner.step([0.3, -0.4])
         assert learner.reg_kind == kind
-        for attr in ("g_sum", "adj_sum", "sq_sum", "last_sigma", "last_inv_rate"):
+        for attr in ("g_sum", "adj_sum", "sq_sum", "last_inv_rate"):
             assert getattr(learner, attr).shape == (2,)
         assert learner.lam in (0.0, 0.1)
 
