@@ -143,25 +143,36 @@ def build_stream(cfg):
     raise UsageError(f"unknown stream {cfg.get('stream')!r} (choose from {', '.join(STREAMS)})")
 
 
+def _nonzero_g(cfg) -> float:
+    """The config's G, which the default learning rates divide by."""
+    if cfg["G"] == 0:
+        raise UsageError("G = 0 leaves the default learning rate undefined (set G or eta)")
+    return cfg["G"]
+
+
 def _horizon_rate(cfg) -> float:
     """The config's eta, else R / (G sqrt(T)), which is stored for the bound."""
     if cfg.get("eta") is None:
         _require(cfg, "T")
-        cfg["eta"] = cfg["R"] / (cfg["G"] * math.sqrt(cfg["T"]))
+        if cfg["T"] == 0:
+            raise UsageError("T = 0 leaves the rate R / (G sqrt(T)) undefined (set eta)")
+        cfg["eta"] = cfg["R"] / (_nonzero_g(cfg) * math.sqrt(cfg["T"]))
     return cfg["eta"]
 
 
 def build_learner(name, cfg):
     n = cfg["n"]
-    R, G = cfg["R"], cfg["G"]
+    R = cfg["R"]
     eta = cfg.get("eta")
     if name == "dual-averaging":
-        sched = ConstantRate(eta) if eta else InverseSqrtRate(R / (math.sqrt(2) * G), shift=1)
+        sched = ConstantRate(eta) if eta else InverseSqrtRate(
+            R / (math.sqrt(2) * _nonzero_g(cfg)), shift=1)
         return DualAveraging(n, sched)
     if name == "constant-ogd":
         return DualAveraging(n, ConstantRate(_horizon_rate(cfg)))
     if name == "ftrl-proximal":
-        sched = ConstantRate(eta) if eta else InverseSqrtRate(math.sqrt(2) * R / G, shift=0)
+        sched = ConstantRate(eta) if eta else InverseSqrtRate(
+            math.sqrt(2) * R / _nonzero_g(cfg), shift=0)
         return FtrlProximal(n, sched, FeasibleSet.l2_ball(R))
     if name == "adagrad-ftrl-proximal":
         return FtrlProximal(n, AdaGradRate(math.sqrt(2) * cfg["R_inf"]),

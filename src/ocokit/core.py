@@ -363,29 +363,70 @@ def project_l2_ball(v, radius: float) -> np.ndarray:
 def project_l2_ball_weighted(u, weights, radius: float) -> np.ndarray:
     """argmin of sum_i w_i (x_i - u_i)^2 subject to ||x||_2 <= radius.
 
-    Coordinates with w_i = 0 are pinned to 0 (minimum-norm tie-break).
-    Solved by bisection on the multiplier mu in x_i = w_i u_i / (w_i + mu).
+    Coordinates with w_i = 0 are pinned to 0 (minimum-norm tie-break).  When
+    the ball binds, x_i(mu) = w_i u_i / (w_i + mu) at the multiplier mu > 0
+    that solves the secular equation psi(mu) = 1/||x(mu)|| - 1/radius = 0
+    (More & Sorensen, "Computing a Trust Region Step", 1983).  psi is
+    increasing and concave in mu, so Newton's method started at mu = 0
+    climbs to the root.  A step that leaves the bracket [lo, hi], which
+    starts as [0, ||w u|| / radius] (valid since ||x(mu)|| <= ||w u|| / mu),
+    is replaced by a bisection step.  The solve stops once a step moves every
+    x_i by less than 1e-13 relative, or after 100 steps; a final radial
+    rescale keeps ||x|| <= radius.
+
+    Only the support {w_i > 0, u_i != 0} enters the solve.  The answer does
+    not change when w is scaled, and scaling u and radius together by a
+    power of two is exact, so w and u are first scaled by powers of two to a
+    largest entry in [1/2, 1), and radius with u.  Norms are taken of
+    (1 + mu) x(mu), whose entries are at most 2 |u_i| in that scale, so no
+    square overflows or underflows while ||u|| / radius < 2^1000.
     """
     u = as_point(u)
     w = np.broadcast_to(np.asarray(weights, dtype=float), u.shape)
     if np.any(w < 0):
         raise ValueError("weights must be >= 0")
+    if not (np.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be > 0, got {radius}")
     x = np.where(w > 0, u, 0.0)
-    if float(np.linalg.norm(x)) <= radius:
+    support = np.flatnonzero(x != 0)
+    if support.size == 0:
         return x
-    lo, hi = 0.0, float(np.max(w))
-    while np.linalg.norm(np.where(w > 0, w * u / (w + hi), 0.0)) > radius:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if np.linalg.norm(np.where(w > 0, w * u / (w + mid), 0.0)) > radius:
-            lo = mid
+    us = x[support]
+    shift = math.frexp(float(np.max(np.abs(us))))[1]
+    us = np.ldexp(us, -shift)
+    r = math.ldexp(radius, -shift)
+    if math.sqrt(float(us @ us)) <= r:
+        return x
+    ws = w[support]
+    ws = np.ldexp(ws, -math.frexp(float(np.max(ws)))[1])
+    a = ws * us
+    w_min = float(np.min(ws))
+    mu, lo, hi = 0.0, 0.0, math.sqrt(float(a @ a)) / r
+    for _ in range(100):
+        # z = (1 + mu) x(mu) and e = (w + mu) / (1 + mu)
+        t = 1.0 / (1.0 + mu)
+        e = ws * t + mu * t
+        z = a / e
+        zz = float(z @ z)
+        nrm = math.sqrt(zz) * t
+        if nrm > r:
+            lo = mu
         else:
-            hi = mid
-    x = np.where(w > 0, w * u / (w + hi), 0.0)
-    nrm = float(np.linalg.norm(x))
-    if nrm > radius:
-        x *= radius / nrm
+            hi = mu
+        new = mu + (1.0 + mu) * zz / float((z / e) @ z) * (nrm / r - 1.0)
+        if not lo <= new <= hi:
+            new = 0.5 * (lo + hi)
+        done = abs(new - mu) <= 1e-13 * (new + w_min)
+        mu = new
+        if done:
+            break
+    t = 1.0 / (1.0 + mu)
+    z = a / (ws * t + mu * t)
+    nrm = math.sqrt(float(z @ z)) * t
+    xs = z * t
+    if nrm > r:
+        xs *= r / nrm
+    x[support] = np.ldexp(xs, shift)
     return x
 
 

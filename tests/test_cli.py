@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from ocokit import cli
@@ -129,6 +134,33 @@ class TestRun:
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("ocokit: ")
+
+    @pytest.mark.parametrize("learner,bound,lines", [
+        ("constant-ogd", "non-adaptive", "T = 0"),
+        ("ftrl-l1", "composite", "T = 0"),
+        ("constant-ogd", "non-adaptive", "T = 10\nG = 0"),
+        ("dual-averaging", "da-closed-form", "T = 10\nG = 0"),
+        ("ftrl-proximal", "prox-closed-form", "T = 10\nG = 0"),
+    ])
+    def test_undefined_default_rate_is_usage_error(self, tmp_path, capsys, learner, bound, lines):
+        cfg = write_config(tmp_path, f"learner = {learner}\nstream = random-linear\n"
+                                     f"bound = {bound}\nn = 2\n{lines}\n")
+        code, out, err = run_cli(["run", "--config", cfg], capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("ocokit: ")
+        assert "undefined" in err
+
+    def test_undefined_default_rate_exits_without_traceback(self, tmp_path):
+        cfg = write_config(tmp_path, "learner = dual-averaging\nstream = random-linear\n"
+                                     "bound = da-closed-form\nT = 10\nn = 2\nG = 0\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-m", "ocokit.cli", "run", "--config", cfg],
+                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "ocokit: G = 0 leaves the default learning rate undefined (set G or eta)"]
 
     def test_adversary_run_with_mirror_descent(self, tmp_path, capsys):
         cfg = write_config(tmp_path, """

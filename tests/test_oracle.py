@@ -126,3 +126,25 @@ def test_ball_oracle_matches_radial_projection():
         R = float(rng.uniform(0.3, 1.5))
         num = oracle.numeric_argmin_ball_2d(lambda a, b: (a - v[0]) ** 2 + (b - v[1]) ** 2, R)
         assert np.allclose(num, core.project_l2_ball(v, R), atol=1e-5)
+
+
+def test_ball_oracle_matches_weighted_projection():
+    """project_l2_ball_weighted is within TOL_ORACLE of the numeric argmin of
+    sum_i w_i (x_i - u_i)^2 over the ball, for n = 1 and n = 2 and w_i > 0."""
+    rng = np.random.default_rng(31)
+    worst, bound = 0.0, 0
+    for k in range(40):
+        R = float(rng.uniform(0.3, 2.0))
+        n = 1 + k % 2
+        u = rng.normal(0, 2, size=n)
+        w = rng.uniform(0.05, 5.0, size=n)
+        closed = core.project_l2_ball_weighted(u, w, R)
+        if n == 1:
+            num = np.array([oracle.numeric_argmin_1d(lambda x: w[0] * (x - u[0]) ** 2, -R, R)])
+        else:
+            num = oracle.numeric_argmin_ball_2d(
+                lambda a, b: w[0] * (a - u[0]) ** 2 + w[1] * (b - u[1]) ** 2, R)
+        worst = max(worst, float(np.max(np.abs(closed - num))))
+        bound += bool(np.linalg.norm(u) > R)
+    assert worst <= core.TOL_ORACLE
+    assert bound >= 10  # the ball binds on a good share of the draws
