@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FeasibleSet, as_point, negative_entropy
+from .core import FeasibleSet, _negative_entropy_rows, _row_dots, as_point, negative_entropy
 from .learners import BoundConfig
 
 
@@ -151,11 +151,6 @@ def _penalty_curve(trace: RunTrace, x_star: np.ndarray) -> np.ndarray:
     return ts * trace.penalty_lam * float(np.sum(np.abs(x_star)))
 
 
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a[t] @ b[t] for every row t, bit for bit (einsum and (a*b).sum(1) are not)."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
 def _stability_terms(trace: RunTrace, next_iterates: np.ndarray) -> np.ndarray:
     """h_{0:t}(x_t) - h_{0:t}(x_{t+1}) - r_t(x_t) for t = 1..T; +inf if unknown.
 
@@ -171,7 +166,7 @@ def _stability_terms(trace: RunTrace, next_iterates: np.ndarray) -> np.ndarray:
       replaced by its tangents, linear term g_{1:t} + g_psi_{1:t}, and
       r_t(x_t) = g_psi_t.x_t;
     - entropic: g_{1:t}.x + inv_t (negative entropy of x), r_t =
-      sigma_t (negative entropy of x_t);
+      sigma_t (negative entropy of x_t), the entropies taken row-wise;
     - strongly convex: the summed quadratic lower bounds
       g_s.(x - x_s) + ||x - x_s||^2/2, and no regularizer.
     Constants such as the recentering value cancel in the difference.  They
@@ -188,7 +183,7 @@ def _stability_terms(trace: RunTrace, next_iterates: np.ndarray) -> np.ndarray:
     buf = np.cumsum(trace.grads, axis=0)  # g_{1:t}
     now, nxt = _row_dots(buf, X), _row_dots(buf, Xn)
     if kind == "entropic":
-        ent, ent_next = (np.array([negative_entropy(x) for x in P]) for P in (X, Xn))
+        ent, ent_next = _negative_entropy_rows(X), _negative_entropy_rows(Xn)
         w = trace.inv_rates[:, 0]
         return (now + w * ent) - (nxt + w * ent_next) - trace.sigmas()[:, 0] * ent
     if kind == "strongly-convex":

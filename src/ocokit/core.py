@@ -31,15 +31,35 @@ class ConsistencyError(RuntimeError):
 
 
 def as_point(x, dim: int | None = None) -> np.ndarray:
-    """Validate and densify a coordinate vector: 1-D, finite, dim >= 1."""
+    """Validate and densify a coordinate vector: 1-D, finite, dim >= 1.
+
+    Data is validated where it enters (a learner's ``step``, a stream's
+    constructor, ``run_rounds``' iterate column and comparator); the
+    internal hops between those call the unchecked ``_`` kernels.
+    """
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"expected a 1-D point with dim >= 1, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("point has non-finite coordinates")
+    _require_finite(arr)
     if dim is not None and arr.size != dim:
         raise ValueError(f"expected dim {dim}, got {arr.size}")
     return arr
+
+
+def _require_finite(arr: np.ndarray) -> np.ndarray:
+    """arr, or as_point's ValueError if any entry is inf or nan (any shape)."""
+    if not _all(np.isfinite(arr)):
+        raise ValueError("point has non-finite coordinates")
+    return arr
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[t] @ b[t] for every row t, or a[t] @ b for a 1-D b.
+
+    Equal bit for bit to the per-row ``float(a[t] @ b[t])``; einsum,
+    (a * b).sum(1) and a @ b are not.
+    """
+    return np.matmul(a[:, None, :], b[..., :, None])[:, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -90,9 +110,9 @@ class FeasibleSet:
         if self.kind == self.UNCONSTRAINED:
             return v
         if self.kind == self.L2_BALL:
-            return project_l2_ball(v, self.radius)
+            return _project_l2_ball(v, self.radius)
         if self.kind == self.BOX:
-            return clamp_box(v, self.radius)
+            return _clamp_box(v, self.radius)
         raise UnsupportedCombination("no Euclidean projection onto the simplex")
 
     def linear_minimizer(self, g) -> np.ndarray:
@@ -101,10 +121,10 @@ class FeasibleSet:
         if self.kind == self.UNCONSTRAINED:
             raise ValueError("linear objective is unbounded below on an unconstrained set")
         if self.kind == self.L2_BALL:
-            nrm = float(np.linalg.norm(g))
+            nrm, k = _scaled_norm(g)
             if nrm == 0.0:
                 return np.zeros_like(g)
-            return -self.radius * g / nrm
+            return -self.radius * (np.ldexp(g, -k) if k else g) / nrm
         if self.kind == self.BOX:
             return -self.radius * np.sign(g)
         out = np.zeros_like(g)
@@ -116,7 +136,8 @@ class FeasibleSet:
         if self.kind == self.UNCONSTRAINED:
             return True
         if self.kind == self.L2_BALL:
-            return float(np.linalg.norm(x)) <= self.radius * (1.0 + tol)
+            nrm, k = _scaled_norm(x)
+            return nrm <= math.ldexp(self.radius * (1.0 + tol), -k)
         if self.kind == self.BOX:
             return bool(np.all(np.abs(x) <= self.radius * (1.0 + tol)))
         return bool(np.all(x >= -tol)) and abs(float(x.sum()) - 1.0) <= tol
@@ -190,6 +211,8 @@ class AdaGradRate(LearningRateSchedule):
             raise ValueError(f"scale must be > 0, got {scale}")
         if not (np.isfinite(offset) and offset >= 0):
             raise ValueError(f"offset must be >= 0, got {offset}")
+        if not offset < GRAD_LIMIT:  # offset^2 joins the squared-gradient sum
+            raise ValueError(f"offset must be < 2^511 (about 6.7e153), got {offset}")
         self.scale = float(scale)
         self.offset = float(offset)
 
@@ -198,6 +221,26 @@ class AdaGradRate(LearningRateSchedule):
 
     def __repr__(self):
         return f"AdaGradRate(scale={self.scale}, offset={self.offset})"
+
+
+# Running sums of squared gradients (AdaGrad's sum_s g_{s,i}^2, the entropic
+# rate's sum_s ||g_s||_inf^2) stay finite: an entry below 2^511 squares to
+# below 2^1022, and a sum kept at or below 2^1022 plus one such square is
+# below 2^1023, under the largest double.
+GRAD_LIMIT = 2.0 ** 511
+SQ_SUM_LIMIT = 2.0 ** 1022
+SQ_SUM_MESSAGE = ("squared-gradient sums need |g_i| < 2^511 (about 6.7e153) and a running "
+                  "sum <= 2^1022 (about 4.5e307)")
+
+
+def _add_squares(sq_sum: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """sq_sum + g * g for a finite g, or a ValueError naming the limits it would pass."""
+    if not _all(np.abs(g) < GRAD_LIMIT):
+        raise ValueError(f"{SQ_SUM_MESSAGE}; got max |g_i| = {float(np.max(np.abs(g))):.3g}")
+    out = sq_sum + g * g
+    if not _all(out <= SQ_SUM_LIMIT):
+        raise ValueError(f"{SQ_SUM_MESSAGE}; the sum reached {float(np.max(out)):.3g}")
+    return out
 
 
 def schedule_sigma(sched: LearningRateSchedule, t: int, sq_now=0.0, sq_prev=0.0):
@@ -271,11 +314,27 @@ class RegularizerSpec:
 
 def negative_entropy(x) -> float:
     """log n + sum_i x_i log x_i with the convention 0 log 0 = 0."""
-    x = as_point(x)
-    if np.any(x < 0):
+    return float(_negative_entropy_rows(as_point(x)[None, :])[0])
+
+
+def _negative_entropy_rows(X: np.ndarray) -> np.ndarray:
+    """``negative_entropy`` of every row of a finite (T, n) array, bit for bit.
+
+    Rows with all x_i > 0 (every softmax iterate) are summed in one row-wise
+    reduction, which adds the same terms in the same order as a 1-D sum; a
+    row with zeros drops them, as the 0 log 0 = 0 convention does, by the
+    same per-row sum of its positive entries.
+    """
+    if np.any(X < 0):
         raise ValueError("negative entropy requires nonnegative coordinates")
-    pos = x[x > 0]
-    return float(math.log(x.size) + np.sum(pos * np.log(pos)))
+    log_n = math.log(X.shape[1])
+    if _all(X > 0):
+        return log_n + np.sum(X * np.log(X), axis=1)
+    out = np.empty(X.shape[0])
+    for t, x in enumerate(X):
+        pos = x[x > 0]
+        out[t] = log_n + np.sum(pos * np.log(pos))
+    return out
 
 
 def bregman_divergence(reg: RegularizerSpec, u, v) -> float:
@@ -324,8 +383,13 @@ def soft_threshold_argmin(b, lam, a):
         raise ValueError(f"quadratic coefficient must be > 0, got {a}")
     if not _all(lam >= 0):
         raise ValueError(f"l1 weight must be >= 0, got {lam}")
-    x = (np.minimum(np.maximum(b, -lam), lam) - b) / a
+    x = _soft_threshold(b, lam, a)
     return float(x) if x.ndim == 0 else x
+
+
+def _soft_threshold(b, lam, a):
+    """``soft_threshold_argmin`` on finite arrays with a > 0 and lam >= 0, unchecked."""
+    return (np.minimum(np.maximum(b, -lam), lam) - b) / a
 
 
 def _l1_step(b, lam: float, inv, box: float | None = None) -> np.ndarray:
@@ -338,8 +402,8 @@ def _l1_step(b, lam: float, inv, box: float | None = None) -> np.ndarray:
     """
     live = inv > 0
     if _all(live):
-        return soft_threshold_argmin(b, lam, inv)
-    x = soft_threshold_argmin(b, lam, np.where(live, inv, 1.0))
+        return _soft_threshold(b, lam, inv)
+    x = _soft_threshold(b, lam, np.where(live, inv, 1.0))
     flat = np.abs(b) <= lam
     if box is None:
         if not _all(live | flat):
@@ -349,15 +413,34 @@ def _l1_step(b, lam: float, inv, box: float | None = None) -> np.ndarray:
     return np.where(live, x, np.where(flat, 0.0, -np.copysign(box, b)))
 
 
+def _scaled_norm(v: np.ndarray) -> tuple[float, int]:
+    """(s, k) with ||v||_2 = s 2^k, for a finite nonempty v.
+
+    k = 0 and s is ``np.linalg.norm(v)`` bit for bit unless the sum of
+    squares could overflow (max |v_i| sqrt(n) >= 2^510); then the norm is
+    taken of v scaled by a power of two, 2^-k, to a largest entry in [1/2, 1).
+    """
+    big = float(np.max(np.abs(v)))
+    if big * math.sqrt(v.size) < 2.0 ** 510:
+        return float(np.linalg.norm(v)), 0
+    k = math.frexp(big)[1]
+    return float(np.linalg.norm(np.ldexp(v, -k))), k
+
+
 def project_l2_ball(v, radius: float) -> np.ndarray:
     """Radial projection onto the ball of the given radius."""
     v = as_point(v)
     if not (np.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be > 0, got {radius}")
-    nrm = float(np.linalg.norm(v))
-    if nrm <= radius:
+    return _project_l2_ball(v, radius)
+
+
+def _project_l2_ball(v: np.ndarray, radius: float) -> np.ndarray:
+    """``project_l2_ball`` of a finite v with radius > 0, unchecked; a new array."""
+    nrm, k = _scaled_norm(v)
+    if nrm <= math.ldexp(radius, -k):
         return v.copy()
-    return v * (radius / nrm)
+    return v * math.ldexp(radius / nrm, -k)
 
 
 def project_l2_ball_weighted(u, weights, radius: float) -> np.ndarray:
@@ -387,6 +470,11 @@ def project_l2_ball_weighted(u, weights, radius: float) -> np.ndarray:
         raise ValueError("weights must be >= 0")
     if not (np.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be > 0, got {radius}")
+    return _project_l2_ball_weighted(u, w, radius)
+
+
+def _project_l2_ball_weighted(u: np.ndarray, w: np.ndarray, radius: float) -> np.ndarray:
+    """``project_l2_ball_weighted`` of a finite u, w >= 0 of u's shape, radius > 0, unchecked."""
     x = np.where(w > 0, u, 0.0)
     support = np.flatnonzero(x != 0)
     if support.size == 0:
@@ -435,11 +523,20 @@ def clamp_box(v, half_width: float) -> np.ndarray:
     v = as_point(v)
     if not (np.isfinite(half_width) and half_width > 0):
         raise ValueError(f"half width must be > 0, got {half_width}")
-    return np.clip(v, -half_width, half_width)
+    return _clamp_box(v, half_width)
+
+
+def _clamp_box(v: np.ndarray, half_width: float) -> np.ndarray:
+    """``clamp_box`` of a finite v with half_width > 0, unchecked; a new array."""
+    return np.minimum(np.maximum(v, -half_width), half_width)
 
 
 def softmax_simplex(z) -> np.ndarray:
     """exp(z_i) / sum_j exp(z_j), computed with max subtraction."""
-    z = as_point(z)
+    return _softmax(as_point(z))
+
+
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """``softmax_simplex`` of a finite 1-D z, unchecked."""
     e = np.exp(z - z.max())
     return e / e.sum()

@@ -24,10 +24,10 @@ from .bounds import (
     bound_curve,
     cumulative_regret,
 )
-from .core import ConstantRate, FeasibleSet
+from .core import ConstantRate, FeasibleSet, _require_finite, as_point
 from .learners import BoundConfig, FtrlCompositeL1
 from .mirror import MirrorDescent
-from .streams import L1AdversaryStream
+from .streams import LINEAR, L1AdversaryStream, loss_column
 
 
 @dataclass
@@ -45,9 +45,16 @@ def run_rounds(learner, stream, T: int, rule: BoundRule | None = None,
                comparator_set: FeasibleSet | None = None) -> RunResult:
     """Drive ``T`` rounds and assemble the per-round regret record.
 
-    The loop only plays and records: x_t, g_t, the deployed inverse rates
-    and, for unconstrained mirror descent, the penalty subgradient of each
-    step (checked as it is extracted).  ``record.strong_ftrl_rhs`` is then
+    The loop only plays and records: x_t, g_t, the deployed inverse rates,
+    each round's loss parameters and, for unconstrained mirror descent, the
+    penalty subgradient of each step (checked as it is extracted).  Losses
+    are data (see ``streams``): after the loop one ``loss_column`` call
+    evaluates f_t(x_t) for every round and one evaluates f_t(x*).  The run
+    keeps no copy of its own for that: a linear loss's parameters are the
+    gradient trace, and the other families' rows (quadratic centers,
+    logistic examples) are the stream's own arrays, held by reference.  The
+    iterate column and x* are validated once, with ``as_point``'s
+    ValueError.  ``record.strong_ftrl_rhs`` is then
     the stability decomposition of the Strong FTRL Lemma at every prefix,
     built from that trace in O(T n): r_{0:t}(x*) + penalty
     + sum_{s<=t} stability_s, where the penalty is alpha_{1:t} lam ||x*||_1
@@ -59,8 +66,8 @@ def run_rounds(learner, stream, T: int, rule: BoundRule | None = None,
     if T < 0:
         raise ValueError(f"round count must be >= 0, got {T}")
     dim = learner.dim
-    losses = np.zeros(T)
-    loss_fns = []
+    family = None
+    rows, labels = [], []  # non-linear losses: the events' parameter rows, by reference
     grads = np.zeros((T, dim))
     points = np.zeros((T + 1, dim))  # x_1..x_{T+1}; the trace keeps x_1..x_T
     inv_rates = np.zeros((T, dim))
@@ -71,20 +78,26 @@ def run_rounds(learner, stream, T: int, rule: BoundRule | None = None,
         psi = np.zeros((T, dim))
 
     for t in range(1, T + 1):
-        x_t = learner.x.copy()
-        event = stream.event(t, x_t)
-        losses[t - 1] = event.loss_at(x_t)
-        loss_fns.append(event.loss_at)
+        event = stream.event(t, learner.x)  # iterates are published read-only
+        if event.family != family:
+            if family is not None:
+                raise ValueError(f"round {t} changes the loss family from {family} "
+                                 f"to {event.family}")
+            family = event.family
+        if family != LINEAR:
+            rows.append(event.param)
+            labels.append(event.label)
         grads[t - 1] = event.g
-        points[t - 1] = x_t
+        points[t - 1] = learner.x
         learner.step(event.g)
         inv_rates[t - 1] = learner.last_inv_rate
         if psi is not None:
-            psi[t - 1] = learner.extract_last_psi_subgradient(x_t, event.g)
+            psi[t - 1] = learner.extract_last_psi_subgradient(points[t - 1], event.g)
     points[T] = learner.x
+    iterates = _require_finite(points[:T])
 
     trace = RunTrace(
-        grads=grads, iterates=points[:T], inv_rates=inv_rates, inv0=inv0,
+        grads=grads, iterates=iterates, inv_rates=inv_rates, inv0=inv0,
         reg_kind=learner.reg_kind, penalty_lam=learner.lam, psi=psi)
 
     if hasattr(stream, "best_fixed_point") and T > 0:
@@ -92,8 +105,14 @@ def run_rounds(learner, stream, T: int, rule: BoundRule | None = None,
     else:
         comp_set = comparator_set or learner.feasible_set
         x_star = best_comparator(grads, comp_set) if T > 0 else np.zeros(dim)
+    x_star = as_point(x_star, dim=dim)
 
-    comp_losses = np.array([loss_fns[t](x_star) for t in range(T)])
+    if T > 0:
+        params = grads if family == LINEAR else rows
+        losses = loss_column(family, params, iterates, labels)
+        comp_losses = loss_column(family, params, x_star, labels)
+    else:
+        losses = comp_losses = np.zeros(0)
     cum = cumulative_regret(losses, comp_losses)
 
     if rule is not None and T > 0:

@@ -27,19 +27,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    GRAD_LIMIT,
+    SQ_SUM_LIMIT,
+    SQ_SUM_MESSAGE,
     AdaGradRate,
     ConstantRate,
     FeasibleSet,
     InverseSqrtRate,
     LearningRateSchedule,
     UnsupportedCombination,
+    _add_squares,
+    _clamp_box,
     _l1_step,
+    _project_l2_ball,
+    _project_l2_ball_weighted,
+    _softmax,
     as_point,
-    clamp_box,
     penalty_weight,
-    project_l2_ball,
-    project_l2_ball_weighted,
-    softmax_simplex,
 )
 
 CENTERED = "centered"
@@ -108,11 +112,10 @@ class OnlineLearner(_ReadOnlyIterate):
     def step(self, g) -> np.ndarray:
         raise NotImplementedError
 
-    def _take(self, g) -> np.ndarray:
-        g = as_point(g, dim=self.dim)
+    def _advance(self, g):
+        """Count the round and add g, validated by ``step`` where it entered, to g_sum."""
         self.t += 1
         self.g_sum = self.g_sum + g
-        return g
 
 
 def _broadcast_inv(value, dim):
@@ -169,11 +172,13 @@ class QuadraticFtrl(OnlineLearner):
         return _broadcast_inv(self.schedule.inverse_rate(self.t, self.sq_sum), self.dim)
 
     def step(self, g) -> np.ndarray:
+        g = as_point(g, dim=self.dim)
+        sq_sum = _add_squares(self.sq_sum, g)  # may raise; no state has moved yet
         x_prev = self.x
         prev_inv = self.last_inv_rate
         inv = self._inverse_rate() if self._lagged else None  # from rounds 1..t-1
-        g = self._take(g)
-        self.sq_sum = self.sq_sum + g * g
+        self._advance(g)
+        self.sq_sum = sq_sum
         if inv is None:
             inv = self._inverse_rate()
         sigma = np.maximum(inv - prev_inv, 0.0)
@@ -193,10 +198,10 @@ class QuadraticFtrl(OnlineLearner):
         if fs.kind == FeasibleSet.UNCONSTRAINED:
             return x
         if fs.kind == FeasibleSet.BOX:
-            return clamp_box(x, fs.radius)
+            return _clamp_box(x, fs.radius)
         if isinstance(self.schedule, AdaGradRate):
-            return project_l2_ball_weighted(x, inv, fs.radius)
-        return project_l2_ball(x, fs.radius)
+            return _project_l2_ball_weighted(x, inv, fs.radius)
+        return _project_l2_ball(x, fs.radius)
 
 
 class DualAveraging(QuadraticFtrl):
@@ -263,6 +268,9 @@ class EntropicFtrl(OnlineLearner):
             raise ValueError(f"simplex learner needs dimension >= 2, got {dim}")
         if not (np.isfinite(g_inf) and g_inf > 0):
             raise ValueError(f"sup-norm gradient bound must be > 0, got {g_inf}")
+        if not g_inf < GRAD_LIMIT:  # g_inf^2 joins the squared-gradient sum
+            raise ValueError(f"sup-norm gradient bound must be < 2^511 (about 6.7e153), "
+                             f"got {g_inf}")
         super().__init__(dim, FeasibleSet.simplex())
         self.g_inf = float(g_inf)
         self.sup_sq_sum = 0.0
@@ -274,11 +282,16 @@ class EntropicFtrl(OnlineLearner):
         return math.sqrt(self.g_inf ** 2 + sup_sq) / math.sqrt(self._log_n)
 
     def step(self, g) -> np.ndarray:
-        g = self._take(g)
-        self.sup_sq_sum += float(np.max(np.abs(g))) ** 2
+        g = as_point(g, dim=self.dim)
+        g_max = float(np.max(np.abs(g)))
+        sup_sq_sum = self.sup_sq_sum + (g_max ** 2 if g_max < GRAD_LIMIT else math.inf)
+        if not sup_sq_sum <= SQ_SUM_LIMIT:
+            raise ValueError(f"{SQ_SUM_MESSAGE}; got max |g_i| = {g_max:.3g}")
+        self._advance(g)
+        self.sup_sq_sum = sup_sq_sum
         inv = self._inv(self.sup_sq_sum)
         self.last_inv_rate = np.full(self.dim, inv)
-        self.x = softmax_simplex(-self.g_sum / inv)
+        self.x = _softmax(-self.g_sum / inv)
         return self.x
 
 
@@ -296,6 +309,7 @@ class StronglyConvexOgd(OnlineLearner):
 
     def step(self, g) -> np.ndarray:
         x_prev = self.x
-        g = self._take(g)
+        g = as_point(g, dim=self.dim)
+        self._advance(g)
         self.x = x_prev - g / self.t
         return self.x

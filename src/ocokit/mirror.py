@@ -22,12 +22,13 @@ from .core import (
     FeasibleSet,
     LearningRateSchedule,
     UnsupportedCombination,
+    _add_squares,
+    _clamp_box,
     _l1_step,
+    _project_l2_ball,
+    _project_l2_ball_weighted,
     as_point,
-    clamp_box,
     penalty_weight,
-    project_l2_ball,
-    project_l2_ball_weighted,
 )
 from .learners import DualAveraging, _broadcast_inv, _ReadOnlyIterate
 
@@ -47,7 +48,15 @@ def extract_psi_subgradient(x_prev, x_next, g, cum_weights, alpha_lam: float) ->
     x_next = as_point(x_next, dim=x_prev.size)
     g = as_point(g, dim=x_prev.size)
     w = np.broadcast_to(np.asarray(cum_weights, dtype=float), x_prev.shape)
-    alpha_lam = penalty_weight(alpha_lam)
+    return _psi_subgradient(x_prev, x_next, g, w, penalty_weight(alpha_lam))
+
+
+def _psi_subgradient(x_prev, x_next, g, w, alpha_lam: float) -> np.ndarray:
+    """``extract_psi_subgradient`` on finite arrays of one shape, unchecked.
+
+    The membership and residual checks stay: they test the step, not its
+    inputs, and raise ConsistencyError.
+    """
     g_psi = np.where(x_next > 0, alpha_lam,
                      np.where(x_next < 0, -alpha_lam, w * x_prev - g))
     if np.any(np.abs(g_psi) > alpha_lam + 1e-12 * max(1.0, alpha_lam)):
@@ -94,26 +103,30 @@ class MirrorDescent(_ReadOnlyIterate):
 
     def step(self, g) -> np.ndarray:
         g = as_point(g, dim=self.dim)
+        self.sq_sum = _add_squares(self.sq_sum, g)  # may raise; no state has moved yet
         self.t += 1
-        self.sq_sum = self.sq_sum + g * g
         w = _broadcast_inv(self.schedule.inverse_rate(self.t, self.sq_sum), self.dim)
         self.cum_weights = w
         x_prev = self.x
         if self.feasible_set.kind == FeasibleSet.L2_BALL:
             u = np.where(w > 0, x_prev - g / np.where(w > 0, w, 1.0), 0.0)
             if isinstance(self.schedule, AdaGradRate):
-                self.x = project_l2_ball_weighted(u, w, self.feasible_set.radius)
+                self.x = _project_l2_ball_weighted(u, w, self.feasible_set.radius)
             else:
-                self.x = project_l2_ball(u, self.feasible_set.radius)
+                self.x = _project_l2_ball(u, self.feasible_set.radius)
             return self.x
         box = self.feasible_set.radius if self.feasible_set.kind == FeasibleSet.BOX else None
         x = _l1_step(g - w * x_prev, self.lam, w, box)
-        self.x = x if box is None else clamp_box(x, box)
+        self.x = x if box is None else _clamp_box(x, box)
         return self.x
 
     def extract_last_psi_subgradient(self, x_prev, g) -> np.ndarray:
-        """The penalty subgradient of the last step, taken from x_prev with g."""
-        return extract_psi_subgradient(x_prev, self.x, g, self.cum_weights, self.lam)
+        """The penalty subgradient of the last step, taken from x_prev with g.
+
+        x_prev is the iterate the step started from and g the gradient it
+        took, both already validated by ``step``; they are not checked again.
+        """
+        return _psi_subgradient(x_prev, self.x, g, self.cum_weights, self.lam)
 
     @property
     def last_inv_rate(self) -> np.ndarray:
@@ -147,11 +160,11 @@ class MdAsFtrl(_ReadOnlyIterate):
 
     def step(self, g) -> np.ndarray:
         g = as_point(g, dim=self.dim)
+        self.sq_sum = _add_squares(self.sq_sum, g)  # may raise; no state has moved yet
         self.t += 1
         x_prev = self.x
         prev_w = self.cum_weights
         self.g_sum = self.g_sum + g
-        self.sq_sum = self.sq_sum + g * g
         w = _broadcast_inv(self.schedule.inverse_rate(self.t, self.sq_sum), self.dim)
         sigma = np.maximum(w - prev_w, 0.0)
         self.adj_sum = self.adj_sum + sigma * x_prev
@@ -159,7 +172,7 @@ class MdAsFtrl(_ReadOnlyIterate):
         x = _l1_step(self.g_sum + self.g_psi_sum - self.adj_sum, self.lam, w)
         self.x = x
         # fold this round's penalty subgradient into the linearized history
-        self.last_g_psi = extract_psi_subgradient(x_prev, x, g, w, self.lam)
+        self.last_g_psi = _psi_subgradient(x_prev, x, g, w, self.lam)
         self.g_psi_sum = self.g_psi_sum + self.last_g_psi
         return self.x
 

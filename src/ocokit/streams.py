@@ -5,6 +5,10 @@ adaptive streams inspect the point the learner just played before choosing
 the loss, so the driver loop must follow select -> reveal -> incur -> update.
 Streams are single-consumer iterators; two instances built with the same
 seed replay the same sequence.
+
+Losses are data: every event names its loss family (linear, quadratic or
+logistic) and carries that family's parameters, and ``loss_column``
+evaluates a whole run's losses of one family at once.
 """
 
 from __future__ import annotations
@@ -14,16 +18,61 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_point
+from .core import _row_dots, as_point
+
+LINEAR = "linear"        # f_t(x) = g_t . x; the parameter row is g_t
+QUADRATIC = "quadratic"  # f_t(x) = ||x - c_t||^2 / 2; the row is the center c_t
+LOGISTIC = "logistic"    # f_t(x) = log(1 + e^{-z}) + (1 - y_t) z, z = a_t . x; the row is a_t
 
 
 @dataclass
 class StreamEvent:
-    """Round-t subgradient plus the evaluable loss used for regret accounting."""
+    """Round t's subgradient g and its loss f_t, as data.
+
+    ``family`` names the loss family, ``param`` is its parameter row (g_t,
+    the center c_t or the features a_t; see the family constants) and
+    ``label`` the logistic label y_t.  ``loss_at(x)`` evaluates f_t at one
+    point through ``loss_column``, the evaluator ``run_rounds`` calls once
+    per run for the whole loss column.
+    """
 
     t: int
     g: np.ndarray
-    loss_at: "callable"
+    family: str
+    param: np.ndarray
+    label: float = 0.0
+
+    def loss_at(self, x) -> float:
+        x = as_point(x, dim=self.param.size)
+        return float(loss_column(self.family, self.param[None, :], x, [self.label])[0])
+
+
+def loss_column(family: str, params, points: np.ndarray, labels=()) -> np.ndarray:
+    """f_t(points[t]) for every round t of one loss family, unchecked.
+
+    ``params`` holds the rounds' parameter rows in order: a (T, n) array for
+    the linear family (the run's gradients), a (T, n) array or a sequence of
+    T rows otherwise; ``labels`` are the logistic labels.  ``points`` is the
+    (T, n) column of points, or one (n,) point (the comparator x*) at which
+    every round is evaluated.  Callers validate the points.
+
+    Every value equals the per-round formula bit for bit: g_t . x as a
+    batched matmul (``core._row_dots``), 0.5 * sum((x - c_t)^2) as a row-wise
+    sum, and the logistic loss from one ``np.dot(a_t, x)`` per row, so that
+    the stream's example rows are read where they are, not copied.
+    """
+    if family == LINEAR:
+        return _row_dots(params, points)
+    if family == QUADRATIC:
+        centers = np.asarray(params, dtype=float).reshape(-1, points.shape[-1])
+        return 0.5 * np.sum((points - centers) ** 2, axis=1)
+    if family == LOGISTIC:
+        if points.ndim == 1:
+            z = np.array([np.dot(a, points) for a in params], dtype=float)
+        else:
+            z = np.array([np.dot(a, x) for a, x in zip(params, points)], dtype=float)
+        return np.logaddexp(0.0, -z) + (1.0 - np.asarray(labels, dtype=float)) * z
+    raise ValueError(f"unknown loss family {family!r}")
 
 
 class ParseError(ValueError):
@@ -62,9 +111,9 @@ class L1AdversaryStream:
         self.dim = 1
 
     def event(self, t: int, x_t) -> StreamEvent:
-        x = as_point(x_t, dim=1)
-        g = np.array([l1_adversary_next(float(x[0]), t, self.G, self.lam)])
-        return StreamEvent(t=t, g=g, loss_at=lambda y, g=g: float(g @ as_point(y, dim=1)))
+        """Reads x_t, the learner's own iterate, unchecked; step validates g."""
+        g = np.array([l1_adversary_next(float(np.ravel(x_t)[0]), t, self.G, self.lam)])
+        return StreamEvent(t, g, LINEAR, g)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +143,7 @@ class RandomLinearStream:
         g = self._rng.standard_normal(self.dim)
         scale = np.linalg.norm(g) if self.norm == "l2" else np.max(np.abs(g))
         g = g * (self.G / scale) if scale > 0 else np.zeros(self.dim)
-        return StreamEvent(t=t, g=g, loss_at=lambda y, g=g: float(g @ as_point(y, dim=g.size)))
+        return StreamEvent(t, g, LINEAR, g)
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +173,8 @@ class StronglyConvexQuadraticStream:
         if nrm > 0:
             c *= self._rng.uniform(0.0, self.center_radius) / nrm
         self.centers.append(c)
-        x = as_point(x_t, dim=self.dim)
-        g = x - c
-        return StreamEvent(
-            t=t, g=g,
-            loss_at=lambda y, c=c: 0.5 * float(np.sum((as_point(y, dim=c.size) - c) ** 2)))
+        g = x_t - c  # x_t is the learner's own iterate, unchecked; step validates g
+        return StreamEvent(t, g, QUADRATIC, c)
 
     def best_fixed_point(self) -> np.ndarray:
         """Hindsight minimizer of the cumulative loss: the mean center."""
@@ -143,14 +189,26 @@ class StronglyConvexQuadraticStream:
 
 def logistic_loss(x, a, y) -> float:
     """Negative log-likelihood of label y under p = sigmoid(a . x), stably."""
-    z = float(np.dot(as_point(a), as_point(x)))
-    return float(np.logaddexp(0.0, -z) + (1.0 - y) * z)
+    x = as_point(x)
+    a = as_point(a, dim=x.size)
+    return float(loss_column(LOGISTIC, a[None, :], x, [_label(y)])[0])
 
 
 def logistic_example_gradient(x, a, y) -> np.ndarray:
     """(sigmoid(a . x) - y) * a."""
     x = as_point(x)
-    a = as_point(a, dim=x.size)
+    return _logistic_gradient(x, as_point(a, dim=x.size), y)
+
+
+def _label(y) -> float:
+    y = float(y)
+    if not math.isfinite(y):
+        raise ValueError(f"logistic label must be finite, got {y}")
+    return y
+
+
+def _logistic_gradient(x: np.ndarray, a: np.ndarray, y) -> np.ndarray:
+    """``logistic_example_gradient`` of finite x and a of one size, unchecked."""
     z = float(np.dot(a, x))
     if z >= 0:
         p = 1.0 / (1.0 + math.exp(-z))
@@ -161,11 +219,18 @@ def logistic_example_gradient(x, a, y) -> np.ndarray:
 
 
 class LogisticStream:
-    """Streams (feature, label) examples as logistic losses."""
+    """Streams (feature, label) examples as logistic losses.
+
+    Each example is validated once, here: a finite feature row of size
+    ``dim`` and a finite label.  Events hand out the stored rows themselves.
+    """
 
     def __init__(self, examples, dim: int):
-        self.examples = list(examples)
         self.dim = int(dim)
+        self.examples = []
+        for a, y in examples:
+            _label(y)
+            self.examples.append((as_point(a, dim=self.dim), y))
 
     @classmethod
     def synthetic(cls, seed: int, n: int, T: int, density: float = 0.3) -> "LogisticStream":
@@ -183,12 +248,9 @@ class LogisticStream:
         return cls(examples, n)
 
     def event(self, t: int, x_t) -> StreamEvent:
+        """Reads x_t, the learner's own iterate, unchecked; step validates g."""
         a, y = self.examples[t - 1]
-        a = as_point(a, dim=self.dim)
-        g = logistic_example_gradient(x_t, a, y)
-        return StreamEvent(
-            t=t, g=g,
-            loss_at=lambda x, a=a, y=y: logistic_loss(x, a, y))
+        return StreamEvent(t, _logistic_gradient(x_t, a, y), LOGISTIC, a, float(y))
 
 
 # ---------------------------------------------------------------------------

@@ -116,7 +116,7 @@ def test_newton_agrees_with_bisection_on_recorded_high_dim_calls(monkeypatch):
         calls.append((np.array(u), np.array(w), radius))
         return project_l2_ball_weighted(u, w, radius)
 
-    monkeypatch.setattr(learners, "project_l2_ball_weighted", record)
+    monkeypatch.setattr(learners, "_project_l2_ball_weighted", record)
     n, T = 10_000, 24
     stream = LogisticStream.synthetic(1, n, T, density=0.01)
     learner = learners.FtrlProximal(n, AdaGradRate(math.sqrt(2.0)), FeasibleSet.l2_ball(1.0))
