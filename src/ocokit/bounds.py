@@ -10,6 +10,15 @@ the whole prefix curve.
 The Strong FTRL Lemma's stability terms come from the same trace:
 ``_stability_terms`` evaluates h_{0:t}(x_t) - h_{0:t}(x_{t+1}) - r_t(x_t) for
 every round at once, after the run, so learners only ever ``step``.
+
+This post-loop accounting costs a few passes over (T, n) arrays per run.
+``run_rounds`` computes the rate increments sigma_t (``RunTrace.sigmas``)
+once and r_{0:t}(x*) (``_reg_curve``) once, and hands r_{0:t}(x*) to the
+bound (``_trace_bound``) and to the decomposition, sigma to
+``_reg_curve`` and ``_stability_terms``.  Column prefix sums go through
+``_prefix_sums``.  Besides the trace and sigma, one (T, n) float buffer is
+alive at a time, with (T, n) boolean masks (an eighth of its size) for the
+dual norms.
 """
 
 from __future__ import annotations
@@ -89,8 +98,12 @@ class RunTrace:
     psi: np.ndarray | None = None
 
     def sigmas(self) -> np.ndarray:
-        prev = np.vstack([self.inv0[None, :], self.inv_rates])[:-1]
-        return np.maximum(np.subtract(self.inv_rates, prev, out=prev), 0.0, out=prev)
+        """sigma_t = max(inv_t - inv_{t-1}, 0) for t = 1..T, with inv_0 = ``inv0``."""
+        out = np.empty_like(self.inv_rates)
+        if len(out):
+            np.subtract(self.inv_rates[0], self.inv0, out=out[0])
+            np.subtract(self.inv_rates[1:], self.inv_rates[:-1], out=out[1:])
+        return np.maximum(out, 0.0, out=out)
 
 
 def cumulative_regret(losses, comparator_losses) -> np.ndarray:
@@ -112,37 +125,82 @@ def best_comparator(g_history, feasible_set: FeasibleSet) -> np.ndarray:
     return feasible_set.linear_minimizer(total)
 
 
+def _prefix_sums(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.cumsum(a, axis=0, out=out)`` for a 2-D float array, bit for bit.
+
+    Either way each column is summed top to bottom, one add per row.  A
+    wide array (n > T) is summed row by row, T vectorized adds of length n,
+    which is several times faster than numpy's column loop there; a tall
+    one keeps ``np.cumsum``, for which the row loop would be the slow one.
+    """
+    T, n = a.shape
+    if n <= T:
+        return np.cumsum(a, axis=0, out=out)
+    if out is None:
+        out = np.empty_like(a)
+    if T:
+        out[0] = a[0]
+        for t in range(1, T):
+            np.add(out[t - 1], a[t], out=out[t])
+    return out
+
+
 def _dual_sq_rows(grads: np.ndarray, inv_rows: np.ndarray, sup: bool) -> np.ndarray:
-    """Per-round squared dual norms; a zero gradient costs 0 even at rate 0."""
+    """Per-round squared dual norms; a zero gradient costs 0 even at rate 0.
+
+    One buffer holds g^2 and is divided in place where g != 0 and the
+    inverse rate is positive; a nonzero gradient at inverse rate 0 costs
+    +inf.  ``sup`` takes max_i |g_i| over the first coordinate's rate.
+    """
     if sup:
-        gmax = np.max(np.abs(grads), axis=1)
-        w = inv_rows[:, 0]
-        out = np.where(gmax == 0.0, 0.0,
-                       np.where(w > 0.0, gmax ** 2 / np.where(w > 0, w, 1.0), np.inf))
-        return out
-    num = grads ** 2
-    per = np.where(num == 0.0, 0.0,
-                   np.where(inv_rows > 0.0, num / np.where(inv_rows > 0, inv_rows, 1.0), np.inf))
-    return per.sum(axis=1)
+        sq, w = np.square(np.max(np.abs(grads), axis=1)), inv_rows[:, 0]
+    else:
+        sq, w = np.square(grads), inv_rows
+    live, rate = sq != 0.0, w > 0.0
+    np.divide(sq, w, out=sq, where=live & rate)
+    sq[live & ~rate] = np.inf
+    return sq if sup else sq.sum(axis=1)
 
 
-def _reg_curve(trace: RunTrace, x_star: np.ndarray, shifted: bool) -> np.ndarray:
-    """r_{0:t}(x*) for t = 1..T (or t-1 when ``shifted``), penalty excluded."""
+def _reg_curve(trace: RunTrace, x_star: np.ndarray,
+               sigma: np.ndarray | None = None) -> np.ndarray:
+    """r_{0:t}(x*) for t = 1..T, penalty excluded.
+
+    ``sigma`` is ``trace.sigmas()``, when the caller has it already.
+    """
     T = trace.inv_rates.shape[0]
-    rows = np.vstack([trace.inv0[None, :], trace.inv_rates[:-1]]) if shifted \
-        else trace.inv_rates
     if trace.reg_kind == "centered":
-        return 0.5 * rows @ (x_star ** 2)
+        return 0.5 * trace.inv_rates @ (x_star ** 2)
     if trace.reg_kind == "entropic":
-        return rows[:, 0] * negative_entropy(x_star)
+        return trace.inv_rates[:, 0] * negative_entropy(x_star)
     if trace.reg_kind == "proximal":
-        contrib = 0.5 * np.sum(trace.sigmas() * (x_star[None, :] - trace.iterates) ** 2, axis=1)
-        base = 0.5 * float(np.sum(trace.inv0 * x_star ** 2))
-        curve = base + np.cumsum(contrib)
-        if shifted:
-            curve = np.concatenate([[base], curve[:-1]]) if T else curve
-        return curve
+        if sigma is None:
+            sigma = trace.sigmas()
+        d = np.subtract(x_star, trace.iterates)
+        np.square(d, out=d)
+        contrib = 0.5 * np.sum(np.multiply(sigma, d, out=d), axis=1)
+        return 0.5 * float(np.sum(trace.inv0 * x_star ** 2)) + np.cumsum(contrib)
     return np.zeros(T)
+
+
+def _prior_reg_curve(trace: RunTrace, x_star: np.ndarray, reg: np.ndarray) -> np.ndarray:
+    """r_{0:t-1}(x*) for t = 1..T, given ``reg`` = r_{0:t}(x*)."""
+    T = len(reg)
+    if T == 0:
+        return reg
+    if trace.reg_kind == "centered":
+        # the same matrix-vector product as r_{0:t}, on the rows shifted down one
+        half = np.empty_like(trace.inv_rates)
+        np.multiply(0.5, trace.inv0, out=half[0])
+        np.multiply(0.5, trace.inv_rates[:-1], out=half[1:])
+        return half @ (x_star ** 2)
+    if trace.reg_kind == "entropic":
+        first = trace.inv0[0] * negative_entropy(x_star)
+    elif trace.reg_kind == "proximal":
+        first = 0.5 * float(np.sum(trace.inv0 * x_star ** 2))
+    else:
+        return reg
+    return np.concatenate([[first], reg[:-1]])
 
 
 def _penalty_curve(trace: RunTrace, x_star: np.ndarray) -> np.ndarray:
@@ -151,13 +209,15 @@ def _penalty_curve(trace: RunTrace, x_star: np.ndarray) -> np.ndarray:
     return ts * trace.penalty_lam * float(np.sum(np.abs(x_star)))
 
 
-def _stability_terms(trace: RunTrace, next_iterates: np.ndarray) -> np.ndarray:
+def _stability_terms(trace: RunTrace, next_iterates: np.ndarray,
+                     sigma: np.ndarray) -> np.ndarray:
     """h_{0:t}(x_t) - h_{0:t}(x_{t+1}) - r_t(x_t) for t = 1..T; +inf if unknown.
 
     h_{0:t} is the accumulated objective the learner minimized after round t,
     with the additive constants it cannot know (true loss values) dropped,
-    and ``next_iterates[t-1]`` is x_{t+1}.  Each family's pieces are prefix
-    sums of trace columns:
+    and ``next_iterates[t-1]`` is x_{t+1}; ``sigma`` is ``trace.sigmas()``,
+    computed once per run by the caller and only read here.  Each family's
+    pieces are prefix sums of trace columns:
     - quadratic FTRL: g_{1:t}.x + inv_t.x^2/2, minus a_{1:t}.x with
       a_s = sigma_s x_s when proximal, plus t lam ||x||_1, plus the
       recentering value sum_s sigma_s ||x_s||^2/2; r_t is
@@ -173,45 +233,45 @@ def _stability_terms(trace: RunTrace, next_iterates: np.ndarray) -> np.ndarray:
     are kept, and every sum is taken in the order a round-by-round
     evaluation of h_{0:t} takes it, so that the terms equal that evaluation
     bit for bit (tests/test_decomposition_rhs.py keeps one as the oracle).
-    At most two (T, n) temporaries are alive at once.
+    Besides the trace and ``sigma``, one (T, n) buffer is alive at a time:
+    it holds g_{1:t}, then g_psi_{1:t} or the summed centers, then each
+    weighted square and a_{1:t} in turn.
     """
     X, Xn = trace.iterates, next_iterates
     T = X.shape[0]
     kind = trace.reg_kind
     if kind not in ("centered", "proximal", "entropic", "strongly-convex"):
         return np.full(T, np.inf)
-    buf = np.cumsum(trace.grads, axis=0)  # g_{1:t}
+    buf = _prefix_sums(trace.grads)  # g_{1:t}
     now, nxt = _row_dots(buf, X), _row_dots(buf, Xn)
     if kind == "entropic":
         ent, ent_next = _negative_entropy_rows(X), _negative_entropy_rows(Xn)
         w = trace.inv_rates[:, 0]
-        return (now + w * ent) - (nxt + w * ent_next) - trace.sigmas()[:, 0] * ent
+        return (now + w * ent) - (nxt + w * ent_next) - sigma[:, 0] * ent
     if kind == "strongly-convex":
         ts = np.arange(1, T + 1, dtype=float)
         gx = np.cumsum(_row_dots(trace.grads, X))
         sq = np.cumsum(_row_dots(X, X))
-        centers = np.cumsum(X, axis=0, out=buf)
+        centers = _prefix_sums(X, out=buf)
 
         def h(P, lin):
             return lin - gx + 0.5 * (ts * _row_dots(P, P) - 2.0 * _row_dots(P, centers) + sq)
 
         return h(X, now) - h(Xn, nxt)
     if trace.psi is not None:
-        np.cumsum(trace.psi, axis=0, out=buf)  # g_psi_{1:t}
+        _prefix_sums(trace.psi, out=buf)  # g_psi_{1:t}
         now, nxt = now + _row_dots(buf, X), nxt + _row_dots(buf, Xn)
-    del buf
-    tmp = np.empty_like(X)
+    tmp = buf
 
     def half_weighted_sq(w, P):
         return 0.5 * np.sum(np.multiply(w, np.square(P, out=tmp), out=tmp), axis=1)
 
     inv = trace.inv_rates
     quad_now, quad_next = half_weighted_sq(inv, X), half_weighted_sq(inv, Xn)
-    sigma = trace.sigmas()
     inc = half_weighted_sq(sigma, X)  # sigma_t ||x_t||^2 / 2
     rec = 0.0
     if kind == "proximal":
-        adj = np.cumsum(np.multiply(sigma, X, out=sigma), axis=0, out=sigma)  # a_{1:t}
+        adj = _prefix_sums(np.multiply(sigma, X, out=tmp), out=tmp)  # a_{1:t}
         quad_now, quad_next = quad_now - _row_dots(adj, X), quad_next - _row_dots(adj, Xn)
         rec = np.cumsum(inc)
     if trace.psi is not None:
@@ -244,8 +304,9 @@ def bound_curve(rule: BoundRule, cfg: BoundConfig, grads, x_star=None,
         return 2.0 * math.sqrt(2.0) * cfg.R * cfg.G * np.sqrt(ts)
     if rule is BoundRule.ADAGRAD_PER_COORD:
         cfg.require("R_inf")
-        cum_sq = np.cumsum(grads ** 2, axis=0)
-        return 2.0 * math.sqrt(2.0) * cfg.R_inf * np.sum(np.sqrt(cum_sq), axis=1)
+        cum_sq = np.square(grads)
+        _prefix_sums(cum_sq, out=cum_sq)
+        return 2.0 * math.sqrt(2.0) * cfg.R_inf * np.sum(np.sqrt(cum_sq, out=cum_sq), axis=1)
     if rule is BoundRule.ENTROPIC:
         cfg.require("G_inf", "n")
         log_n = math.log(cfg.n)
@@ -271,15 +332,25 @@ def bound_curve(rule: BoundRule, cfg: BoundConfig, grads, x_star=None,
     if trace is None or x_star is None:
         raise ValueError(f"{rule.value} needs a run trace and a comparator")
     x_star = as_point(x_star)
+    return _trace_bound(rule, grads, trace, x_star, _reg_curve(trace, x_star))
+
+
+def _trace_bound(rule: BoundRule, grads: np.ndarray, trace: RunTrace, x_star: np.ndarray,
+                 reg: np.ndarray) -> np.ndarray:
+    """A trace-based rule's curve, given ``reg`` = r_{0:t}(x*) from ``_reg_curve``.
+
+    ``run_rounds`` shares ``reg`` with the decomposition RHS, so that a run
+    builds it once.
+    """
     sup = trace.reg_kind == "entropic"
     if rule is BoundRule.GENERAL_FTRL:
-        inv_prev = np.vstack([trace.inv0[None, :], trace.inv_rates[:-1]]) if T \
-            else trace.inv_rates
-        duals = _dual_sq_rows(grads, inv_prev, sup)
-        return _reg_curve(trace, x_star, shifted=True) + 0.5 * np.cumsum(duals)
+        # the dual norms at the rates of the round before: inv0, then inv_{t-1}
+        duals = np.concatenate([_dual_sq_rows(grads[:1], trace.inv0[None, :], sup),
+                                _dual_sq_rows(grads[1:], trace.inv_rates[:-1], sup)])
+        return _prior_reg_curve(trace, x_star, reg) + 0.5 * np.cumsum(duals)
     duals = _dual_sq_rows(grads, trace.inv_rates, sup)
     factor = 1.0 if rule is BoundRule.WEAK_PROXIMAL else 0.5
-    curve = _reg_curve(trace, x_star, shifted=False) + factor * np.cumsum(duals)
+    curve = reg + factor * np.cumsum(duals)
     if rule in (BoundRule.COMPOSITE, BoundRule.MIRROR_DESCENT) and trace.penalty_lam > 0:
         curve = curve + _penalty_curve(trace, x_star)
     return curve

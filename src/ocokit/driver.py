@@ -14,12 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import (
+    _GENERIC_RULES,
     BoundRule,
     RegretRecord,
     RunTrace,
     _penalty_curve,
     _reg_curve,
     _stability_terms,
+    _trace_bound,
     best_comparator,
     bound_curve,
     cumulative_regret,
@@ -61,7 +63,9 @@ def run_rounds(learner, stream, T: int, rule: BoundRule | None = None,
     (for mirror descent, the penalty's tangents at x*) and the stability
     terms come from ``bounds._stability_terms``.  It is +inf for learners
     whose accumulated objective is not known (mirror descent on a
-    constrained set).
+    constrained set).  The rate increments sigma_t and r_{0:t}(x*) are
+    computed once and shared: sigma by r_{0:t}(x*) and the stability terms,
+    r_{0:t}(x*) by a trace-based bound and the decomposition.
     """
     if T < 0:
         raise ValueError(f"round count must be >= 0, got {T}")
@@ -115,17 +119,20 @@ def run_rounds(learner, stream, T: int, rule: BoundRule | None = None,
         losses = comp_losses = np.zeros(0)
     cum = cumulative_regret(losses, comp_losses)
 
-    if rule is not None and T > 0:
-        cfg = cfg or BoundConfig()
-        bound = bound_curve(rule, cfg, grads, x_star=x_star, trace=trace)
-    else:
+    sigma = trace.sigmas()
+    reg = _reg_curve(trace, x_star, sigma)
+    if rule is None or T == 0:
         bound = np.full(T, np.inf)
+    elif rule in _GENERIC_RULES:
+        bound = _trace_bound(rule, grads, trace, x_star, reg)
+    else:
+        bound = bound_curve(rule, cfg or BoundConfig(), grads, x_star=x_star, trace=trace)
 
     stability = np.full(T, np.inf) if mirror and psi is None \
-        else _stability_terms(trace, points[1:])
+        else _stability_terms(trace, points[1:], sigma)
     if np.all(np.isfinite(stability)):
         penalty = np.cumsum(psi @ x_star) if psi is not None else _penalty_curve(trace, x_star)
-        rhs = _reg_curve(trace, x_star, shifted=False) + penalty + np.cumsum(stability)
+        rhs = reg + penalty + np.cumsum(stability)
     else:
         rhs = np.full(T, np.inf)
 

@@ -141,7 +141,8 @@ class RandomLinearStream:
 
     def event(self, t: int, x_t) -> StreamEvent:
         g = self._rng.standard_normal(self.dim)
-        scale = np.linalg.norm(g) if self.norm == "l2" else np.max(np.abs(g))
+        # sqrt(g.g) is how np.linalg.norm computes a 1-D l2 norm, without its overhead
+        scale = math.sqrt(float(g @ g)) if self.norm == "l2" else np.max(np.abs(g))
         g = g * (self.G / scale) if scale > 0 else np.zeros(self.dim)
         return StreamEvent(t, g, LINEAR, g)
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,21 @@ class TestRandomLinear:
         s = RandomLinearStream(5, 3, 0.7)
         for t in range(1, 40):
             assert np.linalg.norm(s.event(t, np.zeros(3)).g) == pytest.approx(0.7, abs=1e-12)
+
+    def test_l2_scale_is_numpys_norm_bit_for_bit(self):
+        # the stream rescales by sqrt(g.g); it must be the float np.linalg.norm gives
+        rng = np.random.default_rng(11)
+        for n in range(1, 11):
+            draws = rng.standard_normal((2000, n)) * 10.0 ** rng.uniform(-100, 100, (2000, 1))
+            for g in draws:
+                assert math.sqrt(float(g @ g)) == np.linalg.norm(g)
+
+    def test_l2_events_match_the_norm_rescale(self):
+        for seed, n in [(0, 1), (3, 2), (5, 5), (8, 10)]:
+            s, rng = RandomLinearStream(seed, n, 0.7), np.random.default_rng(seed)
+            for t in range(1, 200):
+                g = rng.standard_normal(n)
+                assert np.array_equal(s.event(t, np.zeros(n)).g, g * (0.7 / np.linalg.norm(g)))
 
     def test_sup_cap_is_exact(self):
         s = RandomLinearStream(5, 3, 0.7, "sup")
