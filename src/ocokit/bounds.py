@@ -162,6 +162,11 @@ def _dual_sq_rows(grads: np.ndarray, inv_rows: np.ndarray, sup: bool) -> np.ndar
     return sq if sup else sq.sum(axis=1)
 
 
+def _entropy_at(x_star: np.ndarray) -> float:
+    """The negative entropy at x*, +inf where a coordinate is negative (off its domain)."""
+    return negative_entropy(x_star) if np.all(x_star >= 0) else math.inf
+
+
 def _reg_curve(trace: RunTrace, x_star: np.ndarray,
                sigma: np.ndarray | None = None) -> np.ndarray:
     """r_{0:t}(x*) for t = 1..T, penalty excluded.
@@ -172,7 +177,7 @@ def _reg_curve(trace: RunTrace, x_star: np.ndarray,
     if trace.reg_kind == "centered":
         return 0.5 * trace.inv_rates @ (x_star ** 2)
     if trace.reg_kind == "entropic":
-        return trace.inv_rates[:, 0] * negative_entropy(x_star)
+        return trace.inv_rates[:, 0] * _entropy_at(x_star)
     if trace.reg_kind == "proximal":
         if sigma is None:
             sigma = trace.sigmas()
@@ -195,7 +200,7 @@ def _prior_reg_curve(trace: RunTrace, x_star: np.ndarray, reg: np.ndarray) -> np
         np.multiply(0.5, trace.inv_rates[:-1], out=half[1:])
         return half @ (x_star ** 2)
     if trace.reg_kind == "entropic":
-        first = trace.inv0[0] * negative_entropy(x_star)
+        first = trace.inv0[0] * _entropy_at(x_star)
     elif trace.reg_kind == "proximal":
         first = 0.5 * float(np.sum(trace.inv0 * x_star ** 2))
     else:

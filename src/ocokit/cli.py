@@ -58,8 +58,6 @@ _DEFAULTS = {
     "lambda": 0.0,
 }
 
-LEARNERS = ("dual-averaging", "constant-ogd", "ftrl-proximal", "adagrad-ftrl-proximal",
-            "ftrl-l1", "md-l1", "entropic", "ogd-strongly-convex")
 STREAMS = ("random-linear", "random-linear-sup", "l1-adversary", "logistic",
            "strongly-convex")
 
@@ -74,6 +72,7 @@ COMPAT = {
     "entropic": {"entropic", "general-ftrl"},
     "ogd-strongly-convex": {"strongly-convex-log"},
 }
+LEARNERS = tuple(COMPAT)
 
 
 def parse_config(path: str) -> dict:
@@ -112,6 +111,14 @@ def _require(cfg, *keys):
             raise UsageError(f"config is missing required key {key!r}")
 
 
+def _rounds(cfg) -> int:
+    """The config's round count T, which must be given and >= 0."""
+    _require(cfg, "T")
+    if cfg["T"] < 0:
+        raise UsageError("T must be >= 0")
+    return cfg["T"]
+
+
 def build_stream(cfg):
     name = cfg["stream"]
     seed, n = cfg["seed"], cfg["n"]
@@ -122,22 +129,21 @@ def build_stream(cfg):
     if name == "l1-adversary":
         if n != 1:
             raise UsageError("the l1-adversary stream is one-dimensional (set n = 1)")
-        try:
-            return L1AdversaryStream(cfg["G"], cfg["lambda"])
-        except ValueError as err:
-            raise UsageError(str(err))
+        return L1AdversaryStream(cfg["G"], cfg["lambda"])
     if name == "logistic":
-        if "data" in cfg:
-            try:
-                with open(cfg["data"], encoding="utf-8") as fh:
-                    examples, dim = load_svmlight(fh)
-            except OSError as err:
-                raise UsageError(f"cannot read data file: {err}")
-            if dim > n:
-                raise UsageError(f"data has {dim} features but n = {n}")
-            return LogisticStream([(np.pad(a, (0, n - len(a))), y) for a, y in examples], n)
-        _require(cfg, "T")
-        return LogisticStream.synthetic(seed, n, cfg["T"])
+        T = _rounds(cfg)
+        if "data" not in cfg:
+            return LogisticStream.synthetic(seed, n, T)
+        try:
+            with open(cfg["data"], encoding="utf-8") as fh:
+                examples, dim = load_svmlight(fh)
+        except OSError as err:
+            raise UsageError(f"cannot read data file: {err}")
+        if dim > n:
+            raise UsageError(f"data has {dim} features but n = {n}")
+        if len(examples) < T:
+            raise UsageError(f"data has {len(examples)} examples but T = {T}")
+        return LogisticStream([(np.pad(a, (0, n - len(a))), y) for a, y in examples], n)
     if name == "strongly-convex":
         return StronglyConvexQuadraticStream(seed, n, center_radius=cfg["R"])
     raise UsageError(f"unknown stream {cfg.get('stream')!r} (choose from {', '.join(STREAMS)})")
@@ -211,6 +217,25 @@ def _comparator_set(cfg, learner):
     return FeasibleSet.l2_ball(cfg["R"])
 
 
+def build_run(cfg):
+    """The learner, stream, rule, BoundConfig and comparator set of a ``run`` config."""
+    _require(cfg, "learner", "stream", "T", "bound")
+    _rounds(cfg)
+    try:
+        learner = build_learner(cfg["learner"], cfg)
+        rule = _bound_rule(cfg)
+        stream = build_stream(cfg)
+        bc = BoundConfig(R=cfg["R"], R_inf=cfg["R_inf"], G=cfg["G"], G_inf=cfg["G_inf"],
+                         n=cfg["n"], eta=cfg.get("eta"))
+    except ValueError as err:  # a config value the constructors reject, e.g. lambda < 0
+        raise UsageError(str(err)) from None
+    if getattr(stream, "dim", learner.dim) != learner.dim:
+        raise UsageError("learner and stream dimensions differ")
+    if cfg["learner"] == "ogd-strongly-convex" and isinstance(stream, StronglyConvexQuadraticStream):
+        bc.G = stream.gradient_cap
+    return learner, stream, rule, bc, _comparator_set(cfg, learner)
+
+
 def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
@@ -228,22 +253,8 @@ def cmd_run(args) -> int:
     cfg = parse_config(args.config)
     if args.seed is not None:
         cfg["seed"] = args.seed
-    _require(cfg, "learner", "stream", "T", "bound")
-    if cfg["T"] < 0:
-        raise UsageError("T must be >= 0")
-    try:
-        learner = build_learner(cfg["learner"], cfg)
-        rule = _bound_rule(cfg)
-        stream = build_stream(cfg)
-        bc = BoundConfig(R=cfg["R"], R_inf=cfg["R_inf"], G=cfg["G"], G_inf=cfg["G_inf"],
-                         n=cfg["n"], eta=cfg.get("eta"))
-    except ValueError as err:  # a config value the constructors reject, e.g. lambda < 0
-        raise UsageError(str(err)) from None
-    if getattr(stream, "dim", learner.dim) != learner.dim:
-        raise UsageError("learner and stream dimensions differ")
-    if cfg["learner"] == "ogd-strongly-convex" and isinstance(stream, StronglyConvexQuadraticStream):
-        bc.G = stream.gradient_cap
-    result = run_rounds(learner, stream, cfg["T"], rule, bc, _comparator_set(cfg, learner))
+    learner, stream, rule, bc, comparator_set = build_run(cfg)
+    result = run_rounds(learner, stream, cfg["T"], rule, bc, comparator_set)
     rec = result.record
     lines = ["round,loss,comp_loss,cum_regret,bound,decomposition"]
     for t in range(len(rec)):
@@ -269,7 +280,7 @@ def cmd_compare(args) -> int:
     names = [name.strip() for name in cfg["learners"].split(",") if name.strip()]
     if len(names) < 2:
         raise UsageError("compare needs at least two learners (learners = a, b)")
-    T = cfg["T"]
+    T = _rounds(cfg)
     columns = {}
     for name in names:
         try:
@@ -277,12 +288,11 @@ def cmd_compare(args) -> int:
             stream = build_stream(dict(cfg))  # same seed: every learner sees the same draw
         except ValueError as err:
             raise UsageError(str(err)) from None
-        losses, nonzeros = [], []
-        for t in range(1, T + 1):
-            event = stream.event(t, learner.x)
-            losses.append(event.loss_at(learner.x))
-            x_next = learner.step(event.g)
-            nonzeros.append(int(np.count_nonzero(x_next)))
+        result = run_rounds(learner, stream, T, comparator_set=_comparator_set(cfg, learner))
+        losses = result.record.loss
+        # the nonzeros of x_2..x_{T+1}, the iterate each round's step returned
+        nonzeros = [*np.count_nonzero(result.trace.iterates[1:], axis=1),
+                    np.count_nonzero(result.x_final)]
         columns[name] = (losses, np.cumsum(losses), nonzeros)
     header = ["round"]
     for name in names:

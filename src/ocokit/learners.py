@@ -124,6 +124,28 @@ def _broadcast_inv(value, dim):
     return inv
 
 
+def _quadratic_set(feasible_set, lam: float) -> FeasibleSet:
+    """The set of a quadratic step with L1 weight lam: None is unconstrained."""
+    feasible_set = feasible_set or FeasibleSet.unconstrained()
+    if feasible_set.kind == FeasibleSet.SIMPLEX:
+        raise UnsupportedCombination("use EntropicFtrl on the simplex")
+    if feasible_set.kind == FeasibleSet.L2_BALL and lam > 0:
+        raise UnsupportedCombination("no closed form for ball + L1")
+    return feasible_set
+
+
+def _project_quadratic(x, inv, feasible_set, schedule):
+    """x on the feasible set: box clamp, or ball weighted by inv under AdaGrad, else radial."""
+    kind = feasible_set.kind
+    if kind == FeasibleSet.UNCONSTRAINED:
+        return x
+    if kind == FeasibleSet.BOX:
+        return _clamp_box(x, feasible_set.radius)
+    if isinstance(schedule, AdaGradRate):
+        return _project_l2_ball_weighted(x, inv, feasible_set.radius)
+    return _project_l2_ball(x, feasible_set.radius)
+
+
 class QuadraticFtrl(OnlineLearner):
     """FTRL with diagonal quadratic regularizers and an accumulated L1 penalty.
 
@@ -146,18 +168,15 @@ class QuadraticFtrl(OnlineLearner):
     def __init__(self, dim: int, schedule: LearningRateSchedule,
                  feasible_set: FeasibleSet | None = None, centering: str = CENTERED,
                  lam: float = 0.0):
-        feasible_set = feasible_set or FeasibleSet.unconstrained()
-        if feasible_set.kind == FeasibleSet.SIMPLEX:
-            raise UnsupportedCombination("use EntropicFtrl on the simplex")
+        lam = penalty_weight(lam)
+        feasible_set = _quadratic_set(feasible_set, lam)
         if centering not in (CENTERED, PROXIMAL):
             raise ValueError(f"centering must be centered or proximal, got {centering!r}")
         self._lagged = centering == CENTERED and isinstance(schedule, AdaGradRate)
         if self._lagged and schedule.offset <= 0:
             raise ValueError("centered adaptive rates need offset > 0")
         super().__init__(dim, feasible_set)
-        self.lam = penalty_weight(lam)
-        if feasible_set.kind == FeasibleSet.L2_BALL and self.lam > 0:
-            raise UnsupportedCombination("no closed form for ball + L1")
+        self.lam = lam
         self.schedule = schedule
         self.centering = centering
         self.sq_sum = np.zeros(dim)
@@ -190,18 +209,8 @@ class QuadraticFtrl(OnlineLearner):
         fs = self.feasible_set
         box = fs.radius if fs.kind == FeasibleSet.BOX else None
         x = _l1_step(b, self.t * self.lam, inv, box)
-        self.x = self._project(x, inv)
+        self.x = _project_quadratic(x, inv, fs, self.schedule)
         return self.x
-
-    def _project(self, x, inv):
-        fs = self.feasible_set
-        if fs.kind == FeasibleSet.UNCONSTRAINED:
-            return x
-        if fs.kind == FeasibleSet.BOX:
-            return _clamp_box(x, fs.radius)
-        if isinstance(self.schedule, AdaGradRate):
-            return _project_l2_ball_weighted(x, inv, fs.radius)
-        return _project_l2_ball(x, fs.radius)
 
 
 class DualAveraging(QuadraticFtrl):

@@ -16,21 +16,23 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
-    AdaGradRate,
     ConsistencyError,
     ConstantRate,
     FeasibleSet,
     LearningRateSchedule,
     UnsupportedCombination,
     _add_squares,
-    _clamp_box,
     _l1_step,
-    _project_l2_ball,
-    _project_l2_ball_weighted,
     as_point,
     penalty_weight,
 )
-from .learners import DualAveraging, _broadcast_inv, _ReadOnlyIterate
+from .learners import (
+    DualAveraging,
+    _broadcast_inv,
+    _project_quadratic,
+    _quadratic_set,
+    _ReadOnlyIterate,
+)
 
 
 def extract_psi_subgradient(x_prev, x_next, g, cum_weights, alpha_lam: float) -> np.ndarray:
@@ -88,11 +90,7 @@ class MirrorDescent(_ReadOnlyIterate):
         if dim < 1:
             raise ValueError(f"dimension must be >= 1, got {dim}")
         self.lam = penalty_weight(lam)
-        feasible_set = feasible_set or FeasibleSet.unconstrained()
-        if feasible_set.kind == FeasibleSet.SIMPLEX:
-            raise UnsupportedCombination("use EntropicFtrl on the simplex")
-        if feasible_set.kind == FeasibleSet.L2_BALL and self.lam > 0:
-            raise UnsupportedCombination("no closed form for ball + L1")
+        feasible_set = _quadratic_set(feasible_set, self.lam)
         self.dim = int(dim)
         self.schedule = schedule
         self.feasible_set = feasible_set
@@ -108,16 +106,13 @@ class MirrorDescent(_ReadOnlyIterate):
         w = _broadcast_inv(self.schedule.inverse_rate(self.t, self.sq_sum), self.dim)
         self.cum_weights = w
         x_prev = self.x
-        if self.feasible_set.kind == FeasibleSet.L2_BALL:
+        fs = self.feasible_set
+        if fs.kind == FeasibleSet.L2_BALL:
             u = np.where(w > 0, x_prev - g / np.where(w > 0, w, 1.0), 0.0)
-            if isinstance(self.schedule, AdaGradRate):
-                self.x = _project_l2_ball_weighted(u, w, self.feasible_set.radius)
-            else:
-                self.x = _project_l2_ball(u, self.feasible_set.radius)
-            return self.x
-        box = self.feasible_set.radius if self.feasible_set.kind == FeasibleSet.BOX else None
-        x = _l1_step(g - w * x_prev, self.lam, w, box)
-        self.x = x if box is None else _clamp_box(x, box)
+        else:
+            box = fs.radius if fs.kind == FeasibleSet.BOX else None
+            u = _l1_step(g - w * x_prev, self.lam, w, box)
+        self.x = _project_quadratic(u, w, fs, self.schedule)
         return self.x
 
     def extract_last_psi_subgradient(self, x_prev, g) -> np.ndarray:

@@ -125,61 +125,37 @@ def suite_l1_example() -> SuiteResult:
 # Bound suites (regret <= bound at every prefix) plus the stability diagnostic
 # ---------------------------------------------------------------------------
 
+# (learner, bound, stream): the `ocokit run` configs the bound suites certify
+_PAIRINGS = (
+    ("dual-averaging", "da-closed-form", "random-linear"),
+    ("ftrl-proximal", "prox-closed-form", "random-linear"),
+    ("adagrad-ftrl-proximal", "adagrad-per-coord", "random-linear-sup"),
+    ("entropic", "entropic", "random-linear-sup"),
+    ("ogd-strongly-convex", "strongly-convex-log", "strongly-convex"),
+    ("constant-ogd", "non-adaptive", "random-linear"),
+)
+
+
 def _bound_pairings(T: int):
-    sqrt2 = math.sqrt(2.0)
+    """Each pairing's ``make(seed, rng)``: n drawn from rng, the rest ``run``'s defaults.
 
-    def da(seed, rng):
-        n = int(rng.integers(1, 6))
-        learner = DualAveraging(n, InverseSqrtRate(1.0 / (sqrt2 * 1.0), shift=1))
-        stream = RandomLinearStream(seed, n, 1.0, "l2")
-        cfg = BoundConfig(R=1.0, G=1.0, n=n)
-        return learner, stream, BoundRule.DA_CLOSED_FORM, cfg, FeasibleSet.l2_ball(1.0)
+    ``make`` returns ``cli.build_run`` of that config: the learner, stream,
+    rule, BoundConfig and comparator set ``run_rounds`` takes after T.
+    """
+    from .cli import _DEFAULTS, build_run  # cli imports this module at load time
 
-    def prox(seed, rng):
-        n = int(rng.integers(1, 6))
-        learner = FtrlProximal(n, InverseSqrtRate(sqrt2 * 1.0 / 1.0, shift=0),
-                               FeasibleSet.l2_ball(1.0))
-        stream = RandomLinearStream(seed, n, 1.0, "l2")
-        cfg = BoundConfig(R=1.0, G=1.0, n=n)
-        return learner, stream, BoundRule.PROX_CLOSED_FORM, cfg, FeasibleSet.l2_ball(1.0)
+    def pairing(learner, bound, stream):
+        low = 2 if learner == "entropic" else 1  # the simplex needs n >= 2
 
-    def adagrad(seed, rng):
-        n = int(rng.integers(1, 6))
-        learner = FtrlProximal(n, AdaGradRate(sqrt2 * 1.0), FeasibleSet.box(1.0))
-        stream = RandomLinearStream(seed, n, 1.0, "sup")
-        cfg = BoundConfig(R_inf=1.0, G_inf=1.0, n=n)
-        return learner, stream, BoundRule.ADAGRAD_PER_COORD, cfg, FeasibleSet.box(1.0)
+        def make(seed, rng):
+            n = int(rng.integers(low, 6))
+            return build_run(dict(_DEFAULTS, learner=learner, bound=bound, stream=stream,
+                                  T=T, seed=seed, n=n))
 
-    def entropic(seed, rng):
-        n = int(rng.integers(2, 6))
-        learner = EntropicFtrl(n, 1.0)
-        stream = RandomLinearStream(seed, n, 1.0, "sup")
-        cfg = BoundConfig(G_inf=1.0, n=n)
-        return learner, stream, BoundRule.ENTROPIC, cfg, FeasibleSet.simplex()
+        return make
 
-    def strongly_convex(seed, rng):
-        n = int(rng.integers(1, 6))
-        stream = StronglyConvexQuadraticStream(seed, n, center_radius=1.0)
-        learner = StronglyConvexOgd(n)
-        cfg = BoundConfig(G=stream.gradient_cap, n=n)
-        return learner, stream, BoundRule.STRONGLY_CONVEX_LOG, cfg, None
-
-    def constant_ogd(seed, rng):
-        n = int(rng.integers(1, 6))
-        eta = 1.0 / (1.0 * math.sqrt(T))
-        learner = DualAveraging(n, ConstantRate(eta))
-        stream = RandomLinearStream(seed, n, 1.0, "l2")
-        cfg = BoundConfig(R=1.0, G=1.0, n=n, eta=eta)
-        return learner, stream, BoundRule.NON_ADAPTIVE, cfg, FeasibleSet.l2_ball(1.0)
-
-    return {
-        "dual-averaging/da-closed-form": da,
-        "ftrl-proximal/prox-closed-form": prox,
-        "adagrad-ftrl-proximal/adagrad-per-coord": adagrad,
-        "entropic/entropic": entropic,
-        "ogd-strongly-convex/strongly-convex-log": strongly_convex,
-        "constant-ogd/non-adaptive": constant_ogd,
-    }
+    return {f"{learner}/{bound}": pairing(learner, bound, stream)
+            for learner, bound, stream in _PAIRINGS}
 
 
 _BOUND_RUN_CACHE: dict = {}

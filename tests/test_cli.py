@@ -26,6 +26,13 @@ G = 1.0
 """
 
 
+def write_short_data(tmp_path):
+    """A two-example svmlight file with two features."""
+    path = tmp_path / "short.svm"
+    path.write_text("1 1:0.5 2:-1\n-1 2:0.25\n")
+    return str(path)
+
+
 def run_cli(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -162,6 +169,26 @@ class TestRun:
         assert proc.stderr.splitlines() == [
             "ocokit: G = 0 leaves the default learning rate undefined (set G or eta)"]
 
+    def test_negative_rounds_is_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, RUN_CFG.replace("T = 25", "T = -3"))
+        code, out, err = run_cli(["run", "--config", cfg], capsys)
+        assert (code, out, err) == (2, "", "ocokit: T must be >= 0\n")
+
+    def test_data_file_shorter_than_the_horizon_is_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "learner = adagrad-ftrl-proximal\nstream = logistic\n"
+                                     "bound = ftrl-proximal\nT = 5\nn = 2\n"
+                                     f"data = {write_short_data(tmp_path)}\n")
+        code, out, err = run_cli(["run", "--config", cfg], capsys)
+        assert (code, out, err) == (2, "", "ocokit: data has 2 examples but T = 5\n")
+
+    def test_comparator_off_the_simplex_gives_an_infinite_decomposition(self, tmp_path, capsys):
+        # the strongly convex stream's x* is the mean center, here with a negative coordinate
+        cfg = write_config(tmp_path, "learner = entropic\nstream = strongly-convex\n"
+                                     "bound = entropic\nT = 40\nn = 3\n")
+        code, out, err = run_cli(["run", "--config", cfg, "--seed", "0"], capsys)
+        assert (code, err) == (0, "")
+        assert [line.split(",")[5] for line in out.splitlines()[1:]] == ["inf"] * 40
+
     def test_adversary_run_with_mirror_descent(self, tmp_path, capsys):
         cfg = write_config(tmp_path, """
 learner = md-l1
@@ -219,6 +246,38 @@ eta = 0.1
         assert code == 2
         assert out == ""
         assert err == "ocokit: penalty weight must be >= 0, got -0.1\n"
+
+
+    @pytest.mark.parametrize("learners", ["adagrad-ftrl-proximal, dual-averaging",
+                                          "ftrl-l1, md-l1"])
+    def test_negative_rounds_is_usage_error(self, tmp_path, capsys, learners):
+        cfg = write_config(tmp_path, f"learners = {learners}\nstream = random-linear\n"
+                                     "T = -3\nn = 2\n")
+        code, out, err = run_cli(["compare", "--config", cfg], capsys)
+        assert (code, out, err) == (2, "", "ocokit: T must be >= 0\n")
+
+    def test_zero_rounds_emits_header_only(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "learners = ftrl-l1, md-l1\nstream = random-linear\n"
+                                     "T = 0\nn = 2\neta = 0.1\n")
+        code, out, _ = run_cli(["compare", "--config", cfg], capsys)
+        assert code == 0
+        assert out == ("round,loss_ftrl-l1,cum_loss_ftrl-l1,nonzeros_ftrl-l1,"
+                       "loss_md-l1,cum_loss_md-l1,nonzeros_md-l1\n")
+
+    def test_data_file_shorter_than_the_horizon_is_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "learners = ftrl-l1, md-l1\nstream = logistic\n"
+                                     "T = 5\nn = 2\neta = 0.1\n"
+                                     f"data = {write_short_data(tmp_path)}\n")
+        code, out, err = run_cli(["compare", "--config", cfg], capsys)
+        assert (code, out, err) == (2, "", "ocokit: data has 2 examples but T = 5\n")
+
+    def test_data_file_as_long_as_the_horizon_runs(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "learners = ftrl-l1, md-l1\nstream = logistic\n"
+                                     "T = 2\nn = 3\neta = 0.1\n"
+                                     f"data = {write_short_data(tmp_path)}\n")
+        code, out, _ = run_cli(["compare", "--config", cfg], capsys)
+        assert code == 0
+        assert len(out.splitlines()) == 3
 
 
 class TestReproL1:
