@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FeasibleSet, _negative_entropy_rows, _row_dots, as_point, negative_entropy
-from .learners import BoundConfig
+from .learners import CENTERED, ENTROPIC, PROXIMAL, STRONGLY_CONVEX, BoundConfig
 
 
 class BoundRule(enum.Enum):
@@ -83,8 +83,9 @@ class RunTrace:
     ``inv_rates[t-1]`` is the cumulative inverse rate (1/eta_t per
     coordinate) the learner deployed at step t; ``inv0`` is the round-zero
     value; ``iterates[t-1]`` is the point x_t that was played.  ``psi`` holds
-    unconstrained mirror descent's penalty subgradients g_psi_t.  Its FTRL
-    form keeps the penalty's tangents lam ||x_{t+1}||_1 + g_psi_t.(x - x_{t+1}),
+    the penalty subgradients g_psi_t of a learner that reports them (mirror
+    descent or its FTRL form, unconstrained).  That FTRL form keeps the
+    penalty's tangents lam ||x_{t+1}||_1 + g_psi_t.(x - x_{t+1}),
     which reduce to their slopes g_psi_t.x: g_psi_t = lam sign(x_{t+1}) on
     the support and x_{t+1} = 0 off it.
     """
@@ -174,11 +175,11 @@ def _reg_curve(trace: RunTrace, x_star: np.ndarray,
     ``sigma`` is ``trace.sigmas()``, when the caller has it already.
     """
     T = trace.inv_rates.shape[0]
-    if trace.reg_kind == "centered":
+    if trace.reg_kind == CENTERED:
         return 0.5 * trace.inv_rates @ (x_star ** 2)
-    if trace.reg_kind == "entropic":
+    if trace.reg_kind == ENTROPIC:
         return trace.inv_rates[:, 0] * _entropy_at(x_star)
-    if trace.reg_kind == "proximal":
+    if trace.reg_kind == PROXIMAL:
         if sigma is None:
             sigma = trace.sigmas()
         d = np.subtract(x_star, trace.iterates)
@@ -193,15 +194,15 @@ def _prior_reg_curve(trace: RunTrace, x_star: np.ndarray, reg: np.ndarray) -> np
     T = len(reg)
     if T == 0:
         return reg
-    if trace.reg_kind == "centered":
+    if trace.reg_kind == CENTERED:
         # the same matrix-vector product as r_{0:t}, on the rows shifted down one
         half = np.empty_like(trace.inv_rates)
         np.multiply(0.5, trace.inv0, out=half[0])
         np.multiply(0.5, trace.inv_rates[:-1], out=half[1:])
         return half @ (x_star ** 2)
-    if trace.reg_kind == "entropic":
+    if trace.reg_kind == ENTROPIC:
         first = trace.inv0[0] * _entropy_at(x_star)
-    elif trace.reg_kind == "proximal":
+    elif trace.reg_kind == PROXIMAL:
         first = 0.5 * float(np.sum(trace.inv0 * x_star ** 2))
     else:
         return reg
@@ -227,7 +228,7 @@ def _stability_terms(trace: RunTrace, next_iterates: np.ndarray,
       a_s = sigma_s x_s when proximal, plus t lam ||x||_1, plus the
       recentering value sum_s sigma_s ||x_s||^2/2; r_t is
       sigma_t ||x_t||^2/2 (0 when proximal) plus lam ||x_t||_1;
-    - mirror descent (``trace.psi`` set): the proximal form with the penalty
+    - penalty tangents (``trace.psi`` set): the proximal form with the penalty
       replaced by its tangents, linear term g_{1:t} + g_psi_{1:t}, and
       r_t(x_t) = g_psi_t.x_t;
     - entropic: g_{1:t}.x + inv_t (negative entropy of x), r_t =
@@ -245,15 +246,15 @@ def _stability_terms(trace: RunTrace, next_iterates: np.ndarray,
     X, Xn = trace.iterates, next_iterates
     T = X.shape[0]
     kind = trace.reg_kind
-    if kind not in ("centered", "proximal", "entropic", "strongly-convex"):
+    if kind not in (CENTERED, PROXIMAL, ENTROPIC, STRONGLY_CONVEX):
         return np.full(T, np.inf)
     buf = _prefix_sums(trace.grads)  # g_{1:t}
     now, nxt = _row_dots(buf, X), _row_dots(buf, Xn)
-    if kind == "entropic":
+    if kind == ENTROPIC:
         ent, ent_next = _negative_entropy_rows(X), _negative_entropy_rows(Xn)
         w = trace.inv_rates[:, 0]
         return (now + w * ent) - (nxt + w * ent_next) - sigma[:, 0] * ent
-    if kind == "strongly-convex":
+    if kind == STRONGLY_CONVEX:
         ts = np.arange(1, T + 1, dtype=float)
         gx = np.cumsum(_row_dots(trace.grads, X))
         sq = np.cumsum(_row_dots(X, X))
@@ -275,14 +276,14 @@ def _stability_terms(trace: RunTrace, next_iterates: np.ndarray,
     quad_now, quad_next = half_weighted_sq(inv, X), half_weighted_sq(inv, Xn)
     inc = half_weighted_sq(sigma, X)  # sigma_t ||x_t||^2 / 2
     rec = 0.0
-    if kind == "proximal":
+    if kind == PROXIMAL:
         adj = _prefix_sums(np.multiply(sigma, X, out=tmp), out=tmp)  # a_{1:t}
         quad_now, quad_next = quad_now - _row_dots(adj, X), quad_next - _row_dots(adj, Xn)
         rec = np.cumsum(inc)
     if trace.psi is not None:
         return (now + (quad_now + rec)) - (nxt + (quad_next + rec)) - _row_dots(trace.psi, X)
     h_now, h_next = now + quad_now, nxt + quad_next
-    r_t = inc if kind == "centered" else 0.0
+    r_t = inc if kind == CENTERED else 0.0
     lam = trace.penalty_lam
     if lam:
         l1_now = np.sum(np.abs(X, out=tmp), axis=1)
@@ -347,7 +348,7 @@ def _trace_bound(rule: BoundRule, grads: np.ndarray, trace: RunTrace, x_star: np
     ``run_rounds`` shares ``reg`` with the decomposition RHS, so that a run
     builds it once.
     """
-    sup = trace.reg_kind == "entropic"
+    sup = trace.reg_kind == ENTROPIC
     if rule is BoundRule.GENERAL_FTRL:
         # the dual norms at the rates of the round before: inv0, then inv_{t-1}
         duals = np.concatenate([_dual_sq_rows(grads[:1], trace.inv0[None, :], sup),

@@ -136,14 +136,12 @@ def build_stream(cfg):
             return LogisticStream.synthetic(seed, n, T)
         try:
             with open(cfg["data"], encoding="utf-8") as fh:
-                examples, dim = load_svmlight(fh)
+                examples, _ = load_svmlight(fh, dim=n)
         except OSError as err:
             raise UsageError(f"cannot read data file: {err}")
-        if dim > n:
-            raise UsageError(f"data has {dim} features but n = {n}")
         if len(examples) < T:
             raise UsageError(f"data has {len(examples)} examples but T = {T}")
-        return LogisticStream([(np.pad(a, (0, n - len(a))), y) for a, y in examples], n)
+        return LogisticStream(examples, n)
     if name == "strongly-convex":
         return StronglyConvexQuadraticStream(seed, n, center_radius=cfg["R"])
     raise UsageError(f"unknown stream {cfg.get('stream')!r} (choose from {', '.join(STREAMS)})")

@@ -413,6 +413,27 @@ def _l1_step(b, lam: float, inv, box: float | None = None) -> np.ndarray:
     return np.where(live, x, np.where(flat, 0.0, -np.copysign(box, b)))
 
 
+def _psi_subgradient(x_prev, x_next, g, w, alpha_lam: float) -> np.ndarray:
+    """The L1-penalty subgradient a step from x_prev with g took to reach x_next.
+
+    ``mirror.extract_psi_subgradient`` on finite arrays of one shape, inputs
+    unchecked.  The membership and residual checks stay: they test the step,
+    not its inputs, and raise ConsistencyError.
+    """
+    g_psi = np.where(x_next > 0, alpha_lam,
+                     np.where(x_next < 0, -alpha_lam, w * x_prev - g))
+    if np.any(np.abs(g_psi) > alpha_lam + 1e-12 * max(1.0, alpha_lam)):
+        raise ConsistencyError(
+            f"extracted subgradient leaves [-{alpha_lam}, {alpha_lam}]: {g_psi}")
+    residual = g + g_psi + w * (x_next - x_prev)
+    # every tolerance is >= 1e-9, so the operands' scale matters only above it
+    if np.max(np.abs(residual)) > 1e-9:
+        scale = np.max(np.abs([g, g_psi, w * x_next, w * x_prev]), axis=0)
+        if np.any(np.abs(residual) > 1e-9 * np.maximum(scale, 1.0)):
+            raise ConsistencyError(f"optimality residual too large: {residual}")
+    return g_psi
+
+
 def _scaled_norm(v: np.ndarray) -> tuple[float, int]:
     """(s, k) with ||v||_2 = s 2^k, for a finite nonempty v.
 

@@ -48,24 +48,24 @@ def run_rounds(learner, stream, T: int, rule: BoundRule | None = None,
     """Drive ``T`` rounds and assemble the per-round regret record.
 
     The loop only plays and records: x_t, g_t, the deployed inverse rates,
-    each round's loss parameters and, for unconstrained mirror descent, the
-    penalty subgradient of each step (checked as it is extracted).  Losses
-    are data (see ``streams``): after the loop one ``loss_column`` call
-    evaluates f_t(x_t) for every round and one evaluates f_t(x*).  The run
-    keeps no copy of its own for that: a linear loss's parameters are the
-    gradient trace, and the other families' rows (quadratic centers,
-    logistic examples) are the stream's own arrays, held by reference.  The
-    iterate column and x* are validated once, with ``as_point``'s
-    ValueError.  ``record.strong_ftrl_rhs`` is then
-    the stability decomposition of the Strong FTRL Lemma at every prefix,
+    each round's loss parameters and, for learners that report a penalty
+    subgradient (``extract_last_psi_subgradient``) on an unconstrained set,
+    that subgradient of each step.  Losses are data (see ``streams``): after
+    the loop one ``loss_column`` call evaluates f_t(x_t) for every round and
+    one evaluates f_t(x*).  The run keeps no copy of its own for that: a
+    linear loss's parameters are the gradient trace, and the other families'
+    rows (quadratic centers, logistic examples) are the stream's own arrays,
+    held by reference.  The iterate column and x* are validated once, with
+    ``as_point``'s ValueError.  ``record.strong_ftrl_rhs`` is then the
+    stability decomposition of the Strong FTRL Lemma at every prefix,
     built from that trace in O(T n): r_{0:t}(x*) + penalty
     + sum_{s<=t} stability_s, where the penalty is alpha_{1:t} lam ||x*||_1
-    (for mirror descent, the penalty's tangents at x*) and the stability
-    terms come from ``bounds._stability_terms``.  It is +inf for learners
-    whose accumulated objective is not known (mirror descent on a
-    constrained set).  The rate increments sigma_t and r_{0:t}(x*) are
-    computed once and shared: sigma by r_{0:t}(x*) and the stability terms,
-    r_{0:t}(x*) by a trace-based bound and the decomposition.
+    (for learners that report a penalty subgradient, the penalty's tangents
+    at x*) and the stability terms come from ``bounds._stability_terms``.
+    It is +inf for learners whose accumulated objective is not known
+    (mirror descent on a constrained set).  The rate increments sigma_t and
+    r_{0:t}(x*) are computed once and shared: sigma by r_{0:t}(x*) and the
+    stability terms, r_{0:t}(x*) by a trace-based bound and the decomposition.
     """
     if T < 0:
         raise ValueError(f"round count must be >= 0, got {T}")
@@ -76,9 +76,9 @@ def run_rounds(learner, stream, T: int, rule: BoundRule | None = None,
     points = np.zeros((T + 1, dim))  # x_1..x_{T+1}; the trace keeps x_1..x_T
     inv_rates = np.zeros((T, dim))
     inv0 = np.broadcast_to(np.asarray(learner.last_inv_rate, dtype=float), (dim,)).copy()
-    mirror = isinstance(learner, MirrorDescent)
+    tangents = hasattr(learner, "extract_last_psi_subgradient")
     psi = None
-    if mirror and learner.feasible_set.kind == FeasibleSet.UNCONSTRAINED:
+    if tangents and learner.feasible_set.kind == FeasibleSet.UNCONSTRAINED:
         psi = np.zeros((T, dim))
 
     for t in range(1, T + 1):
@@ -128,7 +128,7 @@ def run_rounds(learner, stream, T: int, rule: BoundRule | None = None,
     else:
         bound = bound_curve(rule, cfg or BoundConfig(), grads, x_star=x_star, trace=trace)
 
-    stability = np.full(T, np.inf) if mirror and psi is None \
+    stability = np.full(T, np.inf) if tangents and psi is None \
         else _stability_terms(trace, points[1:], sigma)
     if np.all(np.isfinite(stability)):
         penalty = np.cumsum(psi @ x_star) if psi is not None else _penalty_curve(trace, x_star)

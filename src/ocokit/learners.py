@@ -8,11 +8,12 @@ keep no regret accounting: ``reg_kind`` names the family of their
 accumulated objective, and ``bounds`` evaluates it, the regularizer and the
 Strong FTRL stability terms from the driver's run trace.
 
-Dual averaging, proximal FTRL and composite-L1 FTRL are one solver,
-``QuadraticFtrl``: they differ only in where the incremental quadratic
-regularizers are centered (the origin or the iterates) and in whether the
-accumulated penalty t lam ||x||_1 is kept.  ``DualAveraging``,
-``FtrlProximal`` and ``FtrlCompositeL1`` are presets that fix those two
+Dual averaging, proximal FTRL, composite-L1 FTRL and mirror descent's FTRL
+form are one solver, ``QuadraticFtrl``: they differ only in where the
+incremental quadratic regularizers are centered (the origin or the
+iterates) and in how the penalty enters (t lam ||x||_1, or lam ||x||_1 and
+its past tangents).  ``DualAveraging``, ``FtrlProximal``,
+``FtrlCompositeL1`` and ``mirror.MdAsFtrl`` are presets that fix those
 choices and check which schedules and feasible sets they accept.
 
 Instances are single-threaded state machines; distinct instances share
@@ -41,6 +42,7 @@ from .core import (
     _l1_step,
     _project_l2_ball,
     _project_l2_ball_weighted,
+    _psi_subgradient,
     _softmax,
     as_point,
     penalty_weight,
@@ -159,11 +161,16 @@ class QuadraticFtrl(OnlineLearner):
     at the origin, an adaptive rate applied at step t is the one determined
     by rounds 1..t-1 (its offset stands in for the not-yet-seen gradient).
 
+    With ``_linearized`` set (``mirror.MdAsFtrl``) the weight is lam, b gains
+    the past penalty subgradients g_psi_{1:t-1}, and each step extracts g_psi_t.
+
     Ball projections are lazy: weighted by the per-coordinate rates under
     AdaGrad, radial otherwise; a ball admits no L1 term.  A coordinate with
     an infinite rate (inverse rate 0) goes to 0 inside the threshold band,
     to the box corner on a box, and raises UnsupportedCombination otherwise.
     """
+
+    _linearized = False
 
     def __init__(self, dim: int, schedule: LearningRateSchedule,
                  feasible_set: FeasibleSet | None = None, centering: str = CENTERED,
@@ -201,14 +208,17 @@ class QuadraticFtrl(OnlineLearner):
         if inv is None:
             inv = self._inverse_rate()
         sigma = np.maximum(inv - prev_inv, 0.0)
-        b = self.g_sum
+        b = self.g_sum + self.g_psi_sum if self._linearized else self.g_sum
         if self.centering == PROXIMAL:
             self.adj_sum = self.adj_sum + sigma * x_prev
             b = b - self.adj_sum
         self.last_inv_rate = inv
         fs = self.feasible_set
         box = fs.radius if fs.kind == FeasibleSet.BOX else None
-        x = _l1_step(b, self.t * self.lam, inv, box)
+        x = _l1_step(b, self.lam if self._linearized else self.t * self.lam, inv, box)
+        if self._linearized:
+            self.last_g_psi = _psi_subgradient(x_prev, x, g, inv, self.lam)
+            self.g_psi_sum = self.g_psi_sum + self.last_g_psi
         self.x = _project_quadratic(x, inv, fs, self.schedule)
         return self.x
 

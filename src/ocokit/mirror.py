@@ -3,12 +3,13 @@
 Mirror descent here is quadratic only: diagonal quadratic regularizers with
 an optional L1 penalty, unconstrained, on a box or on an L2 ball (the
 simplex learner is ``learners.EntropicFtrl``).  MirrorDescent carries only
-the current point plus schedule scalars; MdAsFtrl carries gradient and
-penalty-subgradient accumulators and recenters its incremental
-regularizers at its own iterates.  The two are deliberately independent
-implementations: their round-by-round agreement is a checked property, not
-a shared code path.  The lazy/greedy projection families show where the
-one-step and accumulated formulations stop being equivalent.
+the current point plus schedule scalars; MdAsFtrl, a ``QuadraticFtrl``
+preset, carries gradient and penalty-subgradient accumulators.  MirrorDescent
+shares no step code with that solver, so their round-by-round agreement is
+a checked property, not a shared code path.  Both are learners that report
+a penalty subgradient, which ``run_rounds`` records.  The lazy/greedy
+projection families show where the one-step and accumulated formulations
+stop being equivalent.
 """
 
 from __future__ import annotations
@@ -16,18 +17,20 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
-    ConsistencyError,
     ConstantRate,
     FeasibleSet,
     LearningRateSchedule,
     UnsupportedCombination,
     _add_squares,
     _l1_step,
+    _psi_subgradient,
     as_point,
     penalty_weight,
 )
 from .learners import (
+    PROXIMAL,
     DualAveraging,
+    QuadraticFtrl,
     _broadcast_inv,
     _project_quadratic,
     _quadratic_set,
@@ -53,26 +56,6 @@ def extract_psi_subgradient(x_prev, x_next, g, cum_weights, alpha_lam: float) ->
     return _psi_subgradient(x_prev, x_next, g, w, penalty_weight(alpha_lam))
 
 
-def _psi_subgradient(x_prev, x_next, g, w, alpha_lam: float) -> np.ndarray:
-    """``extract_psi_subgradient`` on finite arrays of one shape, unchecked.
-
-    The membership and residual checks stay: they test the step, not its
-    inputs, and raise ConsistencyError.
-    """
-    g_psi = np.where(x_next > 0, alpha_lam,
-                     np.where(x_next < 0, -alpha_lam, w * x_prev - g))
-    if np.any(np.abs(g_psi) > alpha_lam + 1e-12 * max(1.0, alpha_lam)):
-        raise ConsistencyError(
-            f"extracted subgradient leaves [-{alpha_lam}, {alpha_lam}]: {g_psi}")
-    residual = g + g_psi + w * (x_next - x_prev)
-    # every tolerance is >= 1e-9, so the operands' scale matters only above it
-    if np.max(np.abs(residual)) > 1e-9:
-        scale = np.max(np.abs([g, g_psi, w * x_next, w * x_prev]), axis=0)
-        if np.any(np.abs(residual) > 1e-9 * np.maximum(scale, 1.0)):
-            raise ConsistencyError(f"optimality residual too large: {residual}")
-    return g_psi
-
-
 class MirrorDescent(_ReadOnlyIterate):
     """x_{t+1} = argmin g_t . x + lam ||x||_1 + B_t(x, x_t).
 
@@ -83,7 +66,7 @@ class MirrorDescent(_ReadOnlyIterate):
     evaluate the accumulated curvature.
     """
 
-    reg_kind = "proximal"  # the regularizer family bounds reads from the run trace
+    reg_kind = PROXIMAL  # the regularizer family bounds reads from the run trace
 
     def __init__(self, dim: int, schedule: LearningRateSchedule, lam: float = 0.0,
                  feasible_set: FeasibleSet | None = None):
@@ -128,48 +111,27 @@ class MirrorDescent(_ReadOnlyIterate):
         return self.cum_weights
 
 
-class MdAsFtrl(_ReadOnlyIterate):
+class MdAsFtrl(QuadraticFtrl):
     """The mirror-descent update rewritten as a proximally recentered FTRL.
 
-    Accumulates g_{1:t}, the penalty subgradients g_psi_{1:t-1} extracted at
-    its own iterates, and the recentering sum of sigma_s x_s, then solves
+    A ``QuadraticFtrl`` preset that accumulates g_{1:t}, the penalty
+    subgradients g_psi_{1:t-1} extracted at its own iterates, and the
+    recentering sum of sigma_s x_s, then solves
         argmin (g_{1:t} + g_psi_{1:t-1} - sum_s sigma_s x_s) . x
                + lam ||x||_1 + sigma_{0:t} ||x||^2 / 2
     per coordinate.  Supports the unconstrained quadratic + L1 family.
     """
 
+    _linearized = True
+
     def __init__(self, dim: int, schedule: LearningRateSchedule, lam: float = 0.0):
-        if dim < 1:
-            raise ValueError(f"dimension must be >= 1, got {dim}")
-        self.dim = int(dim)
-        self.schedule = schedule
-        self.lam = penalty_weight(lam)
-        self.t = 0
-        self.g_sum = np.zeros(dim)
+        super().__init__(dim, schedule, centering=PROXIMAL, lam=lam)
         self.g_psi_sum = np.zeros(dim)
         self.last_g_psi = np.zeros(dim)
-        self.adj_sum = np.zeros(dim)
-        self.sq_sum = np.zeros(dim)
-        self.x = np.zeros(dim)
-        self.cum_weights = _broadcast_inv(schedule.inverse_rate(0, self.sq_sum), dim)
 
-    def step(self, g) -> np.ndarray:
-        g = as_point(g, dim=self.dim)
-        self.sq_sum = _add_squares(self.sq_sum, g)  # may raise; no state has moved yet
-        self.t += 1
-        x_prev = self.x
-        prev_w = self.cum_weights
-        self.g_sum = self.g_sum + g
-        w = _broadcast_inv(self.schedule.inverse_rate(self.t, self.sq_sum), self.dim)
-        sigma = np.maximum(w - prev_w, 0.0)
-        self.adj_sum = self.adj_sum + sigma * x_prev
-        self.cum_weights = w
-        x = _l1_step(self.g_sum + self.g_psi_sum - self.adj_sum, self.lam, w)
-        self.x = x
-        # fold this round's penalty subgradient into the linearized history
-        self.last_g_psi = _psi_subgradient(x_prev, x, g, w, self.lam)
-        self.g_psi_sum = self.g_psi_sum + self.last_g_psi
-        return self.x
+    def extract_last_psi_subgradient(self, x_prev, g) -> np.ndarray:
+        """g_psi_t, which ``step`` extracted and checked; x_prev and g go unread."""
+        return self.last_g_psi
 
     def global_residual(self) -> float:
         """Max-norm residual of g_{1:t} + g_psi_{1:t} + grad r^B_{0:t}(x).
@@ -179,7 +141,7 @@ class MdAsFtrl(_ReadOnlyIterate):
         """
         if self.t < 1:
             return 0.0
-        grad = self.g_sum + self.g_psi_sum + self.cum_weights * self.x - self.adj_sum
+        grad = self.g_sum + self.g_psi_sum + self.last_inv_rate * self.x - self.adj_sum
         return float(np.max(np.abs(grad)))
 
 

@@ -318,7 +318,11 @@ def serialize_svmlight(label: int, features: dict[int, float]) -> str:
 
 
 def load_svmlight(lines, dim: int | None = None):
-    """Parse an iterable of lines into (dense feature array, label) pairs."""
+    """Parse lines into (dense feature array, label) pairs of size ``dim``.
+
+    An index past ``dim`` is a ParseError naming its line, raised before any
+    row is allocated.  With no ``dim`` rows are sized to the largest index.
+    """
     parsed = []
     max_idx = 0
     for lineno, line in enumerate(lines, start=1):
@@ -330,14 +334,15 @@ def load_svmlight(lines, dim: int | None = None):
             raise ParseError(str(err.args[0]).split(" (line")[0], line=lineno, column=err.column) from None
         parsed.append((label, feats))
         if feats:
-            max_idx = max(max_idx, max(feats))
-    n = dim if dim is not None else max_idx
+            last = max(feats)
+            if dim is not None and last > dim:
+                raise ParseError(f"feature index {last} exceeds dimension {dim}", line=lineno)
+            max_idx = max(max_idx, last)
+    n = max(dim if dim is not None else max_idx, 1)
     examples = []
     for label, feats in parsed:
-        a = np.zeros(max(n, 1))
+        a = np.zeros(n)
         for idx, val in feats.items():
-            if idx > n:
-                raise ParseError(f"feature index {idx} exceeds dimension {n}")
             a[idx - 1] = val
         examples.append((a, label))
-    return examples, max(n, 1)
+    return examples, n

@@ -33,6 +33,16 @@ def write_short_data(tmp_path):
     return str(path)
 
 
+def write_far_index_data(tmp_path):
+    """An svmlight file whose second line has index 10^15, too large to densify."""
+    path = tmp_path / "far.svm"
+    path.write_text("1 1:0.5 2:-1\n-1 1000000000000000:1.0\n")
+    return str(path)
+
+
+FAR_INDEX_ERR = "ocokit: feature index 1000000000000000 exceeds dimension 2 (line 2)\n"
+
+
 def run_cli(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -181,6 +191,13 @@ class TestRun:
         code, out, err = run_cli(["run", "--config", cfg], capsys)
         assert (code, out, err) == (2, "", "ocokit: data has 2 examples but T = 5\n")
 
+    def test_data_index_past_n_is_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "learner = adagrad-ftrl-proximal\nstream = logistic\n"
+                                     "bound = ftrl-proximal\nT = 2\nn = 2\n"
+                                     f"data = {write_far_index_data(tmp_path)}\n")
+        code, out, err = run_cli(["run", "--config", cfg], capsys)
+        assert (code, out, err) == (2, "", FAR_INDEX_ERR)
+
     def test_comparator_off_the_simplex_gives_an_infinite_decomposition(self, tmp_path, capsys):
         # the strongly convex stream's x* is the mean center, here with a negative coordinate
         cfg = write_config(tmp_path, "learner = entropic\nstream = strongly-convex\n"
@@ -270,6 +287,13 @@ eta = 0.1
                                      f"data = {write_short_data(tmp_path)}\n")
         code, out, err = run_cli(["compare", "--config", cfg], capsys)
         assert (code, out, err) == (2, "", "ocokit: data has 2 examples but T = 5\n")
+
+    def test_data_index_past_n_is_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "learners = ftrl-l1, md-l1\nstream = logistic\n"
+                                     "T = 2\nn = 2\neta = 0.1\n"
+                                     f"data = {write_far_index_data(tmp_path)}\n")
+        code, out, err = run_cli(["compare", "--config", cfg], capsys)
+        assert (code, out, err) == (2, "", FAR_INDEX_ERR)
 
     def test_data_file_as_long_as_the_horizon_runs(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "learners = ftrl-l1, md-l1\nstream = logistic\n"

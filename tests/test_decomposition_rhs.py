@@ -27,7 +27,7 @@ from ocokit.core import (
 )
 from ocokit.driver import run_rounds
 from ocokit.learners import BoundConfig, EntropicFtrl, FtrlCompositeL1, FtrlProximal
-from ocokit.mirror import MirrorDescent, extract_psi_subgradient
+from ocokit.mirror import MdAsFtrl, MirrorDescent, extract_psi_subgradient
 from ocokit.streams import RandomLinearStream
 
 
@@ -130,7 +130,7 @@ _FORMS = {"centered": _QuadraticForm, "proximal": _QuadraticForm,
 
 
 class _TangentHistory:
-    """Mirror descent's h_{0:t} and r_t, keeping every penalty tangent."""
+    """Mirror descent's h_{0:t} and r_t, keeping every penalty tangent; also its FTRL form's."""
 
     def __init__(self, learner):
         dim = learner.dim
@@ -140,25 +140,25 @@ class _TangentHistory:
         self.adj_sum = np.zeros(dim)
         self.recentering = 0.0
         self.psi_const = 0.0
-        self.prev_weights = learner.cum_weights.copy()
+        self.prev_weights = learner.last_inv_rate.copy()
         self.last = None
         self.tangents = []  # (lam_t, g_psi, x_next) per round
 
     def after_step(self, x_prev, g, x_next):
         lam_t = self.learner.lam  # alpha_t = 1
-        g_psi = extract_psi_subgradient(x_prev, x_next, g, self.learner.cum_weights, lam_t)
-        sigma = np.maximum(self.learner.cum_weights - self.prev_weights, 0.0)
+        g_psi = extract_psi_subgradient(x_prev, x_next, g, self.learner.last_inv_rate, lam_t)
+        sigma = np.maximum(self.learner.last_inv_rate - self.prev_weights, 0.0)
         self.g_sum = self.g_sum + g
         self.adj_sum = self.adj_sum + sigma * x_prev
         self.recentering += 0.5 * float(np.sum(sigma * x_prev ** 2))
         self.last = (x_prev, sigma, lam_t, g_psi, x_next)
         self.tangents.append((lam_t, g_psi, x_next))
-        self.prev_weights = self.learner.cum_weights.copy()
+        self.prev_weights = self.learner.last_inv_rate.copy()
         self.g_psi_sum = self.g_psi_sum + g_psi
         self.psi_const += lam_t * float(np.sum(np.abs(x_next))) - float(g_psi @ x_next)
 
     def objective(self, x):
-        w = self.learner.cum_weights
+        w = self.learner.last_inv_rate
         quad = 0.5 * float(np.sum(w * x ** 2)) - float(self.adj_sum @ x) + self.recentering
         return float(self.g_sum @ x) + float(self.g_psi_sum @ x) + self.psi_const + quad
 
@@ -177,7 +177,7 @@ class _TangentHistory:
 def replay(learner, stream, T):
     """Step fresh instances T rounds; the per-round stability terms and what r_{0:t} needs."""
     inv0 = _inv(learner)
-    form = (_TangentHistory if isinstance(learner, MirrorDescent)
+    form = (_TangentHistory if isinstance(learner, (MirrorDescent, MdAsFtrl))
             else _FORMS[learner.reg_kind])(learner)
     iterates, inv_rates, stability = [], [], []
     for t in range(1, T + 1):
@@ -266,6 +266,11 @@ def _md_l1(seed, schedule=ConstantRate(0.3)):
             BoundRule.MIRROR_DESCENT, BoundConfig(), FeasibleSet.l2_ball(1.0))
 
 
+def _md_as_ftrl(seed, schedule=ConstantRate(0.3)):
+    return (MdAsFtrl(4, schedule, lam=0.1), RandomLinearStream(seed, 4, 1.0),
+            BoundRule.MIRROR_DESCENT, BoundConfig(), FeasibleSet.l2_ball(1.0))
+
+
 def _ftrl_l1(seed):
     return (FtrlCompositeL1(4, ConstantRate(0.2), 0.1), RandomLinearStream(seed, 4, 1.0),
             BoundRule.COMPOSITE, BoundConfig(), FeasibleSet.l2_ball(1.0))
@@ -292,6 +297,8 @@ def _proximal_box(seed):
 CASES = {
     "md-l1": _md_l1,
     "md-l1-sqrt-decay": lambda seed: _md_l1(seed, InverseSqrtRate(0.5, shift=1)),
+    "md-as-ftrl": _md_as_ftrl,
+    "md-as-ftrl-adagrad": lambda seed: _md_as_ftrl(seed, AdaGradRate(1.0, offset=0.5)),
     "ftrl-l1": _ftrl_l1,
     "ftrl-l1-adagrad-box": _ftrl_l1_adagrad_box,
     "entropic": _entropic,

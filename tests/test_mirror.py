@@ -148,7 +148,7 @@ class TestMdAsFtrl:
             x = twin.step(g)
             # the solve used the penalty history through the previous round
             b = twin.g_sum + (twin.g_psi_sum - twin.last_g_psi) - twin.adj_sum
-            w = twin.cum_weights
+            w = twin.last_inv_rate
             for i in range(2):
                 num = oracle.numeric_argmin_1d(
                     lambda v, i=i: b[i] * v + lam * abs(v) + 0.5 * w[i] * v * v, -20, 20)

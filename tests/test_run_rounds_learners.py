@@ -1,0 +1,93 @@
+"""``run_rounds`` on every learner: empty runs, and penalty tangents by learner.
+
+The driver records a penalty subgradient for any learner that reports one
+(``extract_last_psi_subgradient``), so mirror descent and its FTRL form,
+the ``QuadraticFtrl`` preset ``MdAsFtrl``, must give the same run: the same
+regret, bound and Strong FTRL decomposition.
+"""
+
+import numpy as np
+import pytest
+
+from ocokit.bounds import BoundRule
+from ocokit.core import AdaGradRate, ConstantRate, FeasibleSet, InverseSqrtRate
+from ocokit.driver import run_rounds
+from ocokit.learners import (
+    BoundConfig,
+    DualAveraging,
+    EntropicFtrl,
+    FtrlCompositeL1,
+    FtrlProximal,
+    QuadraticFtrl,
+    StronglyConvexOgd,
+)
+from ocokit.mirror import MdAsFtrl, MirrorDescent
+from ocokit.streams import RandomLinearStream, StronglyConvexQuadraticStream
+
+N = 3
+
+LEARNERS = {
+    "dual-averaging": lambda: DualAveraging(N, ConstantRate(0.5)),
+    "ftrl-proximal": lambda: FtrlProximal(N, ConstantRate(0.5), FeasibleSet.l2_ball(1.0)),
+    "ftrl-composite-l1": lambda: FtrlCompositeL1(N, ConstantRate(0.5), 0.1),
+    "mirror-descent": lambda: MirrorDescent(N, ConstantRate(0.5), lam=0.1),
+    "mirror-descent-box": lambda: MirrorDescent(N, ConstantRate(0.5), lam=0.1,
+                                                feasible_set=FeasibleSet.box(1.0)),
+    "md-as-ftrl": lambda: MdAsFtrl(N, ConstantRate(0.5), lam=0.1),
+    "entropic": lambda: EntropicFtrl(N, 1.0),
+    "strongly-convex-ogd": lambda: StronglyConvexOgd(N),
+}
+STREAMS = {
+    "linear": lambda: RandomLinearStream(0, N, 1.0),
+    "quadratic": lambda: StronglyConvexQuadraticStream(0, N),
+}
+
+
+@pytest.mark.parametrize("stream", sorted(STREAMS))
+@pytest.mark.parametrize("learner", sorted(LEARNERS))
+def test_zero_rounds_give_an_empty_record_that_holds(learner, stream):
+    result = run_rounds(LEARNERS[learner](), STREAMS[stream](), 0,
+                        comparator_set=FeasibleSet.l2_ball(1.0))
+    record = result.record
+    assert len(record) == 0
+    for column in (record.loss, record.comp_loss, record.cum_regret, record.bound,
+                   record.strong_ftrl_rhs):
+        assert column.shape == (0,)
+    assert result.bound_ok and result.decomposition_ok
+
+
+def test_md_as_ftrl_is_a_quadratic_ftrl_preset():
+    twin = MdAsFtrl(N, ConstantRate(0.5), lam=0.1)
+    assert isinstance(twin, QuadraticFtrl)
+    assert "step" not in vars(MdAsFtrl)
+
+
+SCHEDULES = {
+    "constant": lambda: ConstantRate(0.4),
+    "inverse-sqrt": lambda: InverseSqrtRate(0.8, shift=1),
+    "adagrad": lambda: AdaGradRate(1.1, offset=0.5),
+}
+
+
+def _relative_gap(a, b):
+    return float(np.max(np.abs(a - b)) / max(float(np.max(np.abs(a))), 1e-300))
+
+
+@pytest.mark.parametrize("sched", sorted(SCHEDULES))
+@pytest.mark.parametrize("seed", range(4))
+def test_mirror_descent_and_its_ftrl_form_give_the_same_run(sched, seed):
+    T, lam = 60, 0.15
+    results = []
+    for cls in (MirrorDescent, MdAsFtrl):
+        learner = cls(4, SCHEDULES[sched](), lam=lam)
+        results.append(run_rounds(learner, RandomLinearStream(seed, 4, 1.0), T,
+                                  BoundRule.MIRROR_DESCENT, BoundConfig(),
+                                  FeasibleSet.l2_ball(1.0)))
+    md, twin = results
+    assert twin.trace.psi is not None
+    for column in ("cum_regret", "bound", "strong_ftrl_rhs"):
+        a, b = getattr(md.record, column), getattr(twin.record, column)
+        assert np.all(np.isfinite(a)) and np.all(np.isfinite(b))
+        assert _relative_gap(a, b) <= 1e-8, column
+    assert md.decomposition_ok and twin.decomposition_ok
+    assert md.bound_ok and twin.bound_ok

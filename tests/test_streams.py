@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ocokit import oracle
 from ocokit.streams import (
@@ -175,3 +177,42 @@ class TestSvmlight:
         assert examples[0][1] == 1
         assert np.allclose(examples[1][0], [0.0, 1.0, 0.0])
         assert examples[1][1] == 0
+
+
+# svmlight lines: well-formed ones with indices up to 10^15, and fuzzed ones
+_INDICES = st.lists(st.one_of(st.integers(1, 8), st.integers(1, 10 ** 15)),
+                    max_size=4, unique=True).map(sorted)
+_WELL_FORMED = st.tuples(st.sampled_from(["1", "0", "-1", "+1"]), _INDICES,
+                         st.floats(-10, 10)).map(
+    lambda p: " ".join([p[0], *(f"{i}:{p[2]!r}" for i in p[1])]))
+_FUZZED = st.text(alphabet=" \t:#+-.0123456789eEnaif", max_size=24)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(n=st.integers(1, 6), lines=st.lists(st.one_of(_WELL_FORMED, _FUZZED), max_size=6))
+def test_load_with_dim_gives_rows_of_that_size_or_a_parse_error(n, lines):
+    try:
+        examples, dim = load_svmlight(lines, dim=n)
+    except ParseError:
+        return
+    assert dim == n
+    for a, label in examples:
+        assert a.shape == (n,) and label in (0, 1)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(n=st.integers(1, 6), lines=st.lists(_WELL_FORMED, min_size=1, max_size=6))
+def test_load_with_dim_rejects_exactly_the_indices_past_it(n, lines):
+    parsed = [parse_svmlight(line) for line in lines]
+    far = [lineno for lineno, (_, feats) in enumerate(parsed, start=1)
+           if feats and max(feats) > n]
+    if far:
+        with pytest.raises(ParseError, match=f"exceeds dimension {n} \\(line {far[0]}\\)"):
+            load_svmlight(lines, dim=n)
+        return
+    examples, _ = load_svmlight(lines, dim=n)
+    for (a, label), (want_label, feats) in zip(examples, parsed):
+        want = np.zeros(n)
+        for i, v in feats.items():
+            want[i - 1] = v
+        assert label == want_label and np.array_equal(a, want)
