@@ -83,11 +83,12 @@ class RunTrace:
     ``inv_rates[t-1]`` is the cumulative inverse rate (1/eta_t per
     coordinate) the learner deployed at step t; ``inv0`` is the round-zero
     value; ``iterates[t-1]`` is the point x_t that was played.  ``psi`` holds
-    the penalty subgradients g_psi_t of a learner that reports them (mirror
-    descent or its FTRL form, unconstrained).  That FTRL form keeps the
-    penalty's tangents lam ||x_{t+1}||_1 + g_psi_t.(x - x_{t+1}),
-    which reduce to their slopes g_psi_t.x: g_psi_t = lam sign(x_{t+1}) on
-    the support and x_{t+1} = 0 off it.
+    the penalty subgradients g_psi_t of a ``linearized`` learner (mirror
+    descent or its FTRL form, unconstrained), derived by the driver from the
+    other columns after the loop.  That FTRL form keeps the penalty's
+    tangents lam ||x_{t+1}||_1 + g_psi_t.(x - x_{t+1}), which reduce to
+    their slopes g_psi_t.x: g_psi_t = lam sign(x_{t+1}) on the support and
+    x_{t+1} = 0 off it.
     """
 
     grads: np.ndarray

@@ -229,6 +229,9 @@ def build_run(cfg):
         raise UsageError(str(err)) from None
     if getattr(stream, "dim", learner.dim) != learner.dim:
         raise UsageError("learner and stream dimensions differ")
+    if cfg["learner"] == "entropic" and isinstance(stream, StronglyConvexQuadraticStream):
+        raise UsageError("learner 'entropic' cannot run on stream 'strongly-convex': "
+                         "its comparator, the mean center, is not on the simplex")
     if cfg["learner"] == "ogd-strongly-convex" and isinstance(stream, StronglyConvexQuadraticStream):
         bc.G = stream.gradient_cap
     return learner, stream, rule, bc, _comparator_set(cfg, learner)

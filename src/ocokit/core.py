@@ -416,9 +416,9 @@ def _l1_step(b, lam: float, inv, box: float | None = None) -> np.ndarray:
 def _psi_subgradient(x_prev, x_next, g, w, alpha_lam: float) -> np.ndarray:
     """The L1-penalty subgradient a step from x_prev with g took to reach x_next.
 
-    ``mirror.extract_psi_subgradient`` on finite arrays of one shape, inputs
-    unchecked.  The membership and residual checks stay: they test the step,
-    not its inputs, and raise ConsistencyError.
+    ``mirror.extract_psi_subgradient`` on arrays of one shape, unchecked; a
+    (T, n) block is T steps.  The membership and residual checks stay: they
+    test the step, not its inputs, and raise ConsistencyError.
     """
     g_psi = np.where(x_next > 0, alpha_lam,
                      np.where(x_next < 0, -alpha_lam, w * x_prev - g))
@@ -427,7 +427,7 @@ def _psi_subgradient(x_prev, x_next, g, w, alpha_lam: float) -> np.ndarray:
             f"extracted subgradient leaves [-{alpha_lam}, {alpha_lam}]: {g_psi}")
     residual = g + g_psi + w * (x_next - x_prev)
     # every tolerance is >= 1e-9, so the operands' scale matters only above it
-    if np.max(np.abs(residual)) > 1e-9:
+    if not np.max(np.abs(residual)) <= 1e-9:  # a NaN row must not hide the others
         scale = np.max(np.abs([g, g_psi, w * x_next, w * x_prev]), axis=0)
         if np.any(np.abs(residual) > 1e-9 * np.maximum(scale, 1.0)):
             raise ConsistencyError(f"optimality residual too large: {residual}")

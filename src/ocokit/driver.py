@@ -26,7 +26,7 @@ from .bounds import (
     bound_curve,
     cumulative_regret,
 )
-from .core import ConstantRate, FeasibleSet, _require_finite, as_point
+from .core import ConstantRate, FeasibleSet, _psi_subgradient, _require_finite, as_point
 from .learners import BoundConfig, FtrlCompositeL1
 from .mirror import MirrorDescent
 from .streams import LINEAR, L1AdversaryStream, loss_column
@@ -47,25 +47,24 @@ def run_rounds(learner, stream, T: int, rule: BoundRule | None = None,
                comparator_set: FeasibleSet | None = None) -> RunResult:
     """Drive ``T`` rounds and assemble the per-round regret record.
 
-    The loop only plays and records: x_t, g_t, the deployed inverse rates,
-    each round's loss parameters and, for learners that report a penalty
-    subgradient (``extract_last_psi_subgradient``) on an unconstrained set,
-    that subgradient of each step.  Losses are data (see ``streams``): after
-    the loop one ``loss_column`` call evaluates f_t(x_t) for every round and
-    one evaluates f_t(x*).  The run keeps no copy of its own for that: a
-    linear loss's parameters are the gradient trace, and the other families'
-    rows (quadratic centers, logistic examples) are the stream's own arrays,
-    held by reference.  The iterate column and x* are validated once, with
-    ``as_point``'s ValueError.  ``record.strong_ftrl_rhs`` is then the
-    stability decomposition of the Strong FTRL Lemma at every prefix,
-    built from that trace in O(T n): r_{0:t}(x*) + penalty
+    The loop only plays and records: x_t, g_t, the deployed inverse rates
+    and each round's loss parameters; it calls nothing on the learner but
+    ``step``, and all else is derived from that trace after the loop.
+    Losses are data (see ``streams``): one ``loss_column`` call evaluates
+    f_t(x_t) for every round and one f_t(x*), from the gradient trace
+    (linear losses) or the stream's own rows, held by reference.  The
+    iterate column and x* are validated once, with ``as_point``'s
+    ValueError.  For a ``linearized`` learner (mirror descent and its FTRL
+    form) on an unconstrained set, the penalty subgradients g_psi_t are
+    read off x_t, x_{t+1}, g_t and the inverse rates, a block of rows per
+    ``core._psi_subgradient`` call, bit for bit what each step took.
+    ``record.strong_ftrl_rhs`` is the stability decomposition of the Strong
+    FTRL Lemma at every prefix, in O(T n): r_{0:t}(x*) + penalty
     + sum_{s<=t} stability_s, where the penalty is alpha_{1:t} lam ||x*||_1
-    (for learners that report a penalty subgradient, the penalty's tangents
-    at x*) and the stability terms come from ``bounds._stability_terms``.
-    It is +inf for learners whose accumulated objective is not known
-    (mirror descent on a constrained set).  The rate increments sigma_t and
-    r_{0:t}(x*) are computed once and shared: sigma by r_{0:t}(x*) and the
-    stability terms, r_{0:t}(x*) by a trace-based bound and the decomposition.
+    (given g_psi, its tangents at x*) and the stability terms come from
+    ``bounds._stability_terms``.  It is +inf for a linearized learner on a
+    constrained set, whose accumulated objective is not known.  sigma_t and
+    r_{0:t}(x*) are computed once and shared by the bound and the terms.
     """
     if T < 0:
         raise ValueError(f"round count must be >= 0, got {T}")
@@ -76,10 +75,7 @@ def run_rounds(learner, stream, T: int, rule: BoundRule | None = None,
     points = np.zeros((T + 1, dim))  # x_1..x_{T+1}; the trace keeps x_1..x_T
     inv_rates = np.zeros((T, dim))
     inv0 = np.broadcast_to(np.asarray(learner.last_inv_rate, dtype=float), (dim,)).copy()
-    tangents = hasattr(learner, "extract_last_psi_subgradient")
-    psi = None
-    if tangents and learner.feasible_set.kind == FeasibleSet.UNCONSTRAINED:
-        psi = np.zeros((T, dim))
+    linearized = getattr(learner, "linearized", False)
 
     for t in range(1, T + 1):
         event = stream.event(t, learner.x)  # iterates are published read-only
@@ -95,10 +91,15 @@ def run_rounds(learner, stream, T: int, rule: BoundRule | None = None,
         points[t - 1] = learner.x
         learner.step(event.g)
         inv_rates[t - 1] = learner.last_inv_rate
-        if psi is not None:
-            psi[t - 1] = learner.extract_last_psi_subgradient(points[t - 1], event.g)
     points[T] = learner.x
     iterates = _require_finite(points[:T])
+    psi = None
+    if linearized and learner.feasible_set.kind == FeasibleSet.UNCONSTRAINED:
+        # blocks of about 32768 entries: one call on the whole (T, n) array is slower at large n
+        psi, block = np.empty((T, dim)), max(1, 32768 // dim)
+        for s in (slice(a, a + block) for a in range(0, T, block)):
+            psi[s] = _psi_subgradient(iterates[s], points[1:][s], grads[s], inv_rates[s],
+                                      learner.lam)
 
     trace = RunTrace(
         grads=grads, iterates=iterates, inv_rates=inv_rates, inv0=inv0,
@@ -128,7 +129,7 @@ def run_rounds(learner, stream, T: int, rule: BoundRule | None = None,
     else:
         bound = bound_curve(rule, cfg or BoundConfig(), grads, x_star=x_star, trace=trace)
 
-    stability = np.full(T, np.inf) if tangents and psi is None \
+    stability = np.full(T, np.inf) if linearized and psi is None \
         else _stability_terms(trace, points[1:], sigma)
     if np.all(np.isfinite(stability)):
         penalty = np.cumsum(psi @ x_star) if psi is not None else _penalty_curve(trace, x_star)

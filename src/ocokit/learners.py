@@ -100,6 +100,7 @@ class OnlineLearner(_ReadOnlyIterate):
 
     reg_kind = NONE
     lam = 0.0  # weight of the L1 penalty, applied once per round
+    linearized = False  # True: the penalty enters by its past subgradients g_psi
 
     def __init__(self, dim: int, feasible_set: FeasibleSet):
         if dim < 1:
@@ -161,16 +162,15 @@ class QuadraticFtrl(OnlineLearner):
     at the origin, an adaptive rate applied at step t is the one determined
     by rounds 1..t-1 (its offset stands in for the not-yet-seen gradient).
 
-    With ``_linearized`` set (``mirror.MdAsFtrl``) the weight is lam, b gains
-    the past penalty subgradients g_psi_{1:t-1}, and each step extracts g_psi_t.
+    With ``linearized`` set (``mirror.MdAsFtrl``) the weight is lam, b gains
+    the past penalty subgradients g_psi_{1:t-1}, and each step extracts g_psi_t
+    (``run_rounds`` reads the same g_psi_t off the trace).
 
     Ball projections are lazy: weighted by the per-coordinate rates under
     AdaGrad, radial otherwise; a ball admits no L1 term.  A coordinate with
     an infinite rate (inverse rate 0) goes to 0 inside the threshold band,
     to the box corner on a box, and raises UnsupportedCombination otherwise.
     """
-
-    _linearized = False
 
     def __init__(self, dim: int, schedule: LearningRateSchedule,
                  feasible_set: FeasibleSet | None = None, centering: str = CENTERED,
@@ -208,15 +208,15 @@ class QuadraticFtrl(OnlineLearner):
         if inv is None:
             inv = self._inverse_rate()
         sigma = np.maximum(inv - prev_inv, 0.0)
-        b = self.g_sum + self.g_psi_sum if self._linearized else self.g_sum
+        b = self.g_sum + self.g_psi_sum if self.linearized else self.g_sum
         if self.centering == PROXIMAL:
             self.adj_sum = self.adj_sum + sigma * x_prev
             b = b - self.adj_sum
         self.last_inv_rate = inv
         fs = self.feasible_set
         box = fs.radius if fs.kind == FeasibleSet.BOX else None
-        x = _l1_step(b, self.lam if self._linearized else self.t * self.lam, inv, box)
-        if self._linearized:
+        x = _l1_step(b, self.lam if self.linearized else self.t * self.lam, inv, box)
+        if self.linearized:
             self.last_g_psi = _psi_subgradient(x_prev, x, g, inv, self.lam)
             self.g_psi_sum = self.g_psi_sum + self.last_g_psi
         self.x = _project_quadratic(x, inv, fs, self.schedule)

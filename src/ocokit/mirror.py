@@ -6,8 +6,8 @@ simplex learner is ``learners.EntropicFtrl``).  MirrorDescent carries only
 the current point plus schedule scalars; MdAsFtrl, a ``QuadraticFtrl``
 preset, carries gradient and penalty-subgradient accumulators.  MirrorDescent
 shares no step code with that solver, so their round-by-round agreement is
-a checked property, not a shared code path.  Both are learners that report
-a penalty subgradient, which ``run_rounds`` records.  The lazy/greedy
+a checked property, not a shared code path.  Both declare ``linearized``:
+``run_rounds`` reads their penalty subgradients off the trace.  The lazy/greedy
 projection families show where the one-step and accumulated formulations
 stop being equivalent.
 """
@@ -67,6 +67,7 @@ class MirrorDescent(_ReadOnlyIterate):
     """
 
     reg_kind = PROXIMAL  # the regularizer family bounds reads from the run trace
+    linearized = True  # its FTRL form takes the penalty by its subgradients g_psi
 
     def __init__(self, dim: int, schedule: LearningRateSchedule, lam: float = 0.0,
                  feasible_set: FeasibleSet | None = None):
@@ -122,16 +123,12 @@ class MdAsFtrl(QuadraticFtrl):
     per coordinate.  Supports the unconstrained quadratic + L1 family.
     """
 
-    _linearized = True
+    linearized = True
 
     def __init__(self, dim: int, schedule: LearningRateSchedule, lam: float = 0.0):
         super().__init__(dim, schedule, centering=PROXIMAL, lam=lam)
         self.g_psi_sum = np.zeros(dim)
         self.last_g_psi = np.zeros(dim)
-
-    def extract_last_psi_subgradient(self, x_prev, g) -> np.ndarray:
-        """g_psi_t, which ``step`` extracted and checked; x_prev and g go unread."""
-        return self.last_g_psi
 
     def global_residual(self) -> float:
         """Max-norm residual of g_{1:t} + g_psi_{1:t} + grad r^B_{0:t}(x).

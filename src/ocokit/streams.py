@@ -14,6 +14,7 @@ evaluates a whole run's losses of one family at once.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -265,43 +266,41 @@ def parse_svmlight(line: str) -> tuple[int, dict[int, float]]:
     be strictly increasing.
     """
     payload = line.split("#", 1)[0]
-    tokens = payload.split()
+    # (token, 1-based column): each token's own place, not the first match of its text
+    tokens = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", payload)]
     if not tokens:
         raise ParseError("empty svmlight line", line=1, column=1)
 
-    def col(tok):
-        return payload.index(tok) + 1
-
-    raw_label = tokens[0]
+    raw_label, col = tokens[0]
     try:
         lab = float(raw_label)
     except ValueError:
-        raise ParseError(f"bad label {raw_label!r}", line=1, column=col(raw_label)) from None
+        raise ParseError(f"bad label {raw_label!r}", line=1, column=col) from None
     if lab in (1.0,):
         label = 1
     elif lab in (0.0, -1.0):
         label = 0
     else:
-        raise ParseError(f"label must be 0/1 or -1/+1, got {raw_label}", line=1, column=col(raw_label))
+        raise ParseError(f"label must be 0/1 or -1/+1, got {raw_label}", line=1, column=col)
 
     features: dict[int, float] = {}
     prev_idx = 0
-    for tok in tokens[1:]:
+    for tok, col in tokens[1:]:
         if ":" not in tok:
-            raise ParseError(f"malformed feature token {tok!r}", line=1, column=col(tok))
+            raise ParseError(f"malformed feature token {tok!r}", line=1, column=col)
         idx_s, val_s = tok.split(":", 1)
         try:
             idx = int(idx_s)
             val = float(val_s)
         except ValueError:
-            raise ParseError(f"malformed feature token {tok!r}", line=1, column=col(tok)) from None
+            raise ParseError(f"malformed feature token {tok!r}", line=1, column=col) from None
         if idx < 1:
-            raise ParseError(f"feature index must be >= 1, got {idx}", line=1, column=col(tok))
+            raise ParseError(f"feature index must be >= 1, got {idx}", line=1, column=col)
         if idx <= prev_idx:
             raise ParseError(f"feature indices must be strictly increasing, got {idx} after {prev_idx}",
-                             line=1, column=col(tok))
+                             line=1, column=col)
         if not np.isfinite(val):
-            raise ParseError(f"non-finite feature value in {tok!r}", line=1, column=col(tok))
+            raise ParseError(f"non-finite feature value in {tok!r}", line=1, column=col)
         features[idx] = val
         prev_idx = idx
     return label, features

@@ -198,13 +198,17 @@ class TestRun:
         code, out, err = run_cli(["run", "--config", cfg], capsys)
         assert (code, out, err) == (2, "", FAR_INDEX_ERR)
 
-    def test_comparator_off_the_simplex_gives_an_infinite_decomposition(self, tmp_path, capsys):
-        # the strongly convex stream's x* is the mean center, here with a negative coordinate
+    @pytest.mark.parametrize("bound", ["entropic", "general-ftrl"])
+    def test_entropic_on_the_strongly_convex_stream_is_usage_error(self, tmp_path, capsys, bound):
+        # the stream's x* is the mean center, off the simplex: regret against it is no
+        # regret of the simplex learner (at these seeds it exceeded the entropic bound)
         cfg = write_config(tmp_path, "learner = entropic\nstream = strongly-convex\n"
-                                     "bound = entropic\nT = 40\nn = 3\n")
-        code, out, err = run_cli(["run", "--config", cfg, "--seed", "0"], capsys)
-        assert (code, err) == (0, "")
-        assert [line.split(",")[5] for line in out.splitlines()[1:]] == ["inf"] * 40
+                                     f"bound = {bound}\nT = 30\nn = 2\n")
+        for seed in ("1", "2", "3"):
+            code, out, err = run_cli(["run", "--config", cfg, "--seed", seed], capsys)
+            assert (code, out, err) == (
+                2, "", "ocokit: learner 'entropic' cannot run on stream 'strongly-convex': "
+                       "its comparator, the mean center, is not on the simplex\n")
 
     def test_adversary_run_with_mirror_descent(self, tmp_path, capsys):
         cfg = write_config(tmp_path, """

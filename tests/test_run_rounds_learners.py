@@ -1,9 +1,10 @@
 """``run_rounds`` on every learner: empty runs, and penalty tangents by learner.
 
-The driver records a penalty subgradient for any learner that reports one
-(``extract_last_psi_subgradient``), so mirror descent and its FTRL form,
+The driver reads each round's penalty subgradient off the run trace for any
+learner whose penalty is ``linearized``, so mirror descent and its FTRL form,
 the ``QuadraticFtrl`` preset ``MdAsFtrl``, must give the same run: the same
-regret, bound and Strong FTRL decomposition.
+regret, bound and Strong FTRL decomposition.  The subgradients it reads must
+be bit for bit the ones each step took.
 """
 
 import numpy as np
@@ -91,3 +92,39 @@ def test_mirror_descent_and_its_ftrl_form_give_the_same_run(sched, seed):
         assert _relative_gap(a, b) <= 1e-8, column
     assert md.decomposition_ok and twin.decomposition_ok
     assert md.bound_ok and twin.bound_ok
+
+
+def _stepped_psi(learner, stream, T):
+    """Each step's penalty subgradient, taken right after the step."""
+    psi = np.empty((T, learner.dim))
+    for t in range(1, T + 1):
+        x_prev = learner.x
+        event = stream.event(t, x_prev)
+        learner.step(event.g)
+        if isinstance(learner, MdAsFtrl):
+            psi[t - 1] = learner.last_g_psi
+        else:
+            psi[t - 1] = learner.extract_last_psi_subgradient(x_prev, event.g)
+    return psi
+
+
+# (5000, 13) runs the rows in blocks of 6: two full blocks and a remainder
+@pytest.mark.parametrize("n, T", [(1, 0), (1, 1), (3, 60), (5, 1024), (5000, 13)])
+@pytest.mark.parametrize("sched", sorted(SCHEDULES))
+@pytest.mark.parametrize("cls", [MirrorDescent, MdAsFtrl], ids=["mirror-descent", "md-as-ftrl"])
+def test_psi_from_the_trace_is_each_steps_own_bit_for_bit(cls, sched, n, T):
+    lam = 0.3 / np.sqrt(n)  # about a coordinate's gradient: some zeros, some not
+    result = run_rounds(cls(n, SCHEDULES[sched](), lam=lam), RandomLinearStream(7, n, 1.0), T,
+                        comparator_set=FeasibleSet.l2_ball(1.0))
+    want = _stepped_psi(cls(n, SCHEDULES[sched](), lam=lam), RandomLinearStream(7, n, 1.0), T)
+    psi = result.trace.psi
+    assert psi.shape == want.shape and psi.dtype == want.dtype
+    assert psi.tobytes() == want.tobytes()
+
+
+def test_comparator_off_the_simplex_gives_an_infinite_decomposition():
+    # the strongly convex stream's x* is the mean center, here with a negative coordinate
+    result = run_rounds(EntropicFtrl(3, 1.0), StronglyConvexQuadraticStream(0, 3), 40,
+                        BoundRule.ENTROPIC, BoundConfig(G_inf=1.0, n=3))
+    assert np.any(result.x_star < 0)
+    assert np.all(result.record.strong_ftrl_rhs == np.inf)

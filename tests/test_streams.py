@@ -159,6 +159,17 @@ class TestSvmlight:
         assert exc.value.line == 1
         assert exc.value.column is not None
 
+    @pytest.mark.parametrize("line, column", [
+        ("0 11:5 1:5", 8),  # "1:5" also appears inside "11:5", at col 4
+        ("1 2:1 2:1", 7),   # the repeated token, not its first occurrence
+        ("1\t2:1  \t1:5", 9),
+        ("2 1:1", 1),
+    ])
+    def test_error_column_is_the_offending_tokens_own(self, line, column):
+        with pytest.raises(ParseError) as exc:
+            parse_svmlight(line)
+        assert exc.value.column == column
+
     def test_round_trip_is_canonical(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
