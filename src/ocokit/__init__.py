@@ -28,7 +28,6 @@ from .core import (
     clamp_box,
     negative_entropy,
     project_l2_ball,
-    schedule_sigma,
     soft_threshold_argmin,
     softmax_simplex,
 )

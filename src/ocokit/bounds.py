@@ -11,14 +11,13 @@ The Strong FTRL Lemma's stability terms come from the same trace:
 ``_stability_terms`` evaluates h_{0:t}(x_t) - h_{0:t}(x_{t+1}) - r_t(x_t) for
 every round at once, after the run, so learners only ever ``step``.
 
-This post-loop accounting costs a few passes over (T, n) arrays per run.
-``run_rounds`` computes the rate increments sigma_t (``RunTrace.sigmas``)
-once and r_{0:t}(x*) (``_reg_curve``) once, and hands r_{0:t}(x*) to the
-bound (``_trace_bound``) and to the decomposition, sigma to
-``_reg_curve`` and ``_stability_terms``.  Column prefix sums go through
-``_prefix_sums``.  Besides the trace and sigma, one (T, n) float buffer is
-alive at a time, with (T, n) boolean masks (an eighth of its size) for the
-dual norms.
+``_bound_and_rhs`` is the whole accounting of a ``run_rounds`` call.  It
+builds the rate increments sigma_t (``RunTrace.sigmas``) once, only for the
+kinds that read them, and r_{0:t}(x*) (``_reg_curve``) once, and hands
+r_{0:t}(x*) to the bound (``_trace_bound``) and to the decomposition, sigma
+to ``_reg_curve`` and ``_stability_terms``.  Column prefix sums go through ``_prefix_sums``.
+Besides the trace and sigma, one (T, n) float buffer is alive at a time,
+with (T, n) boolean masks (an eighth of its size) for the dual norms.
 """
 
 from __future__ import annotations
@@ -29,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FeasibleSet, _negative_entropy_rows, _row_dots, as_point, negative_entropy
+from .core import FeasibleSet, InvariantViolation, _negative_entropy_rows, _row_dots, as_point
+from .core import negative_entropy
 from .learners import CENTERED, ENTROPIC, PROXIMAL, STRONGLY_CONVEX, BoundConfig
 
 
@@ -82,10 +82,11 @@ class RunTrace:
 
     ``inv_rates[t-1]`` is the cumulative inverse rate (1/eta_t per
     coordinate) the learner deployed at step t; ``inv0`` is the round-zero
-    value; ``iterates[t-1]`` is the point x_t that was played.  ``psi`` holds
-    the penalty subgradients g_psi_t of a ``linearized`` learner (mirror
-    descent or its FTRL form, unconstrained), derived by the driver from the
-    other columns after the loop.  That FTRL form keeps the penalty's
+    value; ``iterates[t-1]`` is the point x_t that was played.  ``linearized``
+    is the learner's flag (mirror descent and its FTRL form): its penalty
+    enters by the past subgradients g_psi_t, which ``psi`` holds on an
+    unconstrained set, derived by the driver after the loop; without them
+    its accumulated objective is unknown.  The FTRL form keeps the penalty's
     tangents lam ||x_{t+1}||_1 + g_psi_t.(x - x_{t+1}), which reduce to
     their slopes g_psi_t.x: g_psi_t = lam sign(x_{t+1}) on the support and
     x_{t+1} = 0 off it.
@@ -98,14 +99,21 @@ class RunTrace:
     reg_kind: str
     penalty_lam: float = 0.0
     psi: np.ndarray | None = None
+    linearized: bool = False
 
     def sigmas(self) -> np.ndarray:
-        """sigma_t = max(inv_t - inv_{t-1}, 0) for t = 1..T, with inv_0 = ``inv0``."""
+        """sigma_t = inv_t - inv_{t-1} for t = 1..T, with inv_0 = ``inv0``.
+
+        InvariantViolation where an inverse rate falls (a negative increment).
+        """
         out = np.empty_like(self.inv_rates)
         if len(out):
             np.subtract(self.inv_rates[0], self.inv0, out=out[0])
             np.subtract(self.inv_rates[1:], self.inv_rates[:-1], out=out[1:])
-        return np.maximum(out, 0.0, out=out)
+        if (out < 0.0).any():
+            t, i = np.argwhere(out < 0.0)[0]
+            raise InvariantViolation(f"the inverse rate fell at round {t + 1}, coordinate {i}")
+        return out
 
 
 def cumulative_regret(losses, comparator_losses) -> np.ndarray:
@@ -217,14 +225,16 @@ def _penalty_curve(trace: RunTrace, x_star: np.ndarray) -> np.ndarray:
 
 
 def _stability_terms(trace: RunTrace, next_iterates: np.ndarray,
-                     sigma: np.ndarray) -> np.ndarray:
+                     sigma: np.ndarray | None) -> np.ndarray:
     """h_{0:t}(x_t) - h_{0:t}(x_{t+1}) - r_t(x_t) for t = 1..T; +inf if unknown.
 
     h_{0:t} is the accumulated objective the learner minimized after round t,
     with the additive constants it cannot know (true loss values) dropped,
     and ``next_iterates[t-1]`` is x_{t+1}; ``sigma`` is ``trace.sigmas()``,
-    computed once per run by the caller and only read here.  Each family's
-    pieces are prefix sums of trace columns:
+    computed once per run by the caller and only read here (None where it
+    is not read).  The objective is unknown for the ``NONE`` kind and for
+    a linearized trace without ``psi``.  Each family's pieces are prefix
+    sums of trace columns:
     - quadratic FTRL: g_{1:t}.x + inv_t.x^2/2, minus a_{1:t}.x with
       a_s = sigma_s x_s when proximal, plus t lam ||x||_1, plus the
       recentering value sum_s sigma_s ||x_s||^2/2; r_t is
@@ -247,7 +257,8 @@ def _stability_terms(trace: RunTrace, next_iterates: np.ndarray,
     X, Xn = trace.iterates, next_iterates
     T = X.shape[0]
     kind = trace.reg_kind
-    if kind not in (CENTERED, PROXIMAL, ENTROPIC, STRONGLY_CONVEX):
+    if kind not in (CENTERED, PROXIMAL, ENTROPIC, STRONGLY_CONVEX) or \
+            (trace.linearized and trace.psi is None):
         return np.full(T, np.inf)
     buf = _prefix_sums(trace.grads)  # g_{1:t}
     now, nxt = _row_dots(buf, X), _row_dots(buf, Xn)
@@ -346,8 +357,8 @@ def _trace_bound(rule: BoundRule, grads: np.ndarray, trace: RunTrace, x_star: np
                  reg: np.ndarray) -> np.ndarray:
     """A trace-based rule's curve, given ``reg`` = r_{0:t}(x*) from ``_reg_curve``.
 
-    ``run_rounds`` shares ``reg`` with the decomposition RHS, so that a run
-    builds it once.
+    ``_bound_and_rhs`` shares ``reg`` with the decomposition RHS, so that a
+    run builds it once.
     """
     sup = trace.reg_kind == ENTROPIC
     if rule is BoundRule.GENERAL_FTRL:
@@ -361,3 +372,28 @@ def _trace_bound(rule: BoundRule, grads: np.ndarray, trace: RunTrace, x_star: np
     if rule in (BoundRule.COMPOSITE, BoundRule.MIRROR_DESCENT) and trace.penalty_lam > 0:
         curve = curve + _penalty_curve(trace, x_star)
     return curve
+
+
+def _bound_and_rhs(trace: RunTrace, next_iterates: np.ndarray, x_star: np.ndarray,
+                   rule: BoundRule | None, cfg: BoundConfig | None):
+    """One run's bound curve (+inf with no rule or rounds) and Strong FTRL decomposition.
+
+    The decomposition is r_{0:t}(x*) + penalty + sum_{s<=t} stability_s, the
+    penalty alpha_{1:t} lam ||x*||_1 or, given ``trace.psi``, its tangents at
+    x*; it is +inf if any stability term is.  ``next_iterates[t-1]`` is x_{t+1}.
+    """
+    T = trace.grads.shape[0]
+    sigma = trace.sigmas() if trace.reg_kind in (CENTERED, PROXIMAL, ENTROPIC) else None
+    reg = _reg_curve(trace, x_star, sigma)
+    if rule is None or T == 0:
+        bound = np.full(T, np.inf)
+    elif rule in _GENERIC_RULES:
+        bound = _trace_bound(rule, trace.grads, trace, x_star, reg)
+    else:
+        bound = bound_curve(rule, cfg or BoundConfig(), trace.grads, x_star=x_star, trace=trace)
+    stability = _stability_terms(trace, next_iterates, sigma)
+    if not np.all(np.isfinite(stability)):
+        return bound, np.full(T, np.inf)
+    penalty = np.cumsum(trace.psi @ x_star) if trace.psi is not None \
+        else _penalty_curve(trace, x_star)
+    return bound, reg + penalty + np.cumsum(stability)

@@ -15,8 +15,8 @@ import sys
 import numpy as np
 
 from .bounds import BoundRule
-from .core import AdaGradRate, ConstantRate, FeasibleSet, InverseSqrtRate
-from .driver import repro_l1_example, run_rounds
+from .core import AdaGradRate, ConstantRate, FeasibleSet, InverseSqrtRate, _require_finite
+from .driver import _play, repro_l1_example, run_rounds
 from .learners import (
     BoundConfig,
     DualAveraging,
@@ -32,6 +32,7 @@ from .streams import (
     RandomLinearStream,
     StronglyConvexQuadraticStream,
     load_svmlight,
+    loss_column,
 )
 from .suites import SUITES, run_suite
 
@@ -209,12 +210,6 @@ def _bound_rule(cfg) -> BoundRule:
     return rule
 
 
-def _comparator_set(cfg, learner):
-    if learner.feasible_set.kind != FeasibleSet.UNCONSTRAINED:
-        return learner.feasible_set
-    return FeasibleSet.l2_ball(cfg["R"])
-
-
 def build_run(cfg):
     """The learner, stream, rule, BoundConfig and comparator set of a ``run`` config."""
     _require(cfg, "learner", "stream", "T", "bound")
@@ -225,6 +220,9 @@ def build_run(cfg):
         stream = build_stream(cfg)
         bc = BoundConfig(R=cfg["R"], R_inf=cfg["R_inf"], G=cfg["G"], G_inf=cfg["G_inf"],
                          n=cfg["n"], eta=cfg.get("eta"))
+        # an unconstrained learner is compared with the points of the ball of radius R
+        comparator_set = FeasibleSet.l2_ball(cfg["R"]) if \
+            learner.feasible_set.kind == FeasibleSet.UNCONSTRAINED else learner.feasible_set
     except ValueError as err:  # a config value the constructors reject, e.g. lambda < 0
         raise UsageError(str(err)) from None
     if getattr(stream, "dim", learner.dim) != learner.dim:
@@ -234,7 +232,7 @@ def build_run(cfg):
                          "its comparator, the mean center, is not on the simplex")
     if cfg["learner"] == "ogd-strongly-convex" and isinstance(stream, StronglyConvexQuadraticStream):
         bc.G = stream.gradient_cap
-    return learner, stream, rule, bc, _comparator_set(cfg, learner)
+    return learner, stream, rule, bc, comparator_set
 
 
 def _fmt(value: float) -> str:
@@ -255,7 +253,10 @@ def cmd_run(args) -> int:
     if args.seed is not None:
         cfg["seed"] = args.seed
     learner, stream, rule, bc, comparator_set = build_run(cfg)
-    result = run_rounds(learner, stream, cfg["T"], rule, bc, comparator_set)
+    try:
+        result = run_rounds(learner, stream, cfg["T"], rule, bc, comparator_set)
+    except ValueError as err:  # data the run rejects, e.g. a gradient past the learner's limits
+        raise UsageError(str(err)) from None
     rec = result.record
     lines = ["round,loss,comp_loss,cum_regret,bound,decomposition"]
     for t in range(len(rec)):
@@ -287,14 +288,13 @@ def cmd_compare(args) -> int:
         try:
             learner = build_learner(name, dict(cfg))
             stream = build_stream(dict(cfg))  # same seed: every learner sees the same draw
-        except ValueError as err:
+            _, points, _, _, (family, params, labels) = _play(learner, stream, T)
+            losses = loss_column(family, params, _require_finite(points[:T]), labels) \
+                if T else np.zeros(0)
+        except ValueError as err:  # a config value or a gradient the learner rejects
             raise UsageError(str(err)) from None
-        result = run_rounds(learner, stream, T, comparator_set=_comparator_set(cfg, learner))
-        losses = result.record.loss
         # the nonzeros of x_2..x_{T+1}, the iterate each round's step returned
-        nonzeros = [*np.count_nonzero(result.trace.iterates[1:], axis=1),
-                    np.count_nonzero(result.x_final)]
-        columns[name] = (losses, np.cumsum(losses), nonzeros)
+        columns[name] = (losses, np.cumsum(losses), np.count_nonzero(points[1:], axis=1))
     header = ["round"]
     for name in names:
         header += [f"loss_{name}", f"cum_loss_{name}", f"nonzeros_{name}"]

@@ -12,10 +12,8 @@ import math
 
 import numpy as np
 
-# Centralized tolerances: closed form vs. numeric oracle, and exact algebraic
-# identities.
+# Tolerance of a closed form against the numeric oracle.
 TOL_ORACLE = 1e-6
-TOL_ALGEBRA = 1e-12
 
 
 class UnsupportedCombination(ValueError):
@@ -158,7 +156,7 @@ class LearningRateSchedule:
     ``inverse_rate(t, sq_sum)`` returns 1/eta_t; the convention 1/eta = 0
     encodes an infinite learning rate (zero accumulated curvature).  Rates
     must be non-increasing in t so every sigma_t = 1/eta_t - 1/eta_{t-1}
-    is nonnegative.
+    is nonnegative; ``bounds.RunTrace.sigmas`` checks it on a run's trace.
     """
 
     def inverse_rate(self, t: int, sq_sum=0.0):
@@ -241,23 +239,6 @@ def _add_squares(sq_sum: np.ndarray, g: np.ndarray) -> np.ndarray:
     if not _all(out <= SQ_SUM_LIMIT):
         raise ValueError(f"{SQ_SUM_MESSAGE}; the sum reached {float(np.max(out)):.3g}")
     return out
-
-
-def schedule_sigma(sched: LearningRateSchedule, t: int, sq_now=0.0, sq_prev=0.0):
-    """Incremental curvature sigma_t = 1/eta_t - 1/eta_{t-1} (sigma_0 = 1/eta_0).
-
-    ``sq_now``/``sq_prev`` are the per-coordinate squared-gradient sums
-    through rounds t and t-1 (ignored by non-adaptive schedules).  Raises
-    InvariantViolation if the schedule's rate increased.
-    """
-    if t < 0:
-        raise ValueError(f"round index must be >= 0, got {t}")
-    if t == 0:
-        return sched.inverse_rate(0, sq_now)
-    sigma = np.asarray(sched.inverse_rate(t, sq_now)) - np.asarray(sched.inverse_rate(t - 1, sq_prev))
-    if np.any(sigma < -TOL_ALGEBRA):
-        raise InvariantViolation(f"learning rate increased at t={t} (sigma={sigma})")
-    return np.maximum(sigma, 0.0) if sigma.ndim else max(float(sigma), 0.0)
 
 
 # ---------------------------------------------------------------------------

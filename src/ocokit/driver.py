@@ -1,9 +1,11 @@
 """Experiment loop: select x_t, reveal f_t, incur loss, update.
 
-Runs a learner against a stream, computes the hindsight comparator, and
-evaluates the requested regret bound plus the stability decomposition at
-every prefix.  Also hosts the fixed one-dimensional L1 reproduction that
-contrasts mirror descent with the accumulated-penalty learner.
+``_play`` runs a learner against a stream and records the rounds;
+``run_rounds`` adds the hindsight comparator, the losses, and the regret
+accounting of ``bounds`` (the requested bound and the stability
+decomposition at every prefix).  Also hosts the fixed one-dimensional L1
+reproduction that contrasts mirror descent with the accumulated-penalty
+learner.
 """
 
 from __future__ import annotations
@@ -14,16 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import (
-    _GENERIC_RULES,
     BoundRule,
     RegretRecord,
     RunTrace,
-    _penalty_curve,
-    _reg_curve,
-    _stability_terms,
-    _trace_bound,
+    _bound_and_rhs,
     best_comparator,
-    bound_curve,
     cumulative_regret,
 )
 from .core import ConstantRate, FeasibleSet, _psi_subgradient, _require_finite, as_point
@@ -42,41 +39,24 @@ class RunResult:
     decomposition_ok: bool
 
 
-def run_rounds(learner, stream, T: int, rule: BoundRule | None = None,
-               cfg: BoundConfig | None = None,
-               comparator_set: FeasibleSet | None = None) -> RunResult:
-    """Drive ``T`` rounds and assemble the per-round regret record.
+def _play(learner, stream, T: int):
+    """Play ``T`` rounds and record them; the loop calls nothing on the learner but ``step``.
 
-    The loop only plays and records: x_t, g_t, the deployed inverse rates
-    and each round's loss parameters; it calls nothing on the learner but
-    ``step``, and all else is derived from that trace after the loop.
-    Losses are data (see ``streams``): one ``loss_column`` call evaluates
-    f_t(x_t) for every round and one f_t(x*), from the gradient trace
-    (linear losses) or the stream's own rows, held by reference.  The
-    iterate column and x* are validated once, with ``as_point``'s
-    ValueError.  For a ``linearized`` learner (mirror descent and its FTRL
-    form) on an unconstrained set, the penalty subgradients g_psi_t are
-    read off x_t, x_{t+1}, g_t and the inverse rates, a block of rows per
-    ``core._psi_subgradient`` call, bit for bit what each step took.
-    ``record.strong_ftrl_rhs`` is the stability decomposition of the Strong
-    FTRL Lemma at every prefix, in O(T n): r_{0:t}(x*) + penalty
-    + sum_{s<=t} stability_s, where the penalty is alpha_{1:t} lam ||x*||_1
-    (given g_psi, its tangents at x*) and the stability terms come from
-    ``bounds._stability_terms``.  It is +inf for a linearized learner on a
-    constrained set, whose accumulated objective is not known.  sigma_t and
-    r_{0:t}(x*) are computed once and shared by the bound and the terms.
+    Returns the (T, n) gradients, x_1..x_{T+1} as a (T + 1, n) array, the
+    deployed inverse rates, the round-zero inverse rate, and the loss column
+    inputs ``(family, params, labels)`` of ``streams.loss_column``: the
+    gradients for linear losses, else the events' parameter rows, held by
+    reference.  Every round must share one loss family.
     """
     if T < 0:
         raise ValueError(f"round count must be >= 0, got {T}")
     dim = learner.dim
     family = None
-    rows, labels = [], []  # non-linear losses: the events' parameter rows, by reference
+    rows, labels = [], []
     grads = np.zeros((T, dim))
-    points = np.zeros((T + 1, dim))  # x_1..x_{T+1}; the trace keeps x_1..x_T
+    points = np.zeros((T + 1, dim))
     inv_rates = np.zeros((T, dim))
     inv0 = np.broadcast_to(np.asarray(learner.last_inv_rate, dtype=float), (dim,)).copy()
-    linearized = getattr(learner, "linearized", False)
-
     for t in range(1, T + 1):
         event = stream.event(t, learner.x)  # iterates are published read-only
         if event.family != family:
@@ -92,7 +72,27 @@ def run_rounds(learner, stream, T: int, rule: BoundRule | None = None,
         learner.step(event.g)
         inv_rates[t - 1] = learner.last_inv_rate
     points[T] = learner.x
+    return grads, points, inv_rates, inv0, (family, grads if family == LINEAR else rows, labels)
+
+
+def run_rounds(learner, stream, T: int, rule: BoundRule | None = None,
+               cfg: BoundConfig | None = None,
+               comparator_set: FeasibleSet | None = None) -> RunResult:
+    """Play ``T`` rounds (``_play``) and assemble the per-round regret record.
+
+    After the loop: the iterate column and x* are validated once, with
+    ``as_point``'s ValueError; for a ``linearized`` learner on an
+    unconstrained set the penalty subgradients g_psi_t are read off x_t,
+    x_{t+1}, g_t and the inverse rates, a block of rows per
+    ``core._psi_subgradient`` call, bit for bit what each step took; one
+    ``loss_column`` call evaluates f_t(x_t) for every round and one f_t(x*).
+    ``bounds._bound_and_rhs`` builds ``record.bound`` and the stability
+    decomposition ``record.strong_ftrl_rhs`` from the trace.
+    """
+    grads, points, inv_rates, inv0, (family, params, labels) = _play(learner, stream, T)
+    dim = learner.dim
     iterates = _require_finite(points[:T])
+    linearized = getattr(learner, "linearized", False)
     psi = None
     if linearized and learner.feasible_set.kind == FeasibleSet.UNCONSTRAINED:
         # blocks of about 32768 entries: one call on the whole (T, n) array is slower at large n
@@ -100,10 +100,9 @@ def run_rounds(learner, stream, T: int, rule: BoundRule | None = None,
         for s in (slice(a, a + block) for a in range(0, T, block)):
             psi[s] = _psi_subgradient(iterates[s], points[1:][s], grads[s], inv_rates[s],
                                       learner.lam)
-
     trace = RunTrace(
         grads=grads, iterates=iterates, inv_rates=inv_rates, inv0=inv0,
-        reg_kind=learner.reg_kind, penalty_lam=learner.lam, psi=psi)
+        reg_kind=learner.reg_kind, penalty_lam=learner.lam, psi=psi, linearized=linearized)
 
     if hasattr(stream, "best_fixed_point") and T > 0:
         x_star = stream.best_fixed_point()
@@ -113,29 +112,12 @@ def run_rounds(learner, stream, T: int, rule: BoundRule | None = None,
     x_star = as_point(x_star, dim=dim)
 
     if T > 0:
-        params = grads if family == LINEAR else rows
         losses = loss_column(family, params, iterates, labels)
         comp_losses = loss_column(family, params, x_star, labels)
     else:
         losses = comp_losses = np.zeros(0)
     cum = cumulative_regret(losses, comp_losses)
-
-    sigma = trace.sigmas()
-    reg = _reg_curve(trace, x_star, sigma)
-    if rule is None or T == 0:
-        bound = np.full(T, np.inf)
-    elif rule in _GENERIC_RULES:
-        bound = _trace_bound(rule, grads, trace, x_star, reg)
-    else:
-        bound = bound_curve(rule, cfg or BoundConfig(), grads, x_star=x_star, trace=trace)
-
-    stability = np.full(T, np.inf) if linearized and psi is None \
-        else _stability_terms(trace, points[1:], sigma)
-    if np.all(np.isfinite(stability)):
-        penalty = np.cumsum(psi @ x_star) if psi is not None else _penalty_curve(trace, x_star)
-        rhs = reg + penalty + np.cumsum(stability)
-    else:
-        rhs = np.full(T, np.inf)
+    bound, rhs = _bound_and_rhs(trace, points[1:], x_star, rule, cfg)
 
     record = RegretRecord(loss=losses, comp_loss=comp_losses, cum_regret=cum,
                           bound=bound, strong_ftrl_rhs=rhs)

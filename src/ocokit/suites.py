@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core, oracle
-from .bounds import BoundRule, bound_curve
+from .bounds import BoundRule, RunTrace, bound_curve
 from .core import (
     AdaGradRate,
     ConstantRate,
@@ -21,8 +21,9 @@ from .core import (
     InverseSqrtRate,
     RegularizerSpec,
 )
-from .driver import repro_l1_example, run_rounds
+from .driver import _play, repro_l1_example, run_rounds
 from .learners import (
+    CENTERED,
     BoundConfig,
     DualAveraging,
     EntropicFtrl,
@@ -416,13 +417,12 @@ def suite_core(seed0: int = 0) -> SuiteResult:
     ok = True
     for _ in range(200):
         sched = _random_schedule(rng)
-        sq = 0.0
-        total = core.schedule_sigma(sched, 0, 0.0)
-        for t in range(1, 30):
-            sq_prev, sq = sq, sq + float(rng.uniform(0, 2))
-            total += core.schedule_sigma(sched, t, sq, sq_prev)
-            inv = sched.inverse_rate(t, sq)
-            ok = ok and abs(float(total) - float(inv)) <= 1e-9
+        sq = np.cumsum(rng.uniform(0, 2, size=29))  # the squared sums through rounds 1..29
+        inv = np.array([[sched.inverse_rate(t, s)] for t, s in enumerate(sq, start=1)])
+        trace = RunTrace(grads=np.zeros_like(inv), iterates=np.zeros_like(inv), inv_rates=inv,
+                         inv0=np.atleast_1d(sched.inverse_rate(0, 0.0)), reg_kind=CENTERED)
+        total = trace.inv0 + np.cumsum(trace.sigmas(), axis=0)
+        ok = ok and float(np.max(np.abs(total - inv))) <= 1e-9
     res.check(ok, "sigma increments sum back to the inverse rate (1e-09)")
 
     ok = True
@@ -652,10 +652,7 @@ def sparsity_contrast(seed: int = 5, n: int = 50, T: int = 2000, lam: float = 0.
     ftrl = FtrlCompositeL1(n, ConstantRate(eta), lam)
     md = MirrorDescent(n, ConstantRate(eta), lam=lam)
     for learner in (ftrl, md):
-        stream = LogisticStream.synthetic(seed, n, T)
-        for t in range(1, T + 1):
-            ev = stream.event(t, learner.x)
-            learner.step(ev.g)
+        _play(learner, LogisticStream.synthetic(seed, n, T), T)
     return int(np.count_nonzero(ftrl.x)), int(np.count_nonzero(md.x))
 
 

@@ -3,9 +3,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ocokit import cli
+from ocokit.core import FeasibleSet
+from ocokit.driver import run_rounds
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
@@ -41,6 +44,22 @@ def write_far_index_data(tmp_path):
 
 
 FAR_INDEX_ERR = "ocokit: feature index 1000000000000000 exceeds dimension 2 (line 2)\n"
+
+
+def write_huge_gradient_data(tmp_path):
+    """Three examples; the first one's gradient, about 5e199, exceeds AdaGrad's 2^511 limit."""
+    path = tmp_path / "huge.svm"
+    path.write_text("1 1:1e200\n0 2:1\n1 1:3\n")
+    return str(path)
+
+
+def assert_one_line_usage_error(code, out, err, starts="ocokit: "):
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(starts)
+
+
+SQ_SUM_ERR = "ocokit: squared-gradient sums need |g_i| < 2^511"
 
 
 def run_cli(argv, capsys):
@@ -210,6 +229,21 @@ class TestRun:
                 2, "", "ocokit: learner 'entropic' cannot run on stream 'strongly-convex': "
                        "its comparator, the mean center, is not on the simplex\n")
 
+    def test_a_rejected_gradient_is_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "learner = adagrad-ftrl-proximal\nstream = logistic\n"
+                                     "bound = ftrl-proximal\nT = 3\nn = 2\n"
+                                     f"data = {write_huge_gradient_data(tmp_path)}\n")
+        assert_one_line_usage_error(*run_cli(["run", "--config", cfg], capsys), SQ_SUM_ERR)
+
+    @pytest.mark.parametrize("radius", ["-1", "0", "inf", "nan"])
+    def test_a_comparator_radius_that_is_not_positive_and_finite_is_usage_error(
+            self, tmp_path, capsys, radius):
+        cfg = write_config(tmp_path, "learner = dual-averaging\nstream = random-linear\n"
+                                     "bound = general-ftrl\nT = 3\nn = 2\neta = 0.5\n"
+                                     f"R = {radius}\n")
+        assert_one_line_usage_error(*run_cli(["run", "--config", cfg], capsys),
+                                    "ocokit: l2-ball requires a strictly positive radius")
+
     def test_adversary_run_with_mirror_descent(self, tmp_path, capsys):
         cfg = write_config(tmp_path, """
 learner = md-l1
@@ -248,6 +282,42 @@ eta = 0.1
         assert len(lines) == 61
         last = lines[-1].split(",")
         assert int(last[3]) <= 12 and int(last[6]) <= 12
+
+    @pytest.mark.parametrize("stream", cli.STREAMS)
+    def test_columns_are_run_rounds_losses_and_iterates_bit_for_bit(
+            self, tmp_path, capsys, monkeypatch, stream):
+        n, T = (1 if stream == "l1-adversary" else 3), 30
+        names = [name for name in cli.LEARNERS if n >= 2 or name != "entropic"]
+        cfg = write_config(tmp_path, f"learners = {', '.join(names)}\nstream = {stream}\n"
+                                     f"T = {T}\nn = {n}\nseed = 4\nlambda = 0.1\nG = 2\n")
+        played, losses = [], []
+        real_play, real_loss_column = cli._play, cli.loss_column
+        monkeypatch.setattr(cli, "_play", lambda *a: played.append(real_play(*a)) or played[-1])
+        monkeypatch.setattr(cli, "loss_column",
+                            lambda *a: losses.append(real_loss_column(*a)) or losses[-1])
+        code, out, _ = run_cli(["compare", "--config", cfg], capsys)
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        parsed = cli.parse_config(cfg)
+        for k, name in enumerate(names):
+            learner = cli.build_learner(name, dict(parsed))
+            ball = FeasibleSet.l2_ball(parsed["R"]) \
+                if learner.feasible_set.kind == FeasibleSet.UNCONSTRAINED else None
+            result = run_rounds(learner, cli.build_stream(dict(parsed)), T, comparator_set=ball)
+            points = played[k][1]
+            assert points[:T].tobytes() == result.trace.iterates.tobytes(), name
+            assert points[T].tobytes() == result.x_final.tobytes(), name
+            assert losses[k].tobytes() == result.record.loss.tobytes(), name
+            assert [row[1 + 3 * k] for row in rows] == [cli._fmt(v) for v in result.record.loss]
+            nonzeros = [*np.count_nonzero(result.trace.iterates[1:], axis=1),
+                        np.count_nonzero(result.x_final)]
+            assert [int(row[3 + 3 * k]) for row in rows] == nonzeros, name
+
+    def test_a_rejected_gradient_is_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "learners = adagrad-ftrl-proximal, ftrl-l1\n"
+                                     "stream = logistic\nT = 3\nn = 2\n"
+                                     f"data = {write_huge_gradient_data(tmp_path)}\n")
+        assert_one_line_usage_error(*run_cli(["compare", "--config", cfg], capsys), SQ_SUM_ERR)
 
     def test_single_learner_is_usage_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, """

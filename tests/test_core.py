@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ocokit import core
+from ocokit.bounds import RunTrace
 from ocokit.core import (
     AdaGradRate,
     ConstantRate,
@@ -12,6 +13,7 @@ from ocokit.core import (
     InvariantViolation,
     RegularizerSpec,
 )
+from ocokit.learners import CENTERED
 from ocokit.oracle import default_bracket, numeric_argmin_1d
 
 
@@ -128,38 +130,44 @@ def test_bregman_nonnegative_everywhere():
         assert core.bregman_divergence(ent, p, q) >= -1e-12
 
 
-def test_schedule_sigma_constant():
-    sched = ConstantRate(0.5)
-    assert core.schedule_sigma(sched, 0) == pytest.approx(2.0)
-    for t in range(1, 5):
-        assert core.schedule_sigma(sched, t) == pytest.approx(0.0, abs=1e-15)
+def schedule_trace(sched, sq_sums):
+    """A one-coordinate RunTrace of the inverse rates ``sched`` deploys.
+
+    ``sq_sums[t-1]`` is the squared-gradient sum through round t; round zero
+    has sum 0.
+    """
+    inv = np.array([[sched.inverse_rate(t, sq)] for t, sq in enumerate(sq_sums, start=1)])
+    return RunTrace(grads=np.zeros_like(inv), iterates=np.zeros_like(inv), inv_rates=inv,
+                    inv0=np.atleast_1d(sched.inverse_rate(0, 0.0)), reg_kind=CENTERED)
 
 
-def test_schedule_sigma_adagrad_per_coordinate():
+def test_trace_sigmas_constant():
+    trace = schedule_trace(ConstantRate(0.5), [0.0] * 4)
+    assert trace.inv0 == pytest.approx([2.0])
+    assert np.all(trace.sigmas() == 0.0)
+
+
+def test_trace_sigmas_adagrad_per_coordinate():
     # squared sums 9 then 25 with half-width 1: increments (5 - 3)/sqrt(2)
-    sched = AdaGradRate(scale=math.sqrt(2) * 1.0)
-    sigma2 = core.schedule_sigma(sched, 2, sq_now=25.0, sq_prev=9.0)
-    assert sigma2 == pytest.approx(math.sqrt(2), abs=1e-12)
+    trace = schedule_trace(AdaGradRate(scale=math.sqrt(2) * 1.0), [9.0, 25.0])
+    assert trace.sigmas()[1, 0] == pytest.approx(math.sqrt(2), abs=1e-12)
 
 
-def test_schedule_sigma_rejects_increasing_rate():
-    sched = AdaGradRate(scale=1.0)
-    with pytest.raises(InvariantViolation):
-        core.schedule_sigma(sched, 2, sq_now=1.0, sq_prev=4.0)
+def test_trace_sigmas_reject_a_falling_inverse_rate():
+    trace = schedule_trace(AdaGradRate(scale=1.0), [4.0, 1.0])
+    with pytest.raises(InvariantViolation, match="round 2, coordinate 0"):
+        trace.sigmas()
 
 
-def test_sigma_increments_sum_to_inverse_rate():
+def test_trace_sigma_increments_sum_to_inverse_rate():
     rng = np.random.default_rng(4)
     schedules = [ConstantRate(0.7), InverseSqrtRate(1.3, shift=1),
                  InverseSqrtRate(0.9, shift=0),
                  AdaGradRate(1.1, offset=0.4)]
     for sched in schedules:
-        sq = 0.0
-        total = core.schedule_sigma(sched, 0, 0.0)
-        for t in range(1, 40):
-            sq_prev, sq = sq, sq + float(rng.uniform(0, 2))
-            total += core.schedule_sigma(sched, t, sq, sq_prev)
-            assert abs(float(total) - float(sched.inverse_rate(t, sq))) <= 1e-9
+        trace = schedule_trace(sched, np.cumsum(rng.uniform(0, 2, size=39)))
+        total = trace.inv0 + np.cumsum(trace.sigmas(), axis=0)
+        assert np.max(np.abs(total - trace.inv_rates)) <= 1e-9
 
 
 def test_feasible_set_validation_and_membership():

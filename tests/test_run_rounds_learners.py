@@ -10,10 +10,18 @@ be bit for bit the ones each step took.
 import numpy as np
 import pytest
 
-from ocokit.bounds import BoundRule
-from ocokit.core import AdaGradRate, ConstantRate, FeasibleSet, InverseSqrtRate
+from ocokit.bounds import BoundRule, RunTrace
+from ocokit.core import (
+    AdaGradRate,
+    ConstantRate,
+    FeasibleSet,
+    InverseSqrtRate,
+    InvariantViolation,
+    LearningRateSchedule,
+)
 from ocokit.driver import run_rounds
 from ocokit.learners import (
+    NONE,
     BoundConfig,
     DualAveraging,
     EntropicFtrl,
@@ -128,3 +136,37 @@ def test_comparator_off_the_simplex_gives_an_infinite_decomposition():
                         BoundRule.ENTROPIC, BoundConfig(G_inf=1.0, n=3))
     assert np.any(result.x_star < 0)
     assert np.all(result.record.strong_ftrl_rhs == np.inf)
+
+
+class _UnknownObjective(DualAveraging):
+    """Dual averaging that declares no known accumulated objective."""
+
+    reg_kind = NONE
+
+
+class _FallingRate(LearningRateSchedule):
+    """1/eta_t = 1/(t + 1): the rate rises, so every sigma_t is negative."""
+
+    def inverse_rate(self, t, sq_sum=0.0):
+        return 1.0 / (t + 1)
+
+
+def test_sigma_is_not_built_for_the_kinds_that_do_not_read_it(monkeypatch):
+    def no_sigmas(self):
+        raise AssertionError("sigma built for a kind that does not read it")
+
+    monkeypatch.setattr(RunTrace, "sigmas", no_sigmas)
+    stream = StronglyConvexQuadraticStream(0, N)
+    result = run_rounds(StronglyConvexOgd(N), stream, 40, BoundRule.STRONGLY_CONVEX_LOG,
+                        BoundConfig(G=stream.gradient_cap))
+    assert result.bound_ok and result.decomposition_ok
+    assert np.all(np.isfinite(result.record.strong_ftrl_rhs))
+    unknown = run_rounds(_UnknownObjective(N, ConstantRate(0.5)), RandomLinearStream(0, N, 1.0),
+                         20, comparator_set=FeasibleSet.l2_ball(1.0))
+    assert np.all(unknown.record.strong_ftrl_rhs == np.inf)
+
+
+def test_a_falling_inverse_rate_makes_run_rounds_raise():
+    with pytest.raises(InvariantViolation, match="round 1, coordinate 0"):
+        run_rounds(QuadraticFtrl(N, _FallingRate()), RandomLinearStream(0, N, 1.0), 5,
+                   BoundRule.GENERAL_FTRL, comparator_set=FeasibleSet.l2_ball(1.0))
