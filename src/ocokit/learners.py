@@ -1,8 +1,10 @@
 """The FTRL family as incremental step machines.
 
-Each learner holds O(n) state (gradient sum, per-coordinate squared-gradient
-sums, proximal adjustment sums, current iterate) and exposes ``step(g)``,
-which consumes the round-t subgradient and returns the next iterate.  Loss
+Every learner, here and in ``mirror``, is an ``OnlineLearner``: it takes
+its dimension first and rejects a gradient of any other size.  Beyond the
+round index, iterate and deployed inverse rate, it keeps only the O(n) state
+its step reads (gradient, squared-gradient and proximal adjustment sums).
+``step(g)`` consumes g_t and returns the next iterate.  Loss
 linearization is the caller's job: learners only ever see g_t.  Learners
 keep no regret accounting: ``reg_kind`` names the family of their
 accumulated objective, and ``bounds`` evaluates it, the regularizer and the
@@ -75,28 +77,14 @@ class BoundConfig:
                 raise ValueError(f"config field {name!r} must be > 0, got {value}")
 
 
-class _ReadOnlyIterate:
-    """Publishes the iterate ``x`` read-only.
+class OnlineLearner:
+    """Common bookkeeping: dimension, feasible set, round index, iterate, inverse rate.
 
-    ``step`` hands callers the learner's own array, without a copy, and the
-    next step reads it back as x_prev; freezing it on assignment means a
-    caller's write raises instead of silently changing the learner's state.
-    Learners always rebind ``x`` to a fresh array and never write into it.
+    ``step`` hands callers the learner's own iterate ``x``, without a copy,
+    and the next step reads it back as x_prev; freezing it on assignment
+    means a caller's write raises instead of silently changing the learner's
+    state.  Learners always rebind ``x`` to a fresh array, never write into it.
     """
-
-    @property
-    def x(self):
-        return self._x
-
-    @x.setter
-    def x(self, value):
-        if value is not None:
-            value.flags.writeable = False
-        self._x = value
-
-
-class OnlineLearner(_ReadOnlyIterate):
-    """Common bookkeeping: round index, gradient sum, deployed inverse rate."""
 
     reg_kind = NONE
     lam = 0.0  # weight of the L1 penalty, applied once per round
@@ -108,17 +96,20 @@ class OnlineLearner(_ReadOnlyIterate):
         self.dim = int(dim)
         self.feasible_set = feasible_set
         self.t = 0
-        self.g_sum = np.zeros(dim)
         self.x = np.zeros(dim)
         self.last_inv_rate = np.zeros(dim)  # refreshed by each step
 
+    @property
+    def x(self):
+        return self._x
+
+    @x.setter
+    def x(self, value):
+        value.flags.writeable = False
+        self._x = value
+
     def step(self, g) -> np.ndarray:
         raise NotImplementedError
-
-    def _advance(self, g):
-        """Count the round and add g, validated by ``step`` where it entered, to g_sum."""
-        self.t += 1
-        self.g_sum = self.g_sum + g
 
 
 def _broadcast_inv(value, dim):
@@ -186,6 +177,7 @@ class QuadraticFtrl(OnlineLearner):
         self.lam = lam
         self.schedule = schedule
         self.centering = centering
+        self.g_sum = np.zeros(dim)
         self.sq_sum = np.zeros(dim)
         self.adj_sum = np.zeros(dim)
         self.last_inv_rate = self._inverse_rate()
@@ -203,7 +195,8 @@ class QuadraticFtrl(OnlineLearner):
         x_prev = self.x
         prev_inv = self.last_inv_rate
         inv = self._inverse_rate() if self._lagged else None  # from rounds 1..t-1
-        self._advance(g)
+        self.t += 1
+        self.g_sum = self.g_sum + g
         self.sq_sum = sq_sum
         if inv is None:
             inv = self._inverse_rate()
@@ -292,6 +285,7 @@ class EntropicFtrl(OnlineLearner):
                              f"got {g_inf}")
         super().__init__(dim, FeasibleSet.simplex())
         self.g_inf = float(g_inf)
+        self.g_sum = np.zeros(dim)
         self.sup_sq_sum = 0.0
         self.x = np.full(dim, 1.0 / dim)
         self._log_n = math.log(dim)
@@ -306,7 +300,8 @@ class EntropicFtrl(OnlineLearner):
         sup_sq_sum = self.sup_sq_sum + (g_max ** 2 if g_max < GRAD_LIMIT else math.inf)
         if not sup_sq_sum <= SQ_SUM_LIMIT:
             raise ValueError(f"{SQ_SUM_MESSAGE}; got max |g_i| = {g_max:.3g}")
-        self._advance(g)
+        self.t += 1
+        self.g_sum = self.g_sum + g
         self.sup_sq_sum = sup_sq_sum
         inv = self._inv(self.sup_sq_sum)
         self.last_inv_rate = np.full(self.dim, inv)
@@ -329,6 +324,6 @@ class StronglyConvexOgd(OnlineLearner):
     def step(self, g) -> np.ndarray:
         x_prev = self.x
         g = as_point(g, dim=self.dim)
-        self._advance(g)
+        self.t += 1
         self.x = x_prev - g / self.t
         return self.x

@@ -2,14 +2,17 @@
 
 Mirror descent here is quadratic only: diagonal quadratic regularizers with
 an optional L1 penalty, unconstrained, on a box or on an L2 ball (the
-simplex learner is ``learners.EntropicFtrl``).  MirrorDescent carries only
-the current point plus schedule scalars; MdAsFtrl, a ``QuadraticFtrl``
-preset, carries gradient and penalty-subgradient accumulators.  MirrorDescent
-shares no step code with that solver, so their round-by-round agreement is
-a checked property, not a shared code path.  Both declare ``linearized``:
-``run_rounds`` reads their penalty subgradients off the trace.  The lazy/greedy
-projection families show where the one-step and accumulated formulations
-stop being equivalent.
+simplex learner is ``learners.EntropicFtrl``).  Every learner here is a
+``learners.OnlineLearner`` and takes its dimension first.  MirrorDescent
+carries the current point and the squared-gradient sums its schedule reads;
+MdAsFtrl, a ``QuadraticFtrl`` preset, carries gradient and
+penalty-subgradient accumulators.  MirrorDescent shares no step code with
+that solver, so their round-by-round agreement is a checked property, not a
+shared code path.  Both declare ``linearized``: ``run_rounds`` reads their
+penalty subgradients off the trace.  The lazy/greedy projection families
+show where the one-step and accumulated formulations stop being equivalent;
+each of their variants keeps its own bookkeeping, so that
+``verify projection-families`` checks the variants against each other.
 """
 
 from __future__ import annotations
@@ -30,21 +33,21 @@ from .core import (
 from .learners import (
     PROXIMAL,
     DualAveraging,
+    OnlineLearner,
     QuadraticFtrl,
     _broadcast_inv,
     _project_quadratic,
     _quadratic_set,
-    _ReadOnlyIterate,
 )
 
 
-def extract_psi_subgradient(x_prev, x_next, g, cum_weights, alpha_lam: float) -> np.ndarray:
+def extract_psi_subgradient(x_prev, x_next, g, inv_rate, alpha_lam: float) -> np.ndarray:
     """Recover the L1-penalty subgradient the mirror step implicitly used.
 
     Coordinate-wise: -alpha_lam where x_next < 0, +alpha_lam where > 0, and
-    cum_weights * x_prev - g on exact zeros.  Validates membership in
+    inv_rate * x_prev - g on exact zeros.  Validates membership in
     [-alpha_lam, alpha_lam] and the step's optimality residual
-    g + g_psi + cum_weights (x_next - x_prev) = 0.  Both tolerances scale
+    g + g_psi + inv_rate (x_next - x_prev) = 0.  Both tolerances scale
     with the operands, so rounding noise at large magnitudes passes: the
     residual of coordinate i may reach 1e-9 max(1, |g_i|, |g_psi_i|,
     |w_i x_next_i|, |w_i x_prev_i|), membership 1e-12 max(1, alpha_lam).
@@ -52,18 +55,17 @@ def extract_psi_subgradient(x_prev, x_next, g, cum_weights, alpha_lam: float) ->
     x_prev = as_point(x_prev)
     x_next = as_point(x_next, dim=x_prev.size)
     g = as_point(g, dim=x_prev.size)
-    w = np.broadcast_to(np.asarray(cum_weights, dtype=float), x_prev.shape)
+    w = np.broadcast_to(np.asarray(inv_rate, dtype=float), x_prev.shape)
     return _psi_subgradient(x_prev, x_next, g, w, penalty_weight(alpha_lam))
 
 
-class MirrorDescent(_ReadOnlyIterate):
+class MirrorDescent(OnlineLearner):
     """x_{t+1} = argmin g_t . x + lam ||x||_1 + B_t(x, x_t).
 
     B_t is the divergence of the accumulated diagonal quadratic regularizer,
-    sum_i w_i (x_i - x_{t,i})^2 / 2.  Closed form: per-coordinate soft
-    thresholding, clamped to a box, or (with no penalty) projected onto an
-    L2 ball.  State is the current point plus the scalars needed to
-    evaluate the accumulated curvature.
+    sum_i w_i (x_i - x_{t,i})^2 / 2 with w = ``last_inv_rate``.  Closed form:
+    per-coordinate soft thresholding, clamped to a box, or (with no penalty)
+    projected onto an L2 ball.  State: the point and the squared-gradient sums.
     """
 
     reg_kind = PROXIMAL  # the regularizer family bounds reads from the run trace
@@ -71,24 +73,19 @@ class MirrorDescent(_ReadOnlyIterate):
 
     def __init__(self, dim: int, schedule: LearningRateSchedule, lam: float = 0.0,
                  feasible_set: FeasibleSet | None = None):
-        if dim < 1:
-            raise ValueError(f"dimension must be >= 1, got {dim}")
-        self.lam = penalty_weight(lam)
-        feasible_set = _quadratic_set(feasible_set, self.lam)
-        self.dim = int(dim)
+        lam = penalty_weight(lam)
+        super().__init__(dim, _quadratic_set(feasible_set, lam))
+        self.lam = lam
         self.schedule = schedule
-        self.feasible_set = feasible_set
-        self.t = 0
         self.sq_sum = np.zeros(dim)
-        self.x = feasible_set.project(np.zeros(dim))
-        self.cum_weights = _broadcast_inv(schedule.inverse_rate(0, self.sq_sum), dim)
+        self.last_inv_rate = _broadcast_inv(schedule.inverse_rate(0, self.sq_sum), dim)
 
     def step(self, g) -> np.ndarray:
         g = as_point(g, dim=self.dim)
         self.sq_sum = _add_squares(self.sq_sum, g)  # may raise; no state has moved yet
         self.t += 1
         w = _broadcast_inv(self.schedule.inverse_rate(self.t, self.sq_sum), self.dim)
-        self.cum_weights = w
+        self.last_inv_rate = w
         x_prev = self.x
         fs = self.feasible_set
         if fs.kind == FeasibleSet.L2_BALL:
@@ -105,11 +102,7 @@ class MirrorDescent(_ReadOnlyIterate):
         x_prev is the iterate the step started from and g the gradient it
         took, both already validated by ``step``; they are not checked again.
         """
-        return _psi_subgradient(x_prev, self.x, g, self.cum_weights, self.lam)
-
-    @property
-    def last_inv_rate(self) -> np.ndarray:
-        return self.cum_weights
+        return _psi_subgradient(x_prev, self.x, g, self.last_inv_rate, self.lam)
 
 
 class MdAsFtrl(QuadraticFtrl):
@@ -130,23 +123,27 @@ class MdAsFtrl(QuadraticFtrl):
         self.g_psi_sum = np.zeros(dim)
         self.last_g_psi = np.zeros(dim)
 
-    def global_residual(self) -> float:
-        """Max-norm residual of g_{1:t} + g_psi_{1:t} + grad r^B_{0:t}(x).
-
-        The accumulated penalty subgradients stand in for the penalty's
-        subdifferential, so the full sum must vanish at the iterate.
-        """
-        if self.t < 1:
-            return 0.0
-        grad = self.g_sum + self.g_psi_sum + self.last_inv_rate * self.x - self.adj_sum
-        return float(np.max(np.abs(grad)))
-
 
 # ---------------------------------------------------------------------------
 # Lazy vs greedy projection families (constant rate, quadratic regularizer)
 # ---------------------------------------------------------------------------
 
-class LazyProjection(_ReadOnlyIterate):
+class _ProjectionFamily(OnlineLearner):
+    """A constant-rate quadratic learner on a ball or box; ``variant`` names its bookkeeping."""
+
+    def __init__(self, dim: int, eta: float, feasible_set: FeasibleSet, variant="projection"):
+        if variant not in self.VARIANTS:
+            raise ValueError(f"variant must be one of {self.VARIANTS}, got {variant!r}")
+        if feasible_set.kind not in (FeasibleSet.L2_BALL, FeasibleSet.BOX):
+            raise UnsupportedCombination("projection families need a ball or box set")
+        if eta <= 0:
+            raise ValueError(f"rate must be > 0, got {eta}")
+        super().__init__(dim, feasible_set)
+        self.eta = float(eta)
+        self.variant = variant
+
+
+class LazyProjection(_ProjectionFamily):
     """Projects the accumulated unconstrained solution once per round.
 
     Variants are bookkeeping styles of the same family: "projection" keeps
@@ -157,47 +154,31 @@ class LazyProjection(_ReadOnlyIterate):
 
     VARIANTS = ("projection", "explicit", "ftrl")
 
-    def __init__(self, eta: float, feasible_set: FeasibleSet, variant: str = "projection"):
-        if variant not in self.VARIANTS:
-            raise ValueError(f"variant must be one of {self.VARIANTS}, got {variant!r}")
-        if feasible_set.kind not in (FeasibleSet.L2_BALL, FeasibleSet.BOX):
-            raise UnsupportedCombination("projection families need a ball or box set")
-        if eta <= 0:
-            raise ValueError(f"rate must be > 0, got {eta}")
-        self.eta = float(eta)
-        self.feasible_set = feasible_set
-        self.variant = variant
-        self.t = 0
-        self._g_sum = None
-        self._theta = None
-        self._inner = None
-        self.x = None
-
-    def _ensure_dim(self, g):
-        if self._g_sum is None:
-            dim = g.size
-            self._g_sum = np.zeros(dim)
+    def __init__(self, dim: int, eta: float, feasible_set: FeasibleSet, variant="projection"):
+        super().__init__(dim, eta, feasible_set, variant)
+        if variant == "ftrl":
+            self._inner = DualAveraging(dim, ConstantRate(self.eta), feasible_set)
+        elif variant == "explicit":
             self._theta = np.zeros(dim)
-            self._inner = DualAveraging(dim, ConstantRate(self.eta), self.feasible_set)
-            self.x = np.zeros(dim)
+        else:
+            self._g_sum = np.zeros(dim)
 
     def step(self, g) -> np.ndarray:
-        g = as_point(g)
-        self._ensure_dim(g)
-        self.t += 1
+        g = as_point(g, dim=self.dim)
         if self.variant == "ftrl":
-            self.x = self._inner.step(g)
-            return self.x
-        if self.variant == "explicit":
+            x = self._inner.step(g)
+        elif self.variant == "explicit":
             self._theta = self._theta - g
-            self.x = self.feasible_set.project(self.eta * self._theta)
-            return self.x
-        self._g_sum = self._g_sum + g
-        self.x = self.feasible_set.project(-self.eta * self._g_sum)
-        return self.x
+            x = self.feasible_set.project(self.eta * self._theta)
+        else:
+            self._g_sum = self._g_sum + g
+            x = self.feasible_set.project(-self.eta * self._g_sum)
+        self.t += 1
+        self.x = x
+        return x
 
 
-class GreedyProjection(_ReadOnlyIterate):
+class GreedyProjection(_ProjectionFamily):
     """Projects after every step, from the previous projected point.
 
     "projection" is the two-step update Proj(x_t - eta g_t); "explicit"
@@ -209,48 +190,29 @@ class GreedyProjection(_ReadOnlyIterate):
 
     VARIANTS = ("projection", "explicit", "implicit", "ftrl")
 
-    def __init__(self, eta: float, feasible_set: FeasibleSet, variant: str = "projection"):
-        if variant not in self.VARIANTS:
-            raise ValueError(f"variant must be one of {self.VARIANTS}, got {variant!r}")
-        if feasible_set.kind not in (FeasibleSet.L2_BALL, FeasibleSet.BOX):
-            raise UnsupportedCombination("projection families need a ball or box set")
-        if eta <= 0:
-            raise ValueError(f"rate must be > 0, got {eta}")
-        self.eta = float(eta)
-        self.feasible_set = feasible_set
-        self.variant = variant
-        self.t = 0
-        self._accum = None  # g_{1:t} + g_psi_{1:t-1} for the ftrl variant
-        self._inner = None
-        self.x = None
-
-    def _ensure_dim(self, g):
-        if self.x is None:
-            dim = g.size
-            self.x = np.zeros(dim)
-            self._accum = np.zeros(dim)
-            self._inner = MirrorDescent(dim, ConstantRate(self.eta),
-                                        feasible_set=self.feasible_set)
+    def __init__(self, dim: int, eta: float, feasible_set: FeasibleSet, variant="projection"):
+        super().__init__(dim, eta, feasible_set, variant)
+        if variant == "implicit":
+            self._inner = MirrorDescent(dim, ConstantRate(self.eta), feasible_set=feasible_set)
+        elif variant == "ftrl":
+            self._accum = np.zeros(dim)  # g_{1:t} + g_psi_{1:t-1}
 
     def step(self, g) -> np.ndarray:
-        g = as_point(g)
-        self._ensure_dim(g)
-        self.t += 1
+        g = as_point(g, dim=self.dim)
         if self.variant == "implicit":
-            self.x = self._inner.step(g)
-            return self.x
-        if self.variant == "ftrl":
+            x = self._inner.step(g)
+        elif self.variant == "ftrl":
             self._accum = self._accum + g
-            x_next = self.feasible_set.project(-self.eta * self._accum)
+            x = self.feasible_set.project(-self.eta * self._accum)
             # indicator subgradient that keeps the accumulated optimality exact
-            g_ind = -self._accum - x_next / self.eta
+            g_ind = -self._accum - x / self.eta
             self._accum = self._accum + g_ind
-            self.x = x_next
-            return self.x
-        # projection and explicit differ only in which dual point they keep
-        if self.variant == "explicit":
+        elif self.variant == "explicit":
+            # projection and explicit differ only in which dual point they keep
             theta = self.x / self.eta - g
-            self.x = self.feasible_set.project(self.eta * theta)
-            return self.x
-        self.x = self.feasible_set.project(self.x - self.eta * g)
-        return self.x
+            x = self.feasible_set.project(self.eta * theta)
+        else:
+            x = self.feasible_set.project(self.x - self.eta * g)
+        self.t += 1
+        self.x = x
+        return x

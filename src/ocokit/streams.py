@@ -161,8 +161,10 @@ class StronglyConvexQuadraticStream:
     """
 
     def __init__(self, seed: int, n: int, center_radius: float = 1.0):
-        if center_radius <= 0:
-            raise ValueError("center radius must be > 0")
+        if n < 1:
+            raise ValueError(f"dimension must be >= 1, got {n}")
+        if not (np.isfinite(center_radius) and center_radius > 0):
+            raise ValueError(f"center radius must be > 0, got {center_radius}")
         self.dim = int(n)
         self.center_radius = float(center_radius)
         self.gradient_cap = 2.0 * float(center_radius)
@@ -259,11 +261,17 @@ class LogisticStream:
 # svmlight text format
 # ---------------------------------------------------------------------------
 
+# ASCII literals only: int() and float() alone also accept "1_0" and non-ASCII digits
+_INDEX = re.compile(r"[+-]?[0-9]+")
+_NUMBER = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?|inf(?:inity)?|nan)",
+                     re.ASCII | re.IGNORECASE)
+
+
 def parse_svmlight(line: str) -> tuple[int, dict[int, float]]:
     """Parse one svmlight line: ``label idx:val idx:val ... [# comment]``.
 
     Labels {0,1} or {-1,+1} (mapped to {0,1}); indices are 1-based and must
-    be strictly increasing.
+    be strictly increasing.  Indices, labels and values are ASCII numerals.
     """
     payload = line.split("#", 1)[0]
     # (token, 1-based column): each token's own place, not the first match of its text
@@ -272,10 +280,9 @@ def parse_svmlight(line: str) -> tuple[int, dict[int, float]]:
         raise ParseError("empty svmlight line", line=1, column=1)
 
     raw_label, col = tokens[0]
-    try:
-        lab = float(raw_label)
-    except ValueError:
-        raise ParseError(f"bad label {raw_label!r}", line=1, column=col) from None
+    if not _NUMBER.fullmatch(raw_label):
+        raise ParseError(f"bad label {raw_label!r}", line=1, column=col)
+    lab = float(raw_label)
     if lab in (1.0,):
         label = 1
     elif lab in (0.0, -1.0):
@@ -289,9 +296,10 @@ def parse_svmlight(line: str) -> tuple[int, dict[int, float]]:
         if ":" not in tok:
             raise ParseError(f"malformed feature token {tok!r}", line=1, column=col)
         idx_s, val_s = tok.split(":", 1)
-        try:
-            idx = int(idx_s)
-            val = float(val_s)
+        try:  # int() also raises past the interpreter's digit limit
+            if not (_INDEX.fullmatch(idx_s) and _NUMBER.fullmatch(val_s)):
+                raise ValueError(tok)
+            idx, val = int(idx_s), float(val_s)
         except ValueError:
             raise ParseError(f"malformed feature token {tok!r}", line=1, column=col) from None
         if idx < 1:

@@ -309,7 +309,7 @@ def suite_oracle_closed_form(count: int = 1000, smooth_count: int = 500,
             g = rng.normal(0, 1, size=n)
             x_prev = md.x.copy()
             x = md.step(g)
-            w = md.cum_weights
+            w = md.last_inv_rate
             objs = [(lambda v, i=i: g[i] * v + lam * abs(v) + 0.5 * w[i] * (v - x_prev[i]) ** 2)
                     for i in range(n)]
             half = np.array([oracle.default_bracket(abs(g[i]) + w[i] * abs(x_prev[i]), w[i])
@@ -572,8 +572,8 @@ def suite_projection_families(n_streams: int = 100, T: int = 40, seed0: int = 0)
         eta = float(rng.uniform(0.1, 1.0))
         R = float(rng.uniform(0.2, 1.0))
         fset = FeasibleSet.l2_ball(R)
-        lazies = [LazyProjection(eta, fset, v) for v in LazyProjection.VARIANTS]
-        greedies = [GreedyProjection(eta, fset, v) for v in GreedyProjection.VARIANTS]
+        lazies = [LazyProjection(n, eta, fset, v) for v in LazyProjection.VARIANTS]
+        greedies = [GreedyProjection(n, eta, fset, v) for v in GreedyProjection.VARIANTS]
         for _ in range(T):
             g = rng.normal(0, 1, size=n)
             xs = [l.step(g) for l in lazies]
@@ -585,8 +585,8 @@ def suite_projection_families(n_streams: int = 100, T: int = 40, seed0: int = 0)
     res.check(worst <= 1e-9, f"within-family formulations agree on {n_streams} ball streams "
                              f"(max gap {worst:.2e})")
 
-    lazy = LazyProjection(1.0, FeasibleSet.box(1.0))
-    greedy = GreedyProjection(1.0, FeasibleSet.box(1.0))
+    lazy = LazyProjection(1, 1.0, FeasibleSet.box(1.0))
+    greedy = GreedyProjection(1, 1.0, FeasibleSet.box(1.0))
     trajectory = []
     for g in (2.0, -2.0):
         trajectory.append((float(lazy.step([g])[0]), float(greedy.step([g])[0])))

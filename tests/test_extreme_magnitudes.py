@@ -54,12 +54,12 @@ LEARNERS = {
     "md-as-ftrl-adagrad": lambda n: MdAsFtrl(n, AdaGradRate(1.0), lam=0.1),
     "entropic": lambda n: EntropicFtrl(max(n, 2), 1.0),
     "strongly-convex": lambda n: StronglyConvexOgd(n),
-    "lazy-ball": lambda n: LazyProjection(0.3, BALL),
-    "lazy-box-explicit": lambda n: LazyProjection(0.3, BOX, "explicit"),
-    "lazy-ball-ftrl": lambda n: LazyProjection(0.3, BALL, "ftrl"),
-    "greedy-ball": lambda n: GreedyProjection(0.3, BALL),
-    "greedy-box-implicit": lambda n: GreedyProjection(0.3, BOX, "implicit"),
-    "greedy-ball-ftrl": lambda n: GreedyProjection(0.3, BALL, "ftrl"),
+    "lazy-ball": lambda n: LazyProjection(n, 0.3, BALL),
+    "lazy-box-explicit": lambda n: LazyProjection(n, 0.3, BOX, "explicit"),
+    "lazy-ball-ftrl": lambda n: LazyProjection(n, 0.3, BALL, "ftrl"),
+    "greedy-ball": lambda n: GreedyProjection(n, 0.3, BALL),
+    "greedy-box-implicit": lambda n: GreedyProjection(n, 0.3, BOX, "implicit"),
+    "greedy-ball-ftrl": lambda n: GreedyProjection(n, 0.3, BALL, "ftrl"),
 }
 
 _entries = st.one_of(
@@ -73,8 +73,7 @@ _entries = st.one_of(
 @given(name=st.sampled_from(sorted(LEARNERS)), n=st.integers(1, 3), data=st.data())
 def test_every_learner_gives_a_finite_feasible_iterate_or_a_typed_error(name, n, data):
     learner = LEARNERS[name](n)
-    dim = getattr(learner, "dim", n)
-    feasible = getattr(learner, "feasible_set", None) or FeasibleSet.unconstrained()
+    dim, feasible = learner.dim, learner.feasible_set
     steps = data.draw(st.lists(st.lists(_entries, min_size=dim, max_size=dim),
                                min_size=1, max_size=8))
     for g in steps:

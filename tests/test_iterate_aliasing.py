@@ -1,18 +1,26 @@
-"""A caller's write into a returned iterate must not change the learner's state.
+"""The learner contract, and a caller's write into a returned iterate.
 
-``step`` returns the learner's own array without a copy, and the next step
-reads it back as x_prev, so every learner family publishes it read-only.
+Every learner class the package exports is an ``OnlineLearner`` that takes
+its dimension first and rejects a gradient of any other size before its
+state moves.  ``step`` returns the learner's own array without a copy, and
+the next step reads it back as x_prev, so every learner family publishes it
+read-only: a caller's write must not change the learner's state.
 """
+
+import inspect
 
 import numpy as np
 import pytest
 
+import ocokit
 from ocokit.core import AdaGradRate, ConstantRate, FeasibleSet, InverseSqrtRate
 from ocokit.learners import (
     DualAveraging,
     EntropicFtrl,
     FtrlCompositeL1,
     FtrlProximal,
+    OnlineLearner,
+    QuadraticFtrl,
     StronglyConvexOgd,
 )
 from ocokit.mirror import GreedyProjection, LazyProjection, MdAsFtrl, MirrorDescent
@@ -30,11 +38,15 @@ LEARNERS = {
     "mirror-descent-l1": lambda: MirrorDescent(2, ConstantRate(0.3), lam=0.1),
     "mirror-descent-ball": lambda: MirrorDescent(2, ConstantRate(0.5), feasible_set=BALL),
     "md-as-ftrl": lambda: MdAsFtrl(2, ConstantRate(0.3), lam=0.1),
+    "quadratic-ftrl-l1-box": lambda: QuadraticFtrl(2, AdaGradRate(0.7), BOX, "proximal", 0.05),
 }
 for _variant in LazyProjection.VARIANTS:
-    LEARNERS[f"lazy-{_variant}"] = lambda v=_variant: LazyProjection(0.5, BALL, v)
+    LEARNERS[f"lazy-{_variant}"] = lambda v=_variant: LazyProjection(2, 0.5, BALL, v)
 for _variant in GreedyProjection.VARIANTS:
-    LEARNERS[f"greedy-{_variant}"] = lambda v=_variant: GreedyProjection(0.5, BALL, v)
+    LEARNERS[f"greedy-{_variant}"] = lambda v=_variant: GreedyProjection(2, 0.5, BALL, v)
+
+EXPORTED_LEARNERS = [obj for obj in vars(ocokit).values()
+                     if inspect.isclass(obj) and callable(getattr(obj, "step", None))]
 
 GRADS = [np.array([0.9, -0.4]), np.array([0.5, 0.7]), np.array([-0.3, 0.2]),
          np.array([0.6, 0.1])]
@@ -65,3 +77,27 @@ def test_the_starting_point_is_read_only_too(name):
     learner = LEARNERS[name]()
     with pytest.raises(ValueError):
         learner.x[0] = 1.0
+
+
+def test_the_table_covers_every_exported_learner_class():
+    assert len(EXPORTED_LEARNERS) == 10
+    assert {type(make()) for make in LEARNERS.values()} == set(EXPORTED_LEARNERS)
+
+
+@pytest.mark.parametrize("cls", EXPORTED_LEARNERS, ids=lambda cls: cls.__name__)
+def test_every_exported_learner_is_an_online_learner_that_takes_dim_first(cls):
+    assert issubclass(cls, OnlineLearner)
+    assert list(inspect.signature(cls).parameters)[0] == "dim"
+
+
+@pytest.mark.parametrize("name", list(LEARNERS))
+def test_a_gradient_of_the_wrong_size_raises_and_changes_nothing(name):
+    learner = LEARNERS[name]()
+    assert learner.dim == 2
+    for steps in range(2):
+        x = learner.x
+        for g in ([0.1, 0.2, 0.3], [1.0]):
+            with pytest.raises(ValueError, match="expected dim 2"):
+                learner.step(g)
+            assert learner.t == steps and learner.x is x
+        learner.step(GRADS[steps])

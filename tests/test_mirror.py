@@ -47,7 +47,7 @@ class TestMirrorDescent:
             g = rng.normal(size=2)
             x_prev = md.x.copy()
             x = md.step(g)
-            w = md.cum_weights
+            w = md.last_inv_rate
             for i in range(2):
                 num = oracle.numeric_argmin_1d(
                     lambda v, i=i: g[i] * v + 0.4 * abs(v) + 0.5 * w[i] * (v - x_prev[i]) ** 2,
@@ -106,7 +106,7 @@ class TestExtractPsiSubgradient:
             x_next = md.step(g)
             assert np.any(x_next != 0)
             with pytest.raises(ConsistencyError):
-                extract_psi_subgradient(x_prev, x_next * (1 + 1e-6), g, md.cum_weights,
+                extract_psi_subgradient(x_prev, x_next * (1 + 1e-6), g, md.last_inv_rate,
                                         md.lam)
 
     def test_memberships_on_random_runs(self):
@@ -164,11 +164,14 @@ class TestMdAsFtrl:
             assert np.max(np.abs(twin.step(g) - (-0.6 * g_sum))) <= 1e-12
 
     def test_global_residual_stays_tiny(self):
+        # the accumulated penalty subgradients stand in for the penalty's
+        # subdifferential, so g_{1:t} + g_psi_{1:t} + grad r_{0:t}(x) vanishes
         rng = np.random.default_rng(5)
         twin = MdAsFtrl(3, ConstantRate(0.4), lam=0.2)
         for _ in range(50):
             twin.step(rng.normal(size=3))
-        assert twin.global_residual() <= 1e-9
+        grad = twin.g_sum + twin.g_psi_sum + twin.last_inv_rate * twin.x - twin.adj_sum
+        assert float(np.max(np.abs(grad))) <= 1e-9
 
 
 def test_equivalence_on_mixed_schedules():
@@ -200,8 +203,8 @@ class TestProjectionFamilies:
     def test_interior_trajectories_coincide(self):
         rng = np.random.default_rng(7)
         fset = FeasibleSet.l2_ball(50.0)  # big enough that projection never binds
-        lazy = LazyProjection(0.1, fset)
-        greedy = GreedyProjection(0.1, fset)
+        lazy = LazyProjection(2, 0.1, fset)
+        greedy = GreedyProjection(2, 0.1, fset)
         g_sum = np.zeros(2)
         for _ in range(20):
             g = rng.normal(size=2)
@@ -211,8 +214,8 @@ class TestProjectionFamilies:
             assert np.allclose(greedy.step(g), want, atol=1e-12)
 
     def test_crafted_divergence_at_round_three(self):
-        lazy = LazyProjection(1.0, FeasibleSet.box(1.0))
-        greedy = GreedyProjection(1.0, FeasibleSet.box(1.0))
+        lazy = LazyProjection(1, 1.0, FeasibleSet.box(1.0))
+        greedy = GreedyProjection(1, 1.0, FeasibleSet.box(1.0))
         assert lazy.step([2.0])[0] == -1.0 and greedy.step([2.0])[0] == -1.0
         x3_lazy = lazy.step([-2.0])[0]
         x3_greedy = greedy.step([-2.0])[0]
@@ -222,7 +225,7 @@ class TestProjectionFamilies:
 
     def test_zero_gradients_stay_put(self):
         for cls in (LazyProjection, GreedyProjection):
-            learner = cls(0.5, FeasibleSet.l2_ball(1.0))
+            learner = cls(2, 0.5, FeasibleSet.l2_ball(1.0))
             for _ in range(5):
                 assert np.allclose(learner.step([0.0, 0.0]), 0.0)
 
@@ -232,7 +235,7 @@ class TestProjectionFamilies:
         for _ in range(30):
             eta = float(rng.uniform(0.1, 1.0))
             fset = FeasibleSet.l2_ball(float(rng.uniform(0.2, 1.0)))
-            members = [cls(eta, fset, v) for v in cls.VARIANTS]
+            members = [cls(2, eta, fset, v) for v in cls.VARIANTS]
             for _ in range(25):
                 g = rng.normal(size=2)
                 xs = [m.step(g) for m in members]

@@ -134,6 +134,13 @@ class TestStronglyConvexStream:
             s.event(t, np.zeros(2))
         assert np.allclose(s.best_fixed_point(), np.mean(s.centers, axis=0))
 
+    @pytest.mark.parametrize("n, radius", [
+        (2, math.nan), (2, math.inf), (2, -math.inf), (2, 0.0), (2, -1.0), (0, 1.0), (-3, 1.0),
+    ])
+    def test_a_radius_that_is_not_positive_and_finite_or_n_below_one_is_rejected(self, n, radius):
+        with pytest.raises(ValueError):
+            StronglyConvexQuadraticStream(0, n, center_radius=radius)
+
 
 class TestSvmlight:
     def test_basic_line(self):
@@ -148,6 +155,8 @@ class TestSvmlight:
 
     @pytest.mark.parametrize("line", [
         "", "# only a comment", "abc 1:2", "1 0:3", "1 2:x", "1 2", "2 1:1",
+        # int() and float() also read these; svmlight is ASCII decimal
+        "1 1_0:5", "0 3:1_0", "1 \u0661:2",
     ])
     def test_malformed_lines(self, line):
         with pytest.raises(ParseError):
