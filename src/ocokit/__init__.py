@@ -22,9 +22,7 @@ from .core import (
     InverseSqrtRate,
     InvariantViolation,
     LearningRateSchedule,
-    RegularizerSpec,
     UnsupportedCombination,
-    bregman_divergence,
     clamp_box,
     negative_entropy,
     project_l2_ball,
@@ -46,7 +44,6 @@ from .mirror import (
     LazyProjection,
     MdAsFtrl,
     MirrorDescent,
-    extract_psi_subgradient,
 )
 from .streams import (
     L1AdversaryStream,

@@ -11,13 +11,16 @@ The Strong FTRL Lemma's stability terms come from the same trace:
 ``_stability_terms`` evaluates h_{0:t}(x_t) - h_{0:t}(x_{t+1}) - r_t(x_t) for
 every round at once, after the run, so learners only ever ``step``.
 
+Each regularizer family (none, centered or proximal quadratic, entropic,
+strongly convex lower bounds) is one object that owns its r_{0:t}(x*), its
+stability terms and its dual norm; ``_FAMILIES``, which maps a trace's
+``reg_kind`` name to that object, is the only reader of the name.
 ``_bound_and_rhs`` is the whole accounting of a ``run_rounds`` call.  It
-builds the rate increments sigma_t (``RunTrace.sigmas``) once, only for the
-kinds that read them, and r_{0:t}(x*) (``_reg_curve``) once, and hands
-r_{0:t}(x*) to the bound (``_trace_bound``) and to the decomposition, sigma
-to ``_reg_curve`` and ``_stability_terms``.  Column prefix sums go through ``_prefix_sums``.
-Besides the trace and sigma, one (T, n) float buffer is alive at a time,
-with (T, n) boolean masks (an eighth of its size) for the dual norms.
+builds sigma_t (``RunTrace.sigmas``) once, only for the families that read
+it, and r_{0:t}(x*) once, which the bound (``_trace_bound``) and the
+decomposition share.  Besides the trace and sigma, one (T, n) float buffer
+is alive at a time, with (T, n) boolean masks (an eighth of its size) for
+the dual norms.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 
 from .core import FeasibleSet, InvariantViolation, _negative_entropy_rows, _row_dots, as_point
 from .core import negative_entropy
-from .learners import CENTERED, ENTROPIC, PROXIMAL, STRONGLY_CONVEX, BoundConfig
+from .learners import CENTERED, ENTROPIC, NONE, PROXIMAL, STRONGLY_CONVEX, BoundConfig
 
 
 class BoundRule(enum.Enum):
@@ -172,102 +175,162 @@ def _dual_sq_rows(grads: np.ndarray, inv_rows: np.ndarray, sup: bool) -> np.ndar
     return sq if sup else sq.sum(axis=1)
 
 
-def _entropy_at(x_star: np.ndarray) -> float:
-    """The negative entropy at x*, +inf where a coordinate is negative (off its domain)."""
-    return negative_entropy(x_star) if np.all(x_star >= 0) else math.inf
-
-
-def _reg_curve(trace: RunTrace, x_star: np.ndarray,
-               sigma: np.ndarray | None = None) -> np.ndarray:
-    """r_{0:t}(x*) for t = 1..T, penalty excluded.
-
-    ``sigma`` is ``trace.sigmas()``, when the caller has it already.
-    """
-    T = trace.inv_rates.shape[0]
-    if trace.reg_kind == CENTERED:
-        return 0.5 * trace.inv_rates @ (x_star ** 2)
-    if trace.reg_kind == ENTROPIC:
-        return trace.inv_rates[:, 0] * _entropy_at(x_star)
-    if trace.reg_kind == PROXIMAL:
-        if sigma is None:
-            sigma = trace.sigmas()
-        d = np.subtract(x_star, trace.iterates)
-        np.square(d, out=d)
-        contrib = 0.5 * np.sum(np.multiply(sigma, d, out=d), axis=1)
-        return 0.5 * float(np.sum(trace.inv0 * x_star ** 2)) + np.cumsum(contrib)
-    return np.zeros(T)
-
-
-def _prior_reg_curve(trace: RunTrace, x_star: np.ndarray, reg: np.ndarray) -> np.ndarray:
-    """r_{0:t-1}(x*) for t = 1..T, given ``reg`` = r_{0:t}(x*)."""
-    T = len(reg)
-    if T == 0:
-        return reg
-    if trace.reg_kind == CENTERED:
-        # the same matrix-vector product as r_{0:t}, on the rows shifted down one
-        half = np.empty_like(trace.inv_rates)
-        np.multiply(0.5, trace.inv0, out=half[0])
-        np.multiply(0.5, trace.inv_rates[:-1], out=half[1:])
-        return half @ (x_star ** 2)
-    if trace.reg_kind == ENTROPIC:
-        first = trace.inv0[0] * _entropy_at(x_star)
-    elif trace.reg_kind == PROXIMAL:
-        first = 0.5 * float(np.sum(trace.inv0 * x_star ** 2))
-    else:
-        return reg
-    return np.concatenate([[first], reg[:-1]])
-
-
 def _penalty_curve(trace: RunTrace, x_star: np.ndarray) -> np.ndarray:
     """alpha_{1:t} lam ||x*||_1 = t lam ||x*||_1 for t = 1..T (alpha_t = 1)."""
     ts = np.arange(1, trace.inv_rates.shape[0] + 1, dtype=float)
     return ts * trace.penalty_lam * float(np.sum(np.abs(x_star)))
 
 
-def _stability_terms(trace: RunTrace, next_iterates: np.ndarray,
-                     sigma: np.ndarray | None) -> np.ndarray:
-    """h_{0:t}(x_t) - h_{0:t}(x_{t+1}) - r_t(x_t) for t = 1..T; +inf if unknown.
+class _Family:
+    """What the accounting reads of one regularizer family; this base is the ``none`` kind.
 
-    h_{0:t} is the accumulated objective the learner minimized after round t,
-    with the additive constants it cannot know (true loss values) dropped,
-    and ``next_iterates[t-1]`` is x_{t+1}; ``sigma`` is ``trace.sigmas()``,
-    computed once per run by the caller and only read here (None where it
-    is not read).  The objective is unknown for the ``NONE`` kind and for
-    a linearized trace without ``psi``.  Each family's pieces are prefix
-    sums of trace columns:
-    - quadratic FTRL: g_{1:t}.x + inv_t.x^2/2, minus a_{1:t}.x with
-      a_s = sigma_s x_s when proximal, plus t lam ||x||_1, plus the
-      recentering value sum_s sigma_s ||x_s||^2/2; r_t is
-      sigma_t ||x_t||^2/2 (0 when proximal) plus lam ||x_t||_1;
-    - penalty tangents (``trace.psi`` set): the proximal form with the penalty
-      replaced by its tangents, linear term g_{1:t} + g_psi_{1:t}, and
-      r_t(x_t) = g_psi_t.x_t;
-    - entropic: g_{1:t}.x + inv_t (negative entropy of x), r_t =
-      sigma_t (negative entropy of x_t), the entropies taken row-wise;
-    - strongly convex: the summed quadratic lower bounds
-      g_s.(x - x_s) + ||x - x_s||^2/2, and no regularizer.
-    Constants such as the recentering value cancel in the difference.  They
-    are kept, and every sum is taken in the order a round-by-round
-    evaluation of h_{0:t} takes it, so that the terms equal that evaluation
-    bit for bit (tests/test_decomposition_rhs.py keeps one as the oracle).
-    Besides the trace and ``sigma``, one (T, n) buffer is alive at a time:
-    it holds g_{1:t}, then g_psi_{1:t} or the summed centers, then each
-    weighted square and a_{1:t} in turn.
+    ``reads_sigma``: it reads ``trace.sigmas()``; ``sup_dual``: its dual norm
+    is the sup norm, at the first coordinate's rate.  The methods give r_0(x*),
+    r_{0:t}(x*) and r_{0:t-1}(x*) for t = 1..T, penalty excluded (``sigma``
+    is ``trace.sigmas()`` or None), and the stability terms.  The ``none``
+    kind has no regularizer and an unknown objective: every term is +inf.
     """
-    X, Xn = trace.iterates, next_iterates
-    T = X.shape[0]
-    kind = trace.reg_kind
-    if kind not in (CENTERED, PROXIMAL, ENTROPIC, STRONGLY_CONVEX) or \
-            (trace.linearized and trace.psi is None):
-        return np.full(T, np.inf)
-    buf = _prefix_sums(trace.grads)  # g_{1:t}
-    now, nxt = _row_dots(buf, X), _row_dots(buf, Xn)
-    if kind == ENTROPIC:
+
+    reads_sigma = False
+    sup_dual = False
+
+    def reg0(self, trace: RunTrace, x_star: np.ndarray) -> float:
+        return 0.0
+
+    def reg_rows(self, trace: RunTrace, x_star: np.ndarray, sigma) -> np.ndarray:
+        return np.zeros(trace.inv_rates.shape[0])
+
+    def prior_reg_rows(self, trace: RunTrace, x_star: np.ndarray, reg: np.ndarray) -> np.ndarray:
+        """r_{0:t-1}(x*) given ``reg`` = r_{0:t}(x*): r_0(x*), then ``reg`` shifted down one."""
+        return np.concatenate([[self.reg0(trace, x_star)], reg[:-1]]) if len(reg) else reg
+
+    def stability(self, trace: RunTrace, next_iterates: np.ndarray, sigma) -> np.ndarray:
+        return np.full(trace.iterates.shape[0], np.inf)
+
+
+class _Quadratic(_Family):
+    """Diagonal quadratics inv_t.x^2/2, centered at the origin or (``proximal``) at the iterates."""
+
+    reads_sigma = True
+
+    def __init__(self, proximal: bool):
+        self.proximal = proximal
+
+    def reg0(self, trace, x_star):
+        return 0.5 * float(np.sum(trace.inv0 * x_star ** 2))
+
+    def reg_rows(self, trace, x_star, sigma):
+        if not self.proximal:
+            return 0.5 * trace.inv_rates @ (x_star ** 2)
+        if sigma is None:
+            sigma = trace.sigmas()
+        d = np.subtract(x_star, trace.iterates)
+        np.square(d, out=d)
+        contrib = 0.5 * np.sum(np.multiply(sigma, d, out=d), axis=1)
+        return self.reg0(trace, x_star) + np.cumsum(contrib)
+
+    def prior_reg_rows(self, trace, x_star, reg):
+        if self.proximal or not len(reg):
+            return super().prior_reg_rows(trace, x_star, reg)
+        # centered: the same matrix-vector product as r_{0:t}, on the rows shifted
+        # down one; an r_0(x*) computed apart and prepended differs in the last bit
+        half = np.empty_like(trace.inv_rates)
+        np.multiply(0.5, trace.inv0, out=half[0])
+        np.multiply(0.5, trace.inv_rates[:-1], out=half[1:])
+        return half @ (x_star ** 2)
+
+    def stability(self, trace, next_iterates, sigma):
+        """h_{0:t} = g_{1:t}.x + inv_t.x^2/2 (- a_{1:t}.x, a_s = sigma_s x_s, when proximal)
+        + t lam ||x||_1 + the recentering value sum_s sigma_s ||x_s||^2/2, and
+        r_t = sigma_t ||x_t||^2/2 (0 when proximal) + lam ||x_t||_1.  Given
+        ``trace.psi``, the proximal form with the penalty replaced by its
+        tangents: linear term g_{1:t} + g_psi_{1:t}, r_t(x_t) = g_psi_t.x_t.
+        One (T, n) buffer holds g_{1:t}, g_psi_{1:t}, each weighted square and a_{1:t}.
+        """
+        X, Xn = trace.iterates, next_iterates
+        buf = _prefix_sums(trace.grads)  # g_{1:t}
+        now, nxt = _row_dots(buf, X), _row_dots(buf, Xn)
+        if trace.psi is not None:
+            _prefix_sums(trace.psi, out=buf)  # g_psi_{1:t}
+            now, nxt = now + _row_dots(buf, X), nxt + _row_dots(buf, Xn)
+        tmp = buf
+
+        def half_weighted_sq(w, P):
+            return 0.5 * np.sum(np.multiply(w, np.square(P, out=tmp), out=tmp), axis=1)
+
+        inv = trace.inv_rates
+        quad_now, quad_next = half_weighted_sq(inv, X), half_weighted_sq(inv, Xn)
+        inc = half_weighted_sq(sigma, X)  # sigma_t ||x_t||^2 / 2
+        rec = 0.0
+        if self.proximal:
+            adj = _prefix_sums(np.multiply(sigma, X, out=tmp), out=tmp)  # a_{1:t}
+            quad_now, quad_next = quad_now - _row_dots(adj, X), quad_next - _row_dots(adj, Xn)
+            rec = np.cumsum(inc)
+        if trace.psi is not None:
+            return (now + (quad_now + rec)) - (nxt + (quad_next + rec)) - _row_dots(trace.psi, X)
+        h_now, h_next = now + quad_now, nxt + quad_next
+        r_t = 0.0 if self.proximal else inc
+        lam = trace.penalty_lam
+        if lam:
+            l1_now = np.sum(np.abs(X, out=tmp), axis=1)
+            l1_next = np.sum(np.abs(Xn, out=tmp), axis=1)
+            ts = np.arange(1, X.shape[0] + 1, dtype=float)
+            h_now, h_next = h_now + ts * lam * l1_now, h_next + ts * lam * l1_next
+            r_t = r_t + lam * l1_now
+        return (h_now + rec) - (h_next + rec) - r_t
+
+    def divergence(self, w, u, v) -> float:
+        """The Bregman divergence of sum_i w_i x_i^2 / 2: sum_i w_i (u_i - v_i)^2 / 2."""
+        u = as_point(u)
+        v = as_point(v, dim=u.size)
+        return float(0.5 * np.sum(np.broadcast_to(w, u.shape) * (u - v) ** 2))
+
+
+class _Entropic(_Family):
+    """inv_t (negative entropy of x), inv_t the first coordinate's inverse rate; sup-norm duals."""
+
+    reads_sigma = True
+    sup_dual = True
+
+    @staticmethod
+    def _at(x_star):  # +inf where a coordinate is negative, off the entropy's domain
+        return negative_entropy(x_star) if np.all(x_star >= 0) else math.inf
+
+    def reg0(self, trace, x_star):
+        return trace.inv0[0] * self._at(x_star)
+
+    def reg_rows(self, trace, x_star, sigma):
+        return trace.inv_rates[:, 0] * self._at(x_star)
+
+    def stability(self, trace, next_iterates, sigma):
+        """h_{0:t} is g_{1:t}.x + inv_t (negative entropy of x), r_t = sigma_t (negative
+        entropy of x_t), the entropies taken row-wise."""
+        X, Xn = trace.iterates, next_iterates
+        g_sum = _prefix_sums(trace.grads)
+        now, nxt = _row_dots(g_sum, X), _row_dots(g_sum, Xn)
         ent, ent_next = _negative_entropy_rows(X), _negative_entropy_rows(Xn)
         w = trace.inv_rates[:, 0]
         return (now + w * ent) - (nxt + w * ent_next) - sigma[:, 0] * ent
-    if kind == STRONGLY_CONVEX:
-        ts = np.arange(1, T + 1, dtype=float)
+
+    def divergence(self, w: float, u, v) -> float:
+        """w sum_i [u_i log(u_i/v_i) - u_i + v_i], w KL(u || v) when both sum to one; v > 0."""
+        u = as_point(u)
+        v = as_point(v, dim=u.size)
+        if np.any(v <= 0) or np.any(u < 0):
+            raise ValueError("entropic divergence requires u >= 0 and v > 0")
+        terms = np.where(u > 0, u * np.log(np.where(u > 0, u, 1.0) / v), 0.0)
+        return float(w * (np.sum(terms) - u.sum() + v.sum()))
+
+
+class _LowerBounds(_Family):
+    """Follow the leader on the strongly convex losses' quadratic lower bounds; no regularizer."""
+
+    def stability(self, trace, next_iterates, sigma):
+        """h_{0:t} is the summed lower bounds g_s.(x - x_s) + ||x - x_s||^2/2."""
+        X, Xn = trace.iterates, next_iterates
+        buf = _prefix_sums(trace.grads)  # g_{1:t}
+        now, nxt = _row_dots(buf, X), _row_dots(buf, Xn)
+        ts = np.arange(1, X.shape[0] + 1, dtype=float)
         gx = np.cumsum(_row_dots(trace.grads, X))
         sq = np.cumsum(_row_dots(X, X))
         centers = _prefix_sums(X, out=buf)
@@ -276,34 +339,37 @@ def _stability_terms(trace: RunTrace, next_iterates: np.ndarray,
             return lin - gx + 0.5 * (ts * _row_dots(P, P) - 2.0 * _row_dots(P, centers) + sq)
 
         return h(X, now) - h(Xn, nxt)
-    if trace.psi is not None:
-        _prefix_sums(trace.psi, out=buf)  # g_psi_{1:t}
-        now, nxt = now + _row_dots(buf, X), nxt + _row_dots(buf, Xn)
-    tmp = buf
 
-    def half_weighted_sq(w, P):
-        return 0.5 * np.sum(np.multiply(w, np.square(P, out=tmp), out=tmp), axis=1)
 
-    inv = trace.inv_rates
-    quad_now, quad_next = half_weighted_sq(inv, X), half_weighted_sq(inv, Xn)
-    inc = half_weighted_sq(sigma, X)  # sigma_t ||x_t||^2 / 2
-    rec = 0.0
-    if kind == PROXIMAL:
-        adj = _prefix_sums(np.multiply(sigma, X, out=tmp), out=tmp)  # a_{1:t}
-        quad_now, quad_next = quad_now - _row_dots(adj, X), quad_next - _row_dots(adj, Xn)
-        rec = np.cumsum(inc)
-    if trace.psi is not None:
-        return (now + (quad_now + rec)) - (nxt + (quad_next + rec)) - _row_dots(trace.psi, X)
-    h_now, h_next = now + quad_now, nxt + quad_next
-    r_t = inc if kind == CENTERED else 0.0
-    lam = trace.penalty_lam
-    if lam:
-        l1_now = np.sum(np.abs(X, out=tmp), axis=1)
-        l1_next = np.sum(np.abs(Xn, out=tmp), axis=1)
-        ts = np.arange(1, T + 1, dtype=float)
-        h_now, h_next = h_now + ts * lam * l1_now, h_next + ts * lam * l1_next
-        r_t = r_t + lam * l1_now
-    return (h_now + rec) - (h_next + rec) - r_t
+# The one place a ``reg_kind`` name meets its accounting.
+_FAMILIES = {NONE: _Family(), CENTERED: _Quadratic(proximal=False),
+             PROXIMAL: _Quadratic(proximal=True), ENTROPIC: _Entropic(),
+             STRONGLY_CONVEX: _LowerBounds()}
+
+
+def _family(kind: str) -> _Family:
+    """The family object of a ``reg_kind`` name; ValueError for an unknown name."""
+    family = _FAMILIES.get(kind)
+    if family is None:
+        raise ValueError(f"unknown regularizer kind {kind!r} (known: {', '.join(_FAMILIES)})")
+    return family
+
+
+def _stability_terms(trace: RunTrace, next_iterates: np.ndarray,
+                     sigma: np.ndarray | None) -> np.ndarray:
+    """h_{0:t}(x_t) - h_{0:t}(x_{t+1}) - r_t(x_t) for t = 1..T from the trace's family.
+
+    h_{0:t} is the objective minimized after round t, less the constants it
+    cannot know (true loss values); ``next_iterates[t-1]`` is x_{t+1};
+    ``sigma`` is ``trace.sigmas()`` or None.  +inf for the ``none`` kind and
+    a linearized trace without ``psi``.  Each sum is taken in the order a
+    round-by-round evaluation of h_{0:t} takes it, so that the terms equal it
+    bit for bit (tests/test_decomposition_rhs.py keeps one as the oracle).
+    """
+    family = _family(trace.reg_kind)
+    if trace.linearized and trace.psi is None:
+        return np.full(trace.iterates.shape[0], np.inf)
+    return family.stability(trace, next_iterates, sigma)
 
 
 def bound_curve(rule: BoundRule, cfg: BoundConfig, grads, x_star=None,
@@ -350,22 +416,24 @@ def bound_curve(rule: BoundRule, cfg: BoundConfig, grads, x_star=None,
     if trace is None or x_star is None:
         raise ValueError(f"{rule.value} needs a run trace and a comparator")
     x_star = as_point(x_star)
-    return _trace_bound(rule, grads, trace, x_star, _reg_curve(trace, x_star))
+    return _trace_bound(rule, grads, trace, x_star,
+                        _family(trace.reg_kind).reg_rows(trace, x_star, None))
 
 
 def _trace_bound(rule: BoundRule, grads: np.ndarray, trace: RunTrace, x_star: np.ndarray,
                  reg: np.ndarray) -> np.ndarray:
-    """A trace-based rule's curve, given ``reg`` = r_{0:t}(x*) from ``_reg_curve``.
+    """A trace-based rule's curve, given ``reg`` = r_{0:t}(x*) from the trace's family.
 
     ``_bound_and_rhs`` shares ``reg`` with the decomposition RHS, so that a
     run builds it once.
     """
-    sup = trace.reg_kind == ENTROPIC
+    family = _family(trace.reg_kind)
+    sup = family.sup_dual
     if rule is BoundRule.GENERAL_FTRL:
         # the dual norms at the rates of the round before: inv0, then inv_{t-1}
         duals = np.concatenate([_dual_sq_rows(grads[:1], trace.inv0[None, :], sup),
                                 _dual_sq_rows(grads[1:], trace.inv_rates[:-1], sup)])
-        return _prior_reg_curve(trace, x_star, reg) + 0.5 * np.cumsum(duals)
+        return family.prior_reg_rows(trace, x_star, reg) + 0.5 * np.cumsum(duals)
     duals = _dual_sq_rows(grads, trace.inv_rates, sup)
     factor = 1.0 if rule is BoundRule.WEAK_PROXIMAL else 0.5
     curve = reg + factor * np.cumsum(duals)
@@ -383,8 +451,9 @@ def _bound_and_rhs(trace: RunTrace, next_iterates: np.ndarray, x_star: np.ndarra
     x*; it is +inf if any stability term is.  ``next_iterates[t-1]`` is x_{t+1}.
     """
     T = trace.grads.shape[0]
-    sigma = trace.sigmas() if trace.reg_kind in (CENTERED, PROXIMAL, ENTROPIC) else None
-    reg = _reg_curve(trace, x_star, sigma)
+    family = _family(trace.reg_kind)
+    sigma = trace.sigmas() if family.reads_sigma else None
+    reg = family.reg_rows(trace, x_star, sigma)
     if rule is None or T == 0:
         bound = np.full(T, np.inf)
     elif rule in _GENERIC_RULES:

@@ -15,7 +15,8 @@ import sys
 import numpy as np
 
 from .bounds import BoundRule
-from .core import AdaGradRate, ConstantRate, FeasibleSet, InverseSqrtRate, _require_finite
+from .core import GRAD_LIMIT, AdaGradRate, ConstantRate, FeasibleSet, InverseSqrtRate
+from .core import _require_finite
 from .driver import _play, repro_l1_example, run_rounds
 from .learners import (
     BoundConfig,
@@ -79,7 +80,8 @@ LEARNERS = tuple(COMPAT)
 def parse_config(path: str) -> dict:
     cfg = dict(_DEFAULTS)
     try:
-        text = open(path, encoding="utf-8").read()
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as err:
         raise UsageError(f"cannot read config: {err}")
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -232,6 +234,10 @@ def build_run(cfg):
                          "its comparator, the mean center, is not on the simplex")
     if cfg["learner"] == "ogd-strongly-convex" and isinstance(stream, StronglyConvexQuadraticStream):
         bc.G = stream.gradient_cap
+    # the bounds square these, and more; a constant the run ignores is rejected too
+    for key, value in [(k, cfg[k]) for k in ("R", "R_inf", "G", "G_inf")] + [("G = 2R", bc.G)]:
+        if value >= GRAD_LIMIT:
+            raise UsageError(f"{key} = {value:g} must be below 2^511 (about 6.7e153)")
     return learner, stream, rule, bc, comparator_set
 
 

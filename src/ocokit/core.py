@@ -1,9 +1,9 @@
 """Shared domain types for online convex optimization learners.
 
-Feasible sets, learning-rate schedules, composite penalties, quadratic and
-entropic regularizers, and the closed-form scalar solvers every learner is
-built from.  All functions here are pure; instances of the small classes are
-immutable after construction and safe to share between threads.
+Feasible sets, learning-rate schedules, composite penalties, the negative
+entropy, and the closed-form scalar solvers every learner is built from.
+All functions here are pure; instances of the small classes are immutable
+after construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -257,41 +257,8 @@ def penalty_weight(lam) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Regularizers and Bregman divergences
+# Negative entropy
 # ---------------------------------------------------------------------------
-
-class RegularizerSpec:
-    """Snapshot of an accumulated regularizer r_{0:t}.
-
-    Quadratic-diagonal: r(x) = sum_i w_i x_i^2 / 2 (per-coordinate weights).
-    Entropic: r(x) = w (log n + sum_i x_i log x_i) on the probability simplex.
-    """
-
-    QUADRATIC = "quadratic-diagonal"
-    ENTROPIC = "entropic"
-
-    def __init__(self, kind, weights):
-        if kind not in (self.QUADRATIC, self.ENTROPIC):
-            raise ValueError(f"unknown regularizer kind {kind!r}")
-        if kind == self.QUADRATIC:
-            weights = np.atleast_1d(np.asarray(weights, dtype=float))
-            if np.any(weights < 0) or not np.all(np.isfinite(weights)):
-                raise ValueError("quadratic weights must be finite and >= 0")
-        else:
-            weights = float(weights)
-            if not (np.isfinite(weights) and weights >= 0):
-                raise ValueError("entropic weight must be finite and >= 0")
-        self.kind = kind
-        self.weights = weights
-
-    @classmethod
-    def quadratic_diagonal(cls, weights) -> "RegularizerSpec":
-        return cls(cls.QUADRATIC, weights)
-
-    @classmethod
-    def entropic(cls, weight: float) -> "RegularizerSpec":
-        return cls(cls.ENTROPIC, weight)
-
 
 def negative_entropy(x) -> float:
     """log n + sum_i x_i log x_i with the convention 0 log 0 = 0."""
@@ -316,27 +283,6 @@ def _negative_entropy_rows(X: np.ndarray) -> np.ndarray:
         pos = x[x > 0]
         out[t] = log_n + np.sum(pos * np.log(pos))
     return out
-
-
-def bregman_divergence(reg: RegularizerSpec, u, v) -> float:
-    """r(u) - r(v) - grad r(v) . (u - v); nonnegative for convex r.
-
-    For quadratic-diagonal r this is sum_i w_i (u_i - v_i)^2 / 2.  For the
-    entropic form it is w * sum_i [u_i log(u_i/v_i) - u_i + v_i], which
-    reduces to w * KL(u || v) when u and v both sum to one; v must be
-    strictly positive.
-    """
-    u = as_point(u)
-    v = as_point(v, dim=u.size)
-    if reg.kind == RegularizerSpec.QUADRATIC:
-        w = np.broadcast_to(reg.weights, u.shape)
-        return float(0.5 * np.sum(w * (u - v) ** 2))
-    if np.any(v <= 0):
-        raise ValueError("entropic divergence requires strictly positive v")
-    if np.any(u < 0):
-        raise ValueError("entropic divergence requires nonnegative u")
-    terms = np.where(u > 0, u * np.log(np.where(u > 0, u, 1.0) / v), 0.0)
-    return float(reg.weights * (np.sum(terms) - u.sum() + v.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -395,11 +341,14 @@ def _l1_step(b, lam: float, inv, box: float | None = None) -> np.ndarray:
 
 
 def _psi_subgradient(x_prev, x_next, g, w, alpha_lam: float) -> np.ndarray:
-    """The L1-penalty subgradient a step from x_prev with g took to reach x_next.
+    """The L1-penalty subgradient a step from x_prev with g at weights w took to reach x_next.
 
-    ``mirror.extract_psi_subgradient`` on arrays of one shape, unchecked; a
-    (T, n) block is T steps.  The membership and residual checks stay: they
-    test the step, not its inputs, and raise ConsistencyError.
+    -alpha_lam where x_next < 0, +alpha_lam where > 0, w x_prev - g on exact
+    zeros; arrays of one shape, unchecked (a (T, n) block is T steps).
+    ConsistencyError unless g_psi is in [-alpha_lam, alpha_lam] to
+    1e-12 max(1, alpha_lam) and each residual g_i + g_psi_i + w_i (x_next_i -
+    x_prev_i) is within 1e-9 max(1, |g_i|, |g_psi_i|, |w_i x_next_i|,
+    |w_i x_prev_i|), so rounding noise at large magnitudes passes.
     """
     g_psi = np.where(x_next > 0, alpha_lam,
                      np.where(x_next < 0, -alpha_lam, w * x_prev - g))

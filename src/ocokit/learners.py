@@ -179,7 +179,8 @@ class QuadraticFtrl(OnlineLearner):
         self.centering = centering
         self.g_sum = np.zeros(dim)
         self.sq_sum = np.zeros(dim)
-        self.adj_sum = np.zeros(dim)
+        if centering == PROXIMAL:
+            self.adj_sum = np.zeros(dim)  # a_{1:t}, which only the proximal step reads
         self.last_inv_rate = self._inverse_rate()
 
     @property

@@ -41,24 +41,6 @@ from .learners import (
 )
 
 
-def extract_psi_subgradient(x_prev, x_next, g, inv_rate, alpha_lam: float) -> np.ndarray:
-    """Recover the L1-penalty subgradient the mirror step implicitly used.
-
-    Coordinate-wise: -alpha_lam where x_next < 0, +alpha_lam where > 0, and
-    inv_rate * x_prev - g on exact zeros.  Validates membership in
-    [-alpha_lam, alpha_lam] and the step's optimality residual
-    g + g_psi + inv_rate (x_next - x_prev) = 0.  Both tolerances scale
-    with the operands, so rounding noise at large magnitudes passes: the
-    residual of coordinate i may reach 1e-9 max(1, |g_i|, |g_psi_i|,
-    |w_i x_next_i|, |w_i x_prev_i|), membership 1e-12 max(1, alpha_lam).
-    """
-    x_prev = as_point(x_prev)
-    x_next = as_point(x_next, dim=x_prev.size)
-    g = as_point(g, dim=x_prev.size)
-    w = np.broadcast_to(np.asarray(inv_rate, dtype=float), x_prev.shape)
-    return _psi_subgradient(x_prev, x_next, g, w, penalty_weight(alpha_lam))
-
-
 class MirrorDescent(OnlineLearner):
     """x_{t+1} = argmin g_t . x + lam ||x||_1 + B_t(x, x_t).
 

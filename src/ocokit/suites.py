@@ -13,17 +13,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core, oracle
-from .bounds import BoundRule, RunTrace, bound_curve
-from .core import (
-    AdaGradRate,
-    ConstantRate,
-    FeasibleSet,
-    InverseSqrtRate,
-    RegularizerSpec,
-)
+from .bounds import BoundRule, RunTrace, _family, bound_curve
+from .core import AdaGradRate, ConstantRate, FeasibleSet, InverseSqrtRate
 from .driver import _play, repro_l1_example, run_rounds
 from .learners import (
     CENTERED,
+    ENTROPIC,
     BoundConfig,
     DualAveraging,
     EntropicFtrl,
@@ -401,17 +396,17 @@ def suite_core(seed0: int = 0) -> SuiteResult:
     res.check(ok, "softmax: positive, sums to one, shift invariant")
 
     ok = True
+    quadratic, entropic = _family(CENTERED), _family(ENTROPIC)
     for _ in range(500):
         n = int(rng.integers(1, 5))
         w = rng.uniform(0, 3, size=n)
         u, v = rng.normal(0, 2, size=n), rng.normal(0, 2, size=n)
-        reg = RegularizerSpec.quadratic_diagonal(w)
-        d = core.bregman_divergence(reg, u, v)
-        ok = ok and d >= -1e-12 and abs(core.bregman_divergence(reg, u, u)) <= 1e-12
+        d = quadratic.divergence(w, u, v)
+        ok = ok and d >= -1e-12 and abs(quadratic.divergence(w, u, u)) <= 1e-12
         p = core.softmax_simplex(rng.normal(0, 1, size=n + 1))
         q = core.softmax_simplex(rng.normal(0, 1, size=n + 1))
-        ent = RegularizerSpec.entropic(float(rng.uniform(0.1, 3)))
-        ok = ok and core.bregman_divergence(ent, p, q) >= -1e-12
+        weight = float(rng.uniform(0.1, 3))
+        ok = ok and entropic.divergence(weight, p, q) >= -1e-12
     res.check(ok, "divergences are nonnegative and vanish at u = v")
 
     ok = True

@@ -6,14 +6,39 @@ import pytest
 from ocokit.bounds import (
     BoundRule,
     RegretRecord,
+    RunTrace,
+    _bound_and_rhs,
+    _stability_terms,
     best_comparator,
     bound_curve,
     cumulative_regret,
 )
 from ocokit.core import ConstantRate, FeasibleSet, InverseSqrtRate
 from ocokit.driver import run_rounds
-from ocokit.learners import BoundConfig, DualAveraging, FtrlProximal
+from ocokit.learners import BoundConfig, DualAveraging, FtrlProximal, StronglyConvexOgd
 from ocokit.streams import RandomLinearStream
+
+
+class _SidewaysOgd(StronglyConvexOgd):
+    reg_kind = "sideways"  # no regularizer family has this name
+
+
+def test_an_unknown_regularizer_kind_raises_instead_of_reading_as_none():
+    zeros = np.zeros((3, 2))
+    trace = RunTrace(grads=zeros, iterates=zeros, inv_rates=np.ones((3, 2)), inv0=np.ones(2),
+                     reg_kind="sideways")
+    x_star = np.zeros(2)
+    calls = [
+        lambda: _bound_and_rhs(trace, zeros, x_star, BoundRule.GENERAL_FTRL, BoundConfig()),
+        lambda: _bound_and_rhs(trace, zeros, x_star, None, None),
+        lambda: bound_curve(BoundRule.FTRL_PROXIMAL, BoundConfig(), zeros, x_star, trace),
+        lambda: _stability_terms(trace, zeros, None),
+        lambda: run_rounds(_SidewaysOgd(2), RandomLinearStream(0, 2, 1.0), 3,
+                           comparator_set=FeasibleSet.l2_ball(1.0)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="unknown regularizer kind 'sideways'"):
+            call()
 
 
 @pytest.mark.parametrize("losses,comp,expected", [

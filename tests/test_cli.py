@@ -1,6 +1,8 @@
+import gc
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +62,18 @@ def assert_one_line_usage_error(code, out, err, starts="ocokit: "):
 
 
 SQ_SUM_ERR = "ocokit: squared-gradient sums need |g_i| < 2^511"
+
+# a stream and a bound each CLI learner runs with
+LEARNER_RUNS = {
+    "dual-averaging": ("random-linear", "da-closed-form"),
+    "constant-ogd": ("random-linear", "non-adaptive"),
+    "ftrl-proximal": ("random-linear", "ftrl-proximal"),
+    "adagrad-ftrl-proximal": ("random-linear-sup", "adagrad-per-coord"),
+    "ftrl-l1": ("random-linear", "composite"),
+    "md-l1": ("random-linear", "mirror-descent"),
+    "entropic": ("random-linear-sup", "entropic"),
+    "ogd-strongly-convex": ("strongly-convex", "strongly-convex-log"),
+}
 
 
 def run_cli(argv, capsys):
@@ -260,6 +274,48 @@ class TestRun:
                                      f"R = {radius}\n")
         assert_one_line_usage_error(*run_cli(["run", "--config", cfg], capsys),
                                     "ocokit: l2-ball requires a strictly positive radius")
+
+    @pytest.mark.parametrize("learner", list(LEARNER_RUNS))
+    def test_a_bound_constant_at_or_past_2_511_is_usage_error(self, tmp_path, capsys, learner):
+        stream, bound = LEARNER_RUNS[learner]
+        for key in ("R", "R_inf", "G", "G_inf"):
+            for value in ("1e100", "1e154", "1e200", "1e300"):
+                cfg = write_config(tmp_path, f"learner = {learner}\nstream = {stream}\n"
+                                             f"bound = {bound}\nT = 5\nn = 2\nseed = 4\n"
+                                             f"lambda = 0.1\n{key} = {value}\n")
+                code, out, err = run_cli(["run", "--config", cfg], capsys)
+                assert "nan" not in out + err, (key, value)
+                if value == "1e100":  # below the limit every such run succeeds
+                    assert (code, err) == (0, ""), (key, value)
+                else:
+                    assert_one_line_usage_error(code, out, err)
+
+    @pytest.mark.parametrize("learner,stream,bound,n", [
+        ("ftrl-proximal", "random-linear", "ftrl-proximal", 1),  # was a nan bound, exit 1
+        ("ogd-strongly-convex", "strongly-convex", "strongly-convex-log", 2),  # OverflowError
+    ])
+    def test_a_huge_radius_names_the_constant(self, tmp_path, capsys, learner, stream, bound, n):
+        cfg = write_config(tmp_path, f"learner = {learner}\nstream = {stream}\nbound = {bound}\n"
+                                     f"T = 5\nn = {n}\nseed = 4\nR = 1e200\n")
+        code, out, err = run_cli(["run", "--config", cfg], capsys)
+        assert (code, out, err) == (
+            2, "", "ocokit: R = 1e+200 must be below 2^511 (about 6.7e153)\n")
+
+    def test_a_derived_gradient_cap_past_2_511_is_usage_error(self, tmp_path, capsys):
+        # R is below the limit, but the strongly convex stream's gradient cap 2R is not
+        cfg = write_config(tmp_path, "learner = ogd-strongly-convex\nstream = strongly-convex\n"
+                                     "bound = strongly-convex-log\nT = 5\nn = 2\nR = 4e153\n")
+        code, out, err = run_cli(["run", "--config", cfg], capsys)
+        assert (code, out, err) == (
+            2, "", "ocokit: G = 2R = 8e+153 must be below 2^511 (about 6.7e153)\n")
+
+    def test_parse_config_closes_its_file(self, tmp_path):
+        cfg = write_config(tmp_path, RUN_CFG)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.parse_config(cfg)["learner"] == "dual-averaging"
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_adversary_run_with_mirror_descent(self, tmp_path, capsys):
         cfg = write_config(tmp_path, """

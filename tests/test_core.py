@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from ocokit import core
-from ocokit.bounds import RunTrace
+from ocokit.bounds import RunTrace, _family
 from ocokit.core import (
     AdaGradRate,
     ConstantRate,
     FeasibleSet,
     InverseSqrtRate,
     InvariantViolation,
-    RegularizerSpec,
 )
-from ocokit.learners import CENTERED
+from ocokit.learners import CENTERED, ENTROPIC, PROXIMAL
 from ocokit.oracle import default_bracket, numeric_argmin_1d
 
 
@@ -98,9 +97,12 @@ def test_softmax_simplex_properties():
 
 
 def test_bregman_quadratic():
-    reg = RegularizerSpec.quadratic_diagonal([1.0, 1.0])
-    assert core.bregman_divergence(reg, [1.0, 0.0], [0.0, 0.0]) == pytest.approx(0.5)
-    assert core.bregman_divergence(reg, [0.3, -0.7], [0.3, -0.7]) == pytest.approx(0.0, abs=1e-15)
+    # where the quadratics are centered does not change their divergence
+    for quadratic in (_family(CENTERED), _family(PROXIMAL)):
+        assert quadratic.divergence([1.0, 1.0], [1.0, 0.0], [0.0, 0.0]) == pytest.approx(0.5)
+        assert quadratic.divergence([1.0, 1.0], [0.3, -0.7], [0.3, -0.7]) == \
+            pytest.approx(0.0, abs=1e-15)
+        assert quadratic.divergence([2.0, 0.5], [1.0, 2.0], [0.0, 0.0]) == pytest.approx(2.0)
 
 
 def test_bregman_entropic_is_kl_on_the_simplex():
@@ -108,26 +110,28 @@ def test_bregman_entropic_is_kl_on_the_simplex():
     u, v = np.array([0.5, 0.5]), np.array([0.9, 0.1])
     expected = float(np.sum(u * np.log(u / v)))
     assert expected == pytest.approx(0.5108256237659907, abs=1e-15)
-    reg = RegularizerSpec.entropic(1.0)
-    assert core.bregman_divergence(reg, u, v) == pytest.approx(expected, abs=1e-12)
+    assert _family(ENTROPIC).divergence(1.0, u, v) == pytest.approx(expected, abs=1e-12)
+    assert _family(ENTROPIC).divergence(3.0, u, v) == pytest.approx(3.0 * expected, abs=1e-12)
 
 
 def test_bregman_entropic_rejects_boundary_reference_point():
-    reg = RegularizerSpec.entropic(1.0)
     with pytest.raises(ValueError):
-        core.bregman_divergence(reg, [0.5, 0.5], [1.0, 0.0])
+        _family(ENTROPIC).divergence(1.0, [0.5, 0.5], [1.0, 0.0])
+    with pytest.raises(ValueError):
+        _family(ENTROPIC).divergence(1.0, [1.5, -0.5], [0.5, 0.5])
 
 
 def test_bregman_nonnegative_everywhere():
     rng = np.random.default_rng(3)
+    quadratic, entropic = _family(CENTERED), _family(ENTROPIC)
     for _ in range(500):
         n = int(rng.integers(1, 5))
-        reg = RegularizerSpec.quadratic_diagonal(rng.uniform(0, 3, size=n))
-        assert core.bregman_divergence(reg, rng.normal(size=n), rng.normal(size=n)) >= -1e-12
-        ent = RegularizerSpec.entropic(float(rng.uniform(0.1, 2)))
+        w = rng.uniform(0, 3, size=n)
+        assert quadratic.divergence(w, rng.normal(size=n), rng.normal(size=n)) >= -1e-12
+        weight = float(rng.uniform(0.1, 2))
         p = core.softmax_simplex(rng.normal(size=n + 1))
         q = core.softmax_simplex(rng.normal(size=n + 1))
-        assert core.bregman_divergence(ent, p, q) >= -1e-12
+        assert entropic.divergence(weight, p, q) >= -1e-12
 
 
 def schedule_trace(sched, sq_sums):

@@ -17,17 +17,18 @@ import numpy as np
 import pytest
 
 from ocokit import suites
-from ocokit.bounds import BoundRule, _penalty_curve, _reg_curve
+from ocokit.bounds import BoundRule, _family, _penalty_curve
 from ocokit.core import (
     AdaGradRate,
     ConstantRate,
     FeasibleSet,
     InverseSqrtRate,
+    _psi_subgradient,
     negative_entropy,
 )
 from ocokit.driver import run_rounds
 from ocokit.learners import BoundConfig, EntropicFtrl, FtrlCompositeL1, FtrlProximal
-from ocokit.mirror import MdAsFtrl, MirrorDescent, extract_psi_subgradient
+from ocokit.mirror import MdAsFtrl, MirrorDescent
 from ocokit.streams import RandomLinearStream
 
 
@@ -146,7 +147,7 @@ class _TangentHistory:
 
     def after_step(self, x_prev, g, x_next):
         lam_t = self.learner.lam  # alpha_t = 1
-        g_psi = extract_psi_subgradient(x_prev, x_next, g, self.learner.last_inv_rate, lam_t)
+        g_psi = _psi_subgradient(x_prev, x_next, g, self.learner.last_inv_rate, lam_t)
         sigma = np.maximum(self.learner.last_inv_rate - self.prev_weights, 0.0)
         self.g_sum = self.g_sum + g
         self.adj_sum = self.adj_sum + sigma * x_prev
@@ -250,7 +251,8 @@ def assert_stability_matches_oracle(make, T):
     trace, x_star = result.trace, result.x_star
     penalty = np.cumsum(trace.psi @ x_star) if trace.psi is not None \
         else _penalty_curve(trace, x_star)
-    expected = _reg_curve(trace, x_star) + penalty + np.cumsum(stability)
+    reg = _family(trace.reg_kind).reg_rows(trace, x_star, None)
+    expected = reg + penalty + np.cumsum(stability)
     np.testing.assert_allclose(result.record.strong_ftrl_rhs, expected, rtol=1e-13, atol=0)
 
 

@@ -1,10 +1,11 @@
 """The learner contract, and a caller's write into a returned iterate.
 
 Every learner class the package exports is an ``OnlineLearner`` that takes
-its dimension first and rejects a gradient of any other size before its
-state moves.  ``step`` returns the learner's own array without a copy, and
-the next step reads it back as x_prev, so every learner family publishes it
-read-only: a caller's write must not change the learner's state.
+its dimension first, rejects a gradient of any other size before its state
+moves, and names by ``reg_kind`` a regularizer family that ``bounds`` knows.
+``step`` returns the learner's own array without a copy, and the next step
+reads it back as x_prev, so every learner family publishes it read-only: a
+caller's write must not change the learner's state.
 """
 
 import inspect
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import ocokit
+from ocokit.bounds import _FAMILIES, _family
 from ocokit.core import AdaGradRate, ConstantRate, FeasibleSet, InverseSqrtRate
 from ocokit.learners import (
     DualAveraging,
@@ -88,6 +90,13 @@ def test_the_table_covers_every_exported_learner_class():
 def test_every_exported_learner_is_an_online_learner_that_takes_dim_first(cls):
     assert issubclass(cls, OnlineLearner)
     assert list(inspect.signature(cls).parameters)[0] == "dim"
+
+
+@pytest.mark.parametrize("name", list(LEARNERS))
+def test_every_learner_names_a_regularizer_family(name):
+    kind = LEARNERS[name]().reg_kind
+    assert type(kind) is str
+    assert _family(kind) is _FAMILIES[kind]
 
 
 @pytest.mark.parametrize("name", list(LEARNERS))

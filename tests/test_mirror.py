@@ -9,15 +9,10 @@ from ocokit.core import (
     FeasibleSet,
     InverseSqrtRate,
     UnsupportedCombination,
+    _psi_subgradient,
 )
 from ocokit.driver import repro_l1_example
-from ocokit.mirror import (
-    GreedyProjection,
-    LazyProjection,
-    MdAsFtrl,
-    MirrorDescent,
-    extract_psi_subgradient,
-)
+from ocokit.mirror import GreedyProjection, LazyProjection, MdAsFtrl, MirrorDescent
 
 
 class TestMirrorDescent:
@@ -63,12 +58,14 @@ class TestMirrorDescent:
 
 class TestExtractPsiSubgradient:
     def test_sign_cases(self):
-        g_psi = extract_psi_subgradient([0.2], [-0.3], [1.0], [1.0], 0.5)
+        g_psi = _psi_subgradient(np.array([0.2]), np.array([-0.3]), np.array([1.0]),
+                                 np.array([1.0]), 0.5)
         assert g_psi[0] == -0.5
 
     def test_zero_case_residual_value(self):
         # x_{t+1} = 0 with x_t/eta = 2, g = 1.7 gives 0.3 inside [-0.5, 0.5]
-        g_psi = extract_psi_subgradient([2.0], [0.0], [1.7], [1.0], 0.5)
+        g_psi = _psi_subgradient(np.array([2.0]), np.array([0.0]), np.array([1.7]),
+                                 np.array([1.0]), 0.5)
         assert g_psi[0] == pytest.approx(0.3)
         assert abs(g_psi[0]) <= 0.5
 
@@ -81,7 +78,8 @@ class TestExtractPsiSubgradient:
 
     def test_inconsistent_points_raise(self):
         with pytest.raises(ConsistencyError):
-            extract_psi_subgradient([0.0], [5.0], [1.0], [1.0], 0.5)
+            _psi_subgradient(np.array([0.0]), np.array([5.0]), np.array([1.0]),
+                             np.array([1.0]), 0.5)
 
     @pytest.mark.parametrize("scale", [1e6, 1e9])
     def test_large_gradients_pass_the_residual_check(self, scale):
@@ -106,8 +104,7 @@ class TestExtractPsiSubgradient:
             x_next = md.step(g)
             assert np.any(x_next != 0)
             with pytest.raises(ConsistencyError):
-                extract_psi_subgradient(x_prev, x_next * (1 + 1e-6), g, md.last_inv_rate,
-                                        md.lam)
+                _psi_subgradient(x_prev, x_next * (1 + 1e-6), g, md.last_inv_rate, md.lam)
 
     def test_memberships_on_random_runs(self):
         rng = np.random.default_rng(3)

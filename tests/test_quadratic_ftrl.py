@@ -20,6 +20,7 @@ from ocokit.core import (
     InverseSqrtRate,
     LearningRateSchedule,
     UnsupportedCombination,
+    _psi_subgradient,
     clamp_box,
     project_l2_ball,
     project_l2_ball_weighted,
@@ -32,7 +33,7 @@ from ocokit.learners import (
     FtrlProximal,
     QuadraticFtrl,
 )
-from ocokit.mirror import MdAsFtrl, MirrorDescent, extract_psi_subgradient
+from ocokit.mirror import MdAsFtrl, MirrorDescent
 
 
 def _scalar_soft_threshold(b, lam, a):
@@ -167,7 +168,7 @@ class _MdAsFtrlReference:
             else:
                 raise UnsupportedCombination("unbounded coordinate")
         self.x = x
-        self.g_psi_sum = self.g_psi_sum + extract_psi_subgradient(x_prev, x, g, w, self.lam)
+        self.g_psi_sum = self.g_psi_sum + _psi_subgradient(x_prev, x, g, w, self.lam)
         return self.x
 
 
@@ -326,8 +327,13 @@ def test_presets_keep_the_attributes_suites_read():
                           (FtrlCompositeL1(2, ConstantRate(0.5), 0.1), "centered")):
         learner.step([0.3, -0.4])
         assert learner.reg_kind == kind
-        for attr in ("g_sum", "adj_sum", "sq_sum", "last_inv_rate"):
+        for attr in ("g_sum", "sq_sum", "last_inv_rate"):
             assert getattr(learner, attr).shape == (2,)
+        # the adjustment sum a_{1:t} is state only the proximal step reads
+        if kind == "proximal":
+            assert learner.adj_sum.shape == (2,)
+        else:
+            assert not hasattr(learner, "adj_sum")
         assert learner.lam in (0.0, 0.1)
 
 

@@ -48,7 +48,7 @@ from ocokit.learners import (
     QuadraticFtrl,
 )
 from ocokit.mirror import MirrorDescent
-from ocokit.streams import LINEAR, LogisticStream, StreamEvent
+from ocokit.streams import LINEAR, LogisticStream, RandomLinearStream, StreamEvent
 
 
 def same_bits(a, b):
@@ -304,6 +304,20 @@ def test_high_dim_sparse_logistic_pairs_match_the_reference(pair_name):
     # the wide inputs take the row-by-row prefix sums and the masked divide
     assert result.trace.grads.shape == (HIGH_T, HIGH_N)
     assert np.count_nonzero(result.trace.grads == 0.0) > HIGH_T * HIGH_N // 2
+
+
+@pytest.mark.parametrize("n", [64, HIGH_N])
+def test_centered_general_ftrl_runs_match_the_reference_where_r0_alone_would_not(n):
+    # r_{0:t-1}(x*) of a centered run is one matrix-vector product over the
+    # shifted rows; on these runs an r_0(x*) computed apart (a 1-D dot, a sum
+    # or a one-row product) and prepended moves the last bit of row 1
+    for schedule in (ConstantRate(0.3), InverseSqrtRate(0.7, shift=1)):
+        if n == HIGH_N:
+            stream, T = LogisticStream.synthetic(5, HIGH_N, HIGH_T, density=0.01), HIGH_T
+        else:
+            stream, T = RandomLinearStream(0, n, 1.0), 64
+        assert_run_matches_reference(DualAveraging(n, schedule, BOX), stream, T,
+                                     BoundRule.GENERAL_FTRL, BoundConfig(), BOX)
 
 
 @pytest.mark.parametrize("grads", list(ZERO_GRADS))
