@@ -1,15 +1,13 @@
 """Regret accounting and per-round evaluation of the regret guarantees.
 
-Bounds come in two flavors.  Closed-form rates need only the problem
-constants and the gradient stream.  Generic rates reconstruct the deployed
-regularizer from a RunTrace (per-round inverse rates and iterates recorded
-by the driver) and evaluate it at the realized hindsight comparator, which
-is the tightest checkable form of each guarantee.  ``bound_curve`` returns
-the whole prefix curve.
-
-The Strong FTRL Lemma's stability terms come from the same trace:
-``_stability_terms`` evaluates h_{0:t}(x_t) - h_{0:t}(x_{t+1}) - r_t(x_t) for
-every round at once, after the run, so learners only ever ``step``.
+A run is one ``RunTrace``, the record ``driver._play`` returns, and its
+accounting reads nothing else but x*.  Closed-form rates need only the
+problem constants and the gradients.  Generic rates rebuild the deployed
+regularizer from the trace and evaluate it at the realized hindsight
+comparator, the tightest checkable form of each guarantee; ``bound_curve``
+returns the whole prefix curve.  ``_stability_terms`` evaluates the Strong
+FTRL Lemma's h_{0:t}(x_t) - h_{0:t}(x_{t+1}) - r_t(x_t) from the same trace
+for every round at once, so learners only ever ``step``.
 
 Each regularizer family (none, centered or proximal quadratic, entropic,
 strongly convex lower bounds) is one object that owns its r_{0:t}(x*), its
@@ -28,11 +26,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .core import FeasibleSet, InvariantViolation, _negative_entropy_rows, _row_dots, as_point
-from .core import negative_entropy
+from .core import FeasibleSet, InvariantViolation, _negative_entropy_rows, _psi_subgradient
+from .core import _row_dots, as_point, negative_entropy
 from .learners import CENTERED, ENTROPIC, NONE, PROXIMAL, STRONGLY_CONVEX, BoundConfig
 
 
@@ -81,28 +80,54 @@ class RegretRecord:
 
 @dataclass
 class RunTrace:
-    """What the driver records per round, enough to rebuild r_{0:t} and h_{0:t}.
+    """The one record of a run, built by ``driver._play``: what the accounting reads.
 
-    ``inv_rates[t-1]`` is the cumulative inverse rate (1/eta_t per
-    coordinate) the learner deployed at step t; ``inv0`` is the round-zero
-    value; ``iterates[t-1]`` is the point x_t that was played.  ``linearized``
-    is the learner's flag (mirror descent and its FTRL form): its penalty
-    enters by the past subgradients g_psi_t, which ``psi`` holds on an
-    unconstrained set, derived by the driver after the loop; without them
-    its accumulated objective is unknown.  The FTRL form keeps the penalty's
-    tangents lam ||x_{t+1}||_1 + g_psi_t.(x - x_{t+1}), which reduce to
-    their slopes g_psi_t.x: g_psi_t = lam sign(x_{t+1}) on the support and
-    x_{t+1} = 0 off it.
+    ``points`` is x_1..x_{T+1}; ``iterates`` (x_1..x_T, the points played)
+    and ``next_iterates`` are views of it.  ``inv_rates[t-1]`` is the
+    cumulative inverse rate (1/eta_t per coordinate) deployed at step t,
+    ``inv0`` the round-zero one.  ``loss_family``, ``loss_params`` and
+    ``labels`` are ``streams.loss_column``'s inputs.  ``linearized`` is the
+    learner's flag (mirror descent and its FTRL form): its penalty enters by
+    the subgradients ``psi``, known only on an unconstrained ``feasible_set``.
     """
 
     grads: np.ndarray
-    iterates: np.ndarray
+    points: np.ndarray
     inv_rates: np.ndarray
     inv0: np.ndarray
     reg_kind: str
     penalty_lam: float = 0.0
-    psi: np.ndarray | None = None
     linearized: bool = False
+    feasible_set: FeasibleSet | None = None
+    loss_family: str | None = None
+    loss_params: np.ndarray | list | None = None
+    labels: list | tuple = ()
+
+    @property
+    def iterates(self) -> np.ndarray:
+        return self.points[:-1]
+
+    @property
+    def next_iterates(self) -> np.ndarray:
+        return self.points[1:]
+
+    @cached_property
+    def psi(self) -> np.ndarray | None:
+        """g_psi_t, t = 1..T, derived on first read; None unless linearized and unconstrained.
+
+        ``core._psi_subgradient`` reads them off x_t, x_{t+1}, g_t and the inverse
+        rates, bit for bit what each step took, in blocks of about 32768 entries
+        (one call on the whole (T, n) array is slower at large n).  The penalty's
+        tangents lam ||x_{t+1}||_1 + g_psi_t.(x - x_{t+1}) reduce to g_psi_t.x:
+        g_psi_t = lam sign(x_{t+1}) on the support and x_{t+1} = 0 off it.
+        """
+        if not self.linearized or self.feasible_set.kind != FeasibleSet.UNCONSTRAINED:
+            return None
+        X, Xn, G, W = self.iterates, self.next_iterates, self.grads, self.inv_rates
+        psi, block = np.empty(G.shape), max(1, 32768 // G.shape[1])
+        for s in (slice(a, a + block) for a in range(0, len(G), block)):
+            psi[s] = _psi_subgradient(X[s], Xn[s], G[s], W[s], self.penalty_lam)
+        return psi
 
     def sigmas(self) -> np.ndarray:
         """sigma_t = inv_t - inv_{t-1} for t = 1..T, with inv_0 = ``inv0``.
@@ -204,7 +229,7 @@ class _Family:
         """r_{0:t-1}(x*) given ``reg`` = r_{0:t}(x*): r_0(x*), then ``reg`` shifted down one."""
         return np.concatenate([[self.reg0(trace, x_star)], reg[:-1]]) if len(reg) else reg
 
-    def stability(self, trace: RunTrace, next_iterates: np.ndarray, sigma) -> np.ndarray:
+    def stability(self, trace: RunTrace, sigma) -> np.ndarray:
         return np.full(trace.iterates.shape[0], np.inf)
 
 
@@ -239,7 +264,7 @@ class _Quadratic(_Family):
         np.multiply(0.5, trace.inv_rates[:-1], out=half[1:])
         return half @ (x_star ** 2)
 
-    def stability(self, trace, next_iterates, sigma):
+    def stability(self, trace, sigma):
         """h_{0:t} = g_{1:t}.x + inv_t.x^2/2 (- a_{1:t}.x, a_s = sigma_s x_s, when proximal)
         + t lam ||x||_1 + the recentering value sum_s sigma_s ||x_s||^2/2, and
         r_t = sigma_t ||x_t||^2/2 (0 when proximal) + lam ||x_t||_1.  Given
@@ -247,7 +272,7 @@ class _Quadratic(_Family):
         tangents: linear term g_{1:t} + g_psi_{1:t}, r_t(x_t) = g_psi_t.x_t.
         One (T, n) buffer holds g_{1:t}, g_psi_{1:t}, each weighted square and a_{1:t}.
         """
-        X, Xn = trace.iterates, next_iterates
+        X, Xn = trace.iterates, trace.next_iterates
         buf = _prefix_sums(trace.grads)  # g_{1:t}
         now, nxt = _row_dots(buf, X), _row_dots(buf, Xn)
         if trace.psi is not None:
@@ -302,10 +327,10 @@ class _Entropic(_Family):
     def reg_rows(self, trace, x_star, sigma):
         return trace.inv_rates[:, 0] * self._at(x_star)
 
-    def stability(self, trace, next_iterates, sigma):
+    def stability(self, trace, sigma):
         """h_{0:t} is g_{1:t}.x + inv_t (negative entropy of x), r_t = sigma_t (negative
         entropy of x_t), the entropies taken row-wise."""
-        X, Xn = trace.iterates, next_iterates
+        X, Xn = trace.iterates, trace.next_iterates
         g_sum = _prefix_sums(trace.grads)
         now, nxt = _row_dots(g_sum, X), _row_dots(g_sum, Xn)
         ent, ent_next = _negative_entropy_rows(X), _negative_entropy_rows(Xn)
@@ -325,9 +350,9 @@ class _Entropic(_Family):
 class _LowerBounds(_Family):
     """Follow the leader on the strongly convex losses' quadratic lower bounds; no regularizer."""
 
-    def stability(self, trace, next_iterates, sigma):
+    def stability(self, trace, sigma):
         """h_{0:t} is the summed lower bounds g_s.(x - x_s) + ||x - x_s||^2/2."""
-        X, Xn = trace.iterates, next_iterates
+        X, Xn = trace.iterates, trace.next_iterates
         buf = _prefix_sums(trace.grads)  # g_{1:t}
         now, nxt = _row_dots(buf, X), _row_dots(buf, Xn)
         ts = np.arange(1, X.shape[0] + 1, dtype=float)
@@ -355,21 +380,20 @@ def _family(kind: str) -> _Family:
     return family
 
 
-def _stability_terms(trace: RunTrace, next_iterates: np.ndarray,
-                     sigma: np.ndarray | None) -> np.ndarray:
+def _stability_terms(trace: RunTrace, sigma: np.ndarray | None) -> np.ndarray:
     """h_{0:t}(x_t) - h_{0:t}(x_{t+1}) - r_t(x_t) for t = 1..T from the trace's family.
 
     h_{0:t} is the objective minimized after round t, less the constants it
-    cannot know (true loss values); ``next_iterates[t-1]`` is x_{t+1};
-    ``sigma`` is ``trace.sigmas()`` or None.  +inf for the ``none`` kind and
-    a linearized trace without ``psi``.  Each sum is taken in the order a
-    round-by-round evaluation of h_{0:t} takes it, so that the terms equal it
-    bit for bit (tests/test_decomposition_rhs.py keeps one as the oracle).
+    cannot know (true loss values); ``sigma`` is ``trace.sigmas()`` or None.
+    +inf for the ``none`` kind and a linearized trace without ``psi``.  Each
+    sum is taken in the order a round-by-round evaluation of h_{0:t} takes it,
+    so that the terms equal it bit for bit (tests/test_decomposition_rhs.py
+    keeps one as the oracle).
     """
     family = _family(trace.reg_kind)
     if trace.linearized and trace.psi is None:
         return np.full(trace.iterates.shape[0], np.inf)
-    return family.stability(trace, next_iterates, sigma)
+    return family.stability(trace, sigma)
 
 
 def bound_curve(rule: BoundRule, cfg: BoundConfig, grads, x_star=None,
@@ -442,13 +466,13 @@ def _trace_bound(rule: BoundRule, grads: np.ndarray, trace: RunTrace, x_star: np
     return curve
 
 
-def _bound_and_rhs(trace: RunTrace, next_iterates: np.ndarray, x_star: np.ndarray,
-                   rule: BoundRule | None, cfg: BoundConfig | None):
+def _bound_and_rhs(trace: RunTrace, x_star: np.ndarray, rule: BoundRule | None,
+                   cfg: BoundConfig | None):
     """One run's bound curve (+inf with no rule or rounds) and Strong FTRL decomposition.
 
     The decomposition is r_{0:t}(x*) + penalty + sum_{s<=t} stability_s, the
     penalty alpha_{1:t} lam ||x*||_1 or, given ``trace.psi``, its tangents at
-    x*; it is +inf if any stability term is.  ``next_iterates[t-1]`` is x_{t+1}.
+    x*; it is +inf if any stability term is.
     """
     T = trace.grads.shape[0]
     family = _family(trace.reg_kind)
@@ -460,7 +484,7 @@ def _bound_and_rhs(trace: RunTrace, next_iterates: np.ndarray, x_star: np.ndarra
         bound = _trace_bound(rule, trace.grads, trace, x_star, reg)
     else:
         bound = bound_curve(rule, cfg or BoundConfig(), trace.grads, x_star=x_star, trace=trace)
-    stability = _stability_terms(trace, next_iterates, sigma)
+    stability = _stability_terms(trace, sigma)
     if not np.all(np.isfinite(stability)):
         return bound, np.full(T, np.inf)
     penalty = np.cumsum(trace.psi @ x_star) if trace.psi is not None \

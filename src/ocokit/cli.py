@@ -172,13 +172,13 @@ def build_learner(name, cfg):
     R = cfg["R"]
     eta = cfg.get("eta")
     if name == "dual-averaging":
-        sched = ConstantRate(eta) if eta else InverseSqrtRate(
+        sched = ConstantRate(eta) if eta is not None else InverseSqrtRate(
             R / (math.sqrt(2) * _nonzero_g(cfg)), shift=1)
         return DualAveraging(n, sched)
     if name == "constant-ogd":
         return DualAveraging(n, ConstantRate(_horizon_rate(cfg)))
     if name == "ftrl-proximal":
-        sched = ConstantRate(eta) if eta else InverseSqrtRate(
+        sched = ConstantRate(eta) if eta is not None else InverseSqrtRate(
             math.sqrt(2) * R / _nonzero_g(cfg), shift=0)
         return FtrlProximal(n, sched, FeasibleSet.l2_ball(R))
     if name == "adagrad-ftrl-proximal":
@@ -294,13 +294,13 @@ def cmd_compare(args) -> int:
         try:
             learner = build_learner(name, dict(cfg))
             stream = build_stream(dict(cfg))  # same seed: every learner sees the same draw
-            _, points, _, _, (family, params, labels) = _play(learner, stream, T)
-            losses = loss_column(family, params, _require_finite(points[:T]), labels) \
-                if T else np.zeros(0)
+            run = _play(learner, stream, T)
+            losses = loss_column(run.loss_family, run.loss_params, _require_finite(run.iterates),
+                                 run.labels) if T else np.zeros(0)
         except ValueError as err:  # a config value or a gradient the learner rejects
             raise UsageError(str(err)) from None
         # the nonzeros of x_2..x_{T+1}, the iterate each round's step returned
-        columns[name] = (losses, np.cumsum(losses), np.count_nonzero(points[1:], axis=1))
+        columns[name] = (losses, np.cumsum(losses), np.count_nonzero(run.next_iterates, axis=1))
     header = ["round"]
     for name in names:
         header += [f"loss_{name}", f"cum_loss_{name}", f"nonzeros_{name}"]

@@ -1,11 +1,11 @@
 """Experiment loop: select x_t, reveal f_t, incur loss, update.
 
-``_play`` runs a learner against a stream and records the rounds;
-``run_rounds`` adds the hindsight comparator, the losses, and the regret
-accounting of ``bounds`` (the requested bound and the stability
-decomposition at every prefix).  Also hosts the fixed one-dimensional L1
-reproduction that contrasts mirror descent with the accumulated-penalty
-learner.
+``_play`` runs a learner against a stream and returns the run's one
+record, a ``bounds.RunTrace``; from that record alone ``run_rounds`` adds
+the hindsight comparator, the losses, and the regret accounting of
+``bounds`` (the requested bound and the stability decomposition at every
+prefix).  Also hosts the fixed one-dimensional L1 reproduction that
+contrasts mirror descent with the accumulated-penalty learner.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from .bounds import (
     best_comparator,
     cumulative_regret,
 )
-from .core import ConstantRate, FeasibleSet, _psi_subgradient, _require_finite, as_point
+from .core import ConstantRate, FeasibleSet, _require_finite, as_point
 from .learners import BoundConfig, FtrlCompositeL1
 from .mirror import MirrorDescent
-from .streams import LINEAR, L1AdversaryStream, loss_column
+from .streams import LINEAR, QUADRATIC, L1AdversaryStream, loss_column
 
 
 @dataclass
@@ -39,13 +39,11 @@ class RunResult:
     decomposition_ok: bool
 
 
-def _play(learner, stream, T: int):
-    """Play ``T`` rounds and record them; the loop calls nothing on the learner but ``step``.
+def _play(learner, stream, T: int) -> RunTrace:
+    """Play ``T`` rounds into their ``RunTrace``, calling nothing on the learner but ``step``.
 
-    Returns the (T, n) gradients, x_1..x_{T+1} as a (T + 1, n) array, the
-    deployed inverse rates, the round-zero inverse rate, and the loss column
-    inputs ``(family, params, labels)`` of ``streams.loss_column``: the
-    gradients for linear losses, else the events' parameter rows, held by
+    The stream is used only through ``event``.  The loss rows (the gradients
+    for linear losses, else the events' parameter rows) are held by
     reference.  Every round must share one loss family.
     """
     if T < 0:
@@ -72,58 +70,46 @@ def _play(learner, stream, T: int):
         learner.step(event.g)
         inv_rates[t - 1] = learner.last_inv_rate
     points[T] = learner.x
-    return grads, points, inv_rates, inv0, (family, grads if family == LINEAR else rows, labels)
+    return RunTrace(grads=grads, points=points, inv_rates=inv_rates, inv0=inv0,
+                    reg_kind=learner.reg_kind, penalty_lam=learner.lam,
+                    linearized=getattr(learner, "linearized", False),
+                    feasible_set=learner.feasible_set, loss_family=family,
+                    loss_params=grads if family == LINEAR else rows, labels=labels)
 
 
 def run_rounds(learner, stream, T: int, rule: BoundRule | None = None,
                cfg: BoundConfig | None = None,
                comparator_set: FeasibleSet | None = None) -> RunResult:
-    """Play ``T`` rounds (``_play``) and assemble the per-round regret record.
+    """Play ``T`` rounds (``_play``) and account for them from the trace alone.
 
-    After the loop: the iterate column and x* are validated once, with
-    ``as_point``'s ValueError; for a ``linearized`` learner on an
-    unconstrained set the penalty subgradients g_psi_t are read off x_t,
-    x_{t+1}, g_t and the inverse rates, a block of rows per
-    ``core._psi_subgradient`` call, bit for bit what each step took; one
-    ``loss_column`` call evaluates f_t(x_t) for every round and one f_t(x*).
-    ``bounds._bound_and_rhs`` builds ``record.bound`` and the stability
-    decomposition ``record.strong_ftrl_rhs`` from the trace.
+    The iterate column and x* are validated once, with ``as_point``'s
+    ValueError.  x* is the mean center for quadratic losses, else
+    ``best_comparator`` over ``comparator_set`` (default: the learner's set).
+    ``loss_column`` gives f_t(x_t) and f_t(x*) in one call each, and
+    ``bounds._bound_and_rhs`` the bound and the stability decomposition.
     """
-    grads, points, inv_rates, inv0, (family, params, labels) = _play(learner, stream, T)
-    dim = learner.dim
-    iterates = _require_finite(points[:T])
-    linearized = getattr(learner, "linearized", False)
-    psi = None
-    if linearized and learner.feasible_set.kind == FeasibleSet.UNCONSTRAINED:
-        # blocks of about 32768 entries: one call on the whole (T, n) array is slower at large n
-        psi, block = np.empty((T, dim)), max(1, 32768 // dim)
-        for s in (slice(a, a + block) for a in range(0, T, block)):
-            psi[s] = _psi_subgradient(iterates[s], points[1:][s], grads[s], inv_rates[s],
-                                      learner.lam)
-    trace = RunTrace(
-        grads=grads, iterates=iterates, inv_rates=inv_rates, inv0=inv0,
-        reg_kind=learner.reg_kind, penalty_lam=learner.lam, psi=psi, linearized=linearized)
-
-    if hasattr(stream, "best_fixed_point") and T > 0:
-        x_star = stream.best_fixed_point()
+    trace = _play(learner, stream, T)
+    dim = trace.grads.shape[1]
+    iterates = _require_finite(trace.iterates)  # before anything derives psi from it
+    if T == 0:
+        x_star = np.zeros(dim)
+    elif trace.loss_family == QUADRATIC:
+        x_star = np.mean(trace.loss_params, axis=0)
     else:
-        comp_set = comparator_set or learner.feasible_set
-        x_star = best_comparator(grads, comp_set) if T > 0 else np.zeros(dim)
+        x_star = best_comparator(trace.grads, comparator_set or trace.feasible_set)
     x_star = as_point(x_star, dim=dim)
-
+    losses = comp_losses = np.zeros(0)
     if T > 0:
-        losses = loss_column(family, params, iterates, labels)
-        comp_losses = loss_column(family, params, x_star, labels)
-    else:
-        losses = comp_losses = np.zeros(0)
+        losses = loss_column(trace.loss_family, trace.loss_params, iterates, trace.labels)
+        comp_losses = loss_column(trace.loss_family, trace.loss_params, x_star, trace.labels)
     cum = cumulative_regret(losses, comp_losses)
-    bound, rhs = _bound_and_rhs(trace, points[1:], x_star, rule, cfg)
+    bound, rhs = _bound_and_rhs(trace, x_star, rule, cfg)
 
     record = RegretRecord(loss=losses, comp_loss=comp_losses, cum_regret=cum,
                           bound=bound, strong_ftrl_rhs=rhs)
     bound_ok = bool(np.all(cum <= bound + 1e-9))
     decomposition_ok = bool(np.all(cum <= rhs + 1e-9))
-    return RunResult(record=record, x_star=x_star, x_final=learner.x.copy(),
+    return RunResult(record=record, x_star=x_star, x_final=trace.points[-1].copy(),
                      trace=trace, bound_ok=bound_ok, decomposition_ok=decomposition_ok)
 
 

@@ -8,7 +8,7 @@ its step reads (gradient, squared-gradient and proximal adjustment sums).
 linearization is the caller's job: learners only ever see g_t.  Learners
 keep no regret accounting: ``reg_kind`` names the family of their
 accumulated objective, and ``bounds`` evaluates it, the regularizer and the
-Strong FTRL stability terms from the driver's run trace.
+Strong FTRL stability terms from the run's trace (``bounds.RunTrace``).
 
 Dual averaging, proximal FTRL, composite-L1 FTRL and mirror descent's FTRL
 form are one solver, ``QuadraticFtrl``: they differ only in where the
@@ -155,7 +155,7 @@ class QuadraticFtrl(OnlineLearner):
 
     With ``linearized`` set (``mirror.MdAsFtrl``) the weight is lam, b gains
     the past penalty subgradients g_psi_{1:t-1}, and each step extracts g_psi_t
-    (``run_rounds`` reads the same g_psi_t off the trace).
+    (``RunTrace.psi`` reads the same g_psi_t off the run trace).
 
     Ball projections are lazy: weighted by the per-coordinate rates under
     AdaGrad, radial otherwise; a ball admits no L1 term.  A coordinate with

@@ -8,8 +8,8 @@ carries the current point and the squared-gradient sums its schedule reads;
 MdAsFtrl, a ``QuadraticFtrl`` preset, carries gradient and
 penalty-subgradient accumulators.  MirrorDescent shares no step code with
 that solver, so their round-by-round agreement is a checked property, not a
-shared code path.  Both declare ``linearized``: ``run_rounds`` reads their
-penalty subgradients off the trace.  The lazy/greedy projection families
+shared code path.  Both declare ``linearized``: ``RunTrace.psi`` reads their
+penalty subgradients off the run trace.  The lazy/greedy projection families
 show where the one-step and accumulated formulations stop being equivalent;
 each of their variants keeps its own bookkeeping, so that
 ``verify projection-families`` checks the variants against each other.
@@ -118,10 +118,8 @@ class _ProjectionFamily(OnlineLearner):
             raise ValueError(f"variant must be one of {self.VARIANTS}, got {variant!r}")
         if feasible_set.kind not in (FeasibleSet.L2_BALL, FeasibleSet.BOX):
             raise UnsupportedCombination("projection families need a ball or box set")
-        if eta <= 0:
-            raise ValueError(f"rate must be > 0, got {eta}")
+        self.eta = ConstantRate(eta).eta  # ValueError unless 0 < eta < inf
         super().__init__(dim, feasible_set)
-        self.eta = float(eta)
         self.variant = variant
 
 

@@ -157,7 +157,8 @@ class StronglyConvexQuadraticStream:
 
     Unit strong convexity; with x_1 = 0 every iterate of the 1/t-rate
     gradient learner stays inside the center ball, so gradients are capped
-    by 2 * center_radius.
+    by 2 * center_radius.  Each event's row is its center; ``run_rounds``
+    takes x*, the hindsight minimizer, as the mean of the run's centers.
     """
 
     def __init__(self, seed: int, n: int, center_radius: float = 1.0):
@@ -169,22 +170,14 @@ class StronglyConvexQuadraticStream:
         self.center_radius = float(center_radius)
         self.gradient_cap = 2.0 * float(center_radius)
         self._rng = np.random.default_rng(seed)
-        self.centers: list[np.ndarray] = []
 
     def event(self, t: int, x_t) -> StreamEvent:
         c = self._rng.standard_normal(self.dim)
         nrm = np.linalg.norm(c)
         if nrm > 0:
             c *= self._rng.uniform(0.0, self.center_radius) / nrm
-        self.centers.append(c)
         g = x_t - c  # x_t is the learner's own iterate, unchecked; step validates g
         return StreamEvent(t, g, QUADRATIC, c)
-
-    def best_fixed_point(self) -> np.ndarray:
-        """Hindsight minimizer of the cumulative loss: the mean center."""
-        if not self.centers:
-            raise ValueError("no rounds played yet")
-        return np.mean(self.centers, axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -414,7 +414,7 @@ def suite_core(seed0: int = 0) -> SuiteResult:
         sched = _random_schedule(rng)
         sq = np.cumsum(rng.uniform(0, 2, size=29))  # the squared sums through rounds 1..29
         inv = np.array([[sched.inverse_rate(t, s)] for t, s in enumerate(sq, start=1)])
-        trace = RunTrace(grads=np.zeros_like(inv), iterates=np.zeros_like(inv), inv_rates=inv,
+        trace = RunTrace(grads=np.zeros_like(inv), points=np.zeros((30, 1)), inv_rates=inv,
                          inv0=np.atleast_1d(sched.inverse_rate(0, 0.0)), reg_kind=CENTERED)
         total = trace.inv0 + np.cumsum(trace.sigmas(), axis=0)
         ok = ok and float(np.max(np.abs(total - inv))) <= 1e-9
@@ -644,11 +644,10 @@ def suite_streams(seed0: int = 0) -> SuiteResult:
 def sparsity_contrast(seed: int = 5, n: int = 50, T: int = 2000, lam: float = 0.02,
                       eta: float = 0.1):
     """Final nonzero counts of the accumulated-penalty learner vs mirror descent."""
-    ftrl = FtrlCompositeL1(n, ConstantRate(eta), lam)
-    md = MirrorDescent(n, ConstantRate(eta), lam=lam)
-    for learner in (ftrl, md):
-        _play(learner, LogisticStream.synthetic(seed, n, T), T)
-    return int(np.count_nonzero(ftrl.x)), int(np.count_nonzero(md.x))
+    ftrl, md = (_play(learner, LogisticStream.synthetic(seed, n, T), T).points[-1]
+                for learner in (FtrlCompositeL1(n, ConstantRate(eta), lam),
+                                MirrorDescent(n, ConstantRate(eta), lam=lam)))
+    return int(np.count_nonzero(ftrl)), int(np.count_nonzero(md))
 
 
 def suite_sparsity(seed: int = 5) -> SuiteResult:

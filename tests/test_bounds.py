@@ -25,14 +25,14 @@ class _SidewaysOgd(StronglyConvexOgd):
 
 def test_an_unknown_regularizer_kind_raises_instead_of_reading_as_none():
     zeros = np.zeros((3, 2))
-    trace = RunTrace(grads=zeros, iterates=zeros, inv_rates=np.ones((3, 2)), inv0=np.ones(2),
-                     reg_kind="sideways")
+    trace = RunTrace(grads=zeros, points=np.zeros((4, 2)), inv_rates=np.ones((3, 2)),
+                     inv0=np.ones(2), reg_kind="sideways")
     x_star = np.zeros(2)
     calls = [
-        lambda: _bound_and_rhs(trace, zeros, x_star, BoundRule.GENERAL_FTRL, BoundConfig()),
-        lambda: _bound_and_rhs(trace, zeros, x_star, None, None),
+        lambda: _bound_and_rhs(trace, x_star, BoundRule.GENERAL_FTRL, BoundConfig()),
+        lambda: _bound_and_rhs(trace, x_star, None, None),
         lambda: bound_curve(BoundRule.FTRL_PROXIMAL, BoundConfig(), zeros, x_star, trace),
-        lambda: _stability_terms(trace, zeros, None),
+        lambda: _stability_terms(trace, None),
         lambda: run_rounds(_SidewaysOgd(2), RandomLinearStream(0, 2, 1.0), 3,
                            comparator_set=FeasibleSet.l2_ball(1.0)),
     ]

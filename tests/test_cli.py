@@ -176,6 +176,9 @@ class TestRun:
         ("md-l1", "mirror-descent", "lambda = -0.1"),
         ("constant-ogd", "non-adaptive", "eta = -1"),
         ("dual-averaging", "da-closed-form", "R = -1"),
+        # eta = 0 is a rate, not a missing one: the default schedule must not replace it
+        ("dual-averaging", "da-closed-form", "eta = 0"),
+        ("ftrl-proximal", "prox-closed-form", "eta = 0"),
     ])
     def test_invalid_config_value_is_usage_error(self, tmp_path, capsys, learner, bound, line):
         cfg = write_config(tmp_path, f"learner = {learner}\nstream = random-linear\n"
@@ -377,7 +380,7 @@ eta = 0.1
             ball = FeasibleSet.l2_ball(parsed["R"]) \
                 if learner.feasible_set.kind == FeasibleSet.UNCONSTRAINED else None
             result = run_rounds(learner, cli.build_stream(dict(parsed)), T, comparator_set=ball)
-            points = played[k][1]
+            points = played[k].points
             assert points[:T].tobytes() == result.trace.iterates.tobytes(), name
             assert points[T].tobytes() == result.x_final.tobytes(), name
             assert losses[k].tobytes() == result.record.loss.tobytes(), name
@@ -410,6 +413,14 @@ eta = 0.1
         assert code == 2
         assert out == ""
         assert err == "ocokit: penalty weight must be >= 0, got -0.1\n"
+
+    def test_a_zero_rate_is_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "learners = dual-averaging, ftrl-proximal\n"
+                                     "stream = random-linear\nT = 10\nn = 2\neta = 0\n")
+        code, out, err = run_cli(["compare", "--config", cfg], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "ocokit: constant rate requires eta > 0, got 0.0\n"
 
 
     @pytest.mark.parametrize("learners", ["adagrad-ftrl-proximal, dual-averaging",

@@ -141,7 +141,7 @@ def schedule_trace(sched, sq_sums):
     has sum 0.
     """
     inv = np.array([[sched.inverse_rate(t, sq)] for t, sq in enumerate(sq_sums, start=1)])
-    return RunTrace(grads=np.zeros_like(inv), iterates=np.zeros_like(inv), inv_rates=inv,
+    return RunTrace(grads=np.zeros_like(inv), points=np.zeros((len(inv) + 1, 1)), inv_rates=inv,
                     inv0=np.atleast_1d(sched.inverse_rate(0, 0.0)), reg_kind=CENTERED)
 
 

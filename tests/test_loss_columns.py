@@ -145,8 +145,10 @@ class _NonFiniteLearner:
 
 
 class _NonFiniteComparatorStream(StronglyConvexQuadraticStream):
-    def best_fixed_point(self):
-        return np.full(self.dim, math.inf)
+    """Quadratic events with an inf center, so x*, the mean center, is inf; g stays finite."""
+
+    def event(self, t, x_t):
+        return StreamEvent(t, np.ones(self.dim), QUADRATIC, np.full(self.dim, math.inf))
 
 
 def test_a_non_finite_iterate_makes_run_rounds_raise():

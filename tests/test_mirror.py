@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -225,6 +227,13 @@ class TestProjectionFamilies:
             learner = cls(2, 0.5, FeasibleSet.l2_ball(1.0))
             for _ in range(5):
                 assert np.allclose(learner.step([0.0, 0.0]), 0.0)
+
+    @pytest.mark.parametrize("eta", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("cls", [LazyProjection, GreedyProjection])
+    def test_every_variant_rejects_a_rate_that_is_not_positive_and_finite(self, cls, eta):
+        for variant in cls.VARIANTS:
+            with pytest.raises(ValueError, match="eta > 0"):
+                cls(2, eta, FeasibleSet.box(1.0), variant)
 
     @pytest.mark.parametrize("cls", [LazyProjection, GreedyProjection])
     def test_variants_agree_on_random_ball_streams(self, cls):

@@ -1,15 +1,16 @@
-"""``run_rounds`` on every learner: empty runs, and penalty tangents by learner.
+"""``run_rounds`` on every learner: empty runs, penalty tangents by learner, and streams.
 
-The driver reads each round's penalty subgradient off the run trace for any
+The run trace derives each round's penalty subgradient (``RunTrace.psi``) for any
 learner whose penalty is ``linearized``, so mirror descent and its FTRL form,
 the ``QuadraticFtrl`` preset ``MdAsFtrl``, must give the same run: the same
 regret, bound and Strong FTRL decomposition.  The subgradients it reads must
-be bit for bit the ones each step took.
+be bit for bit the ones each step took.  A stream is used only through ``event``.
 """
 
 import numpy as np
 import pytest
 
+from ocokit import cli
 from ocokit.bounds import BoundRule, RunTrace
 from ocokit.core import (
     AdaGradRate,
@@ -170,3 +171,35 @@ def test_a_falling_inverse_rate_makes_run_rounds_raise():
     with pytest.raises(InvariantViolation, match="round 1, coordinate 0"):
         run_rounds(QuadraticFtrl(N, _FallingRate()), RandomLinearStream(0, N, 1.0), 5,
                    BoundRule.GENERAL_FTRL, comparator_set=FeasibleSet.l2_ball(1.0))
+
+
+class _EventOnly:
+    """A stream that has nothing but ``event`` and ``dim``; ``params`` gets each event's row."""
+
+    __slots__ = ("dim", "event")
+
+    def __init__(self, stream, dim, params):
+        def event(t, x_t):
+            ev = stream.event(t, x_t)
+            params.append(ev.param)
+            return ev
+
+        self.dim, self.event = dim, event
+
+
+@pytest.mark.parametrize("stream", cli.STREAMS)
+def test_run_rounds_uses_a_stream_only_through_event(stream):
+    n, T = (1 if stream == "l1-adversary" else 3), 40
+    cfg = dict(cli._DEFAULTS, learner="ftrl-proximal", bound="ftrl-proximal", stream=stream,
+               n=n, T=T, seed=4)
+    learner, bare, rule, bc, comp_set = cli.build_run(dict(cfg))
+    want = run_rounds(learner, bare, T, rule, bc, comp_set)
+    learner, bare, rule, bc, comp_set = cli.build_run(dict(cfg))
+    params = []
+    got = run_rounds(learner, _EventOnly(bare, n, params), T, rule, bc, comp_set)
+    for column in ("loss", "comp_loss", "cum_regret", "bound", "strong_ftrl_rhs"):
+        assert getattr(got.record, column).tobytes() == getattr(want.record, column).tobytes()
+    assert got.x_star.tobytes() == want.x_star.tobytes()
+    assert got.x_final.tobytes() == want.x_final.tobytes()
+    if stream == "strongly-convex":  # x* is the mean of the run's centers, bit for bit
+        assert got.x_star.tobytes() == np.mean(params, axis=0).tobytes()

@@ -125,14 +125,8 @@ class TestStronglyConvexStream:
         s = StronglyConvexQuadraticStream(0, 2)
         x = np.array([0.5, -0.5])
         ev = s.event(1, x)
-        assert np.allclose(ev.g, x - s.centers[0])
-        assert ev.loss_at(x) == pytest.approx(0.5 * np.sum((x - s.centers[0]) ** 2))
-
-    def test_best_fixed_point_is_the_mean_center(self):
-        s = StronglyConvexQuadraticStream(0, 2)
-        for t in range(1, 6):
-            s.event(t, np.zeros(2))
-        assert np.allclose(s.best_fixed_point(), np.mean(s.centers, axis=0))
+        assert np.allclose(ev.g, x - ev.param)
+        assert ev.loss_at(x) == pytest.approx(0.5 * np.sum((x - ev.param) ** 2))
 
     @pytest.mark.parametrize("n, radius", [
         (2, math.nan), (2, math.inf), (2, -math.inf), (2, 0.0), (2, -1.0), (0, 1.0), (-3, 1.0),

@@ -9,12 +9,14 @@ divides the dual norms in one masked buffer.  Every output must equal the
 reference bit for bit: the bound, the decomposition RHS and the stability
 terms of ``run_rounds``, and ``bound_curve`` under every trace-based rule.
 
-The file also checks that the shared buffers never write into the returned
-trace, and that ``bound_curve`` called twice on one trace matches two fresh
-evaluations.
+The file also checks that every such run re-accounts from its trace alone
+(a fresh ``RunTrace`` of the same fields and x* give the same record), that
+the shared buffers never write into the returned trace, and that
+``bound_curve`` called twice on one trace matches two fresh evaluations.
 """
 
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -24,6 +26,8 @@ from ocokit import suites
 from ocokit.bounds import (
     _GENERIC_RULES,
     BoundRule,
+    RunTrace,
+    _bound_and_rhs,
     _dual_sq_rows,
     _prefix_sums,
     _stability_terms,
@@ -47,7 +51,7 @@ from ocokit.learners import (
     FtrlProximal,
     QuadraticFtrl,
 )
-from ocokit.mirror import MirrorDescent
+from ocokit.mirror import MdAsFtrl, MirrorDescent
 from ocokit.streams import LINEAR, LogisticStream, RandomLinearStream, StreamEvent
 
 
@@ -268,6 +272,17 @@ def _next_iterates(result):
     return np.vstack([result.trace.iterates[1:], result.x_final[None, :]])
 
 
+def assert_reaccounts_from_its_trace(result, rule, cfg):
+    """The record is a function of the trace's fields and x* alone: a fresh RunTrace built
+    from them, with psi derived again, gives the same bound and decomposition bit for bit."""
+    trace = result.trace
+    fresh = RunTrace(**{f.name: getattr(trace, f.name) for f in dataclasses.fields(trace)})
+    assert "psi" not in vars(fresh)
+    bound, rhs = _bound_and_rhs(fresh, result.x_star, rule, cfg)
+    assert same_bits(bound, result.record.bound)
+    assert same_bits(rhs, result.record.strong_ftrl_rhs)
+
+
 def assert_run_matches_reference(learner, stream, T, rule, cfg, comp_set):
     no_objective = isinstance(learner, MirrorDescent) and \
         learner.feasible_set.kind != FeasibleSet.UNCONSTRAINED
@@ -279,11 +294,12 @@ def assert_run_matches_reference(learner, stream, T, rule, cfg, comp_set):
     if T:
         assert same_bits(rec.bound, ref_bound(rule, cfg, trace, x_star))
     if not no_objective:
-        assert same_bits(_stability_terms(trace, next_iterates, trace.sigmas()),
+        assert same_bits(_stability_terms(trace, trace.sigmas()),
                          ref_stability_terms(trace, next_iterates))
     for generic in _GENERIC_RULES:
         assert same_bits(bound_curve(generic, cfg, trace.grads, x_star=x_star, trace=trace),
                          ref_trace_bound(generic, trace.grads, trace, x_star)), generic
+    assert_reaccounts_from_its_trace(result, rule, cfg)
     return result
 
 
@@ -293,6 +309,17 @@ def test_every_bound_pairing_matches_the_reference(pair_name):
     for k in range(3):
         learner, stream, rule, cfg, comp_set = make(31 + k, np.random.default_rng(31 + k))
         assert_run_matches_reference(learner, stream, 64, rule, cfg, comp_set)
+
+
+@pytest.mark.parametrize("schedule", [lambda: ConstantRate(0.3), lambda: AdaGradRate(1.0)],
+                         ids=["constant", "adagrad"])
+@pytest.mark.parametrize("cls", [MirrorDescent, MdAsFtrl], ids=["mirror-descent", "md-as-ftrl"])
+def test_penalized_mirror_descent_runs_match_the_reference(cls, schedule):
+    for seed in range(3):
+        result = assert_run_matches_reference(cls(3, schedule(), lam=0.1),
+                                              RandomLinearStream(seed, 3, 1.0), 64,
+                                              BoundRule.MIRROR_DESCENT, BoundConfig(), BALL)
+        assert np.count_nonzero(result.trace.psi) and np.count_nonzero(result.x_star)
 
 
 @pytest.mark.parametrize("pair_name", list(_high_dim_pairs()))
