@@ -12,7 +12,6 @@ from .bounds import (
     RunTrace,
     best_comparator,
     bound_curve,
-    cumulative_regret,
 )
 from .core import (
     AdaGradRate,

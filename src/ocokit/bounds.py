@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -57,22 +57,19 @@ _GENERIC_RULES = {BoundRule.GENERAL_FTRL, BoundRule.FTRL_PROXIMAL, BoundRule.COM
 
 @dataclass
 class RegretRecord:
-    """Per-round arrays produced by one experiment run."""
+    """Per-round arrays of one run; ``cum_regret`` (prefix sums of loss - comp_loss) is derived."""
 
     loss: np.ndarray
     comp_loss: np.ndarray
-    cum_regret: np.ndarray
+    cum_regret: np.ndarray = field(init=False)
     bound: np.ndarray
     strong_ftrl_rhs: np.ndarray
 
     def __post_init__(self):
-        lengths = {len(self.loss), len(self.comp_loss), len(self.cum_regret),
-                   len(self.bound), len(self.strong_ftrl_rhs)}
+        lengths = {len(self.loss), len(self.comp_loss), len(self.bound), len(self.strong_ftrl_rhs)}
         if len(lengths) != 1:
             raise ValueError(f"per-round arrays must share a length, got {lengths}")
-        expected = np.cumsum(self.loss - self.comp_loss)
-        if len(expected) and np.max(np.abs(expected - self.cum_regret)) > 1e-9:
-            raise ValueError("cum_regret is not the prefix sum of loss - comp_loss")
+        self.cum_regret = np.cumsum(self.loss - self.comp_loss)
 
     def __len__(self):
         return len(self.loss)
@@ -144,22 +141,13 @@ class RunTrace:
         return out
 
 
-def cumulative_regret(losses, comparator_losses) -> np.ndarray:
-    """Prefix sums of loss_t - comp_loss_t."""
-    losses = np.asarray(losses, dtype=float)
-    comparator_losses = np.asarray(comparator_losses, dtype=float)
-    if losses.shape != comparator_losses.shape:
-        raise ValueError(f"length mismatch: {losses.shape} vs {comparator_losses.shape}")
-    return np.cumsum(losses - comparator_losses)
-
-
 def best_comparator(g_history, feasible_set: FeasibleSet) -> np.ndarray:
-    """Hindsight minimizer of the summed linear losses over the set."""
+    """Hindsight minimizer of the summed linear losses over the set.
+
+    ``FeasibleSet.linear_minimizer`` rejects an unconstrained set (regret is unbounded there).
+    """
     g_history = np.atleast_2d(np.asarray(g_history, dtype=float))
     total = g_history.sum(axis=0)
-    if feasible_set.kind == FeasibleSet.UNCONSTRAINED:
-        raise ValueError("hindsight comparator needs a bounded set (regret is "
-                         "unbounded below otherwise)")
     return feasible_set.linear_minimizer(total)
 
 

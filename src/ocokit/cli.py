@@ -16,7 +16,6 @@ import numpy as np
 
 from .bounds import BoundRule
 from .core import GRAD_LIMIT, AdaGradRate, ConstantRate, FeasibleSet, InverseSqrtRate
-from .core import _require_finite
 from .driver import _play, repro_l1_example, run_rounds
 from .learners import (
     BoundConfig,
@@ -139,7 +138,7 @@ def build_stream(cfg):
             return LogisticStream.synthetic(seed, n, T)
         try:
             with open(cfg["data"], encoding="utf-8") as fh:
-                examples, _ = load_svmlight(fh, dim=n)
+                examples = load_svmlight(fh, n)
         except OSError as err:
             raise UsageError(f"cannot read data file: {err}")
         if len(examples) < T:
@@ -225,9 +224,9 @@ def build_run(cfg):
         # an unconstrained learner is compared with the points of the ball of radius R
         comparator_set = FeasibleSet.l2_ball(cfg["R"]) if \
             learner.feasible_set.kind == FeasibleSet.UNCONSTRAINED else learner.feasible_set
-    except ValueError as err:  # a config value the constructors reject, e.g. lambda < 0
-        raise UsageError(str(err)) from None
-    if getattr(stream, "dim", learner.dim) != learner.dim:
+    except (ValueError, MemoryError) as err:  # a value the constructors reject, or too large an n
+        raise UsageError(str(err) or "out of memory") from None
+    if stream.dim != learner.dim:
         raise UsageError("learner and stream dimensions differ")
     if cfg["learner"] == "entropic" and isinstance(stream, StronglyConvexQuadraticStream):
         raise UsageError("learner 'entropic' cannot run on stream 'strongly-convex': "
@@ -261,8 +260,8 @@ def cmd_run(args) -> int:
     learner, stream, rule, bc, comparator_set = build_run(cfg)
     try:
         result = run_rounds(learner, stream, cfg["T"], rule, bc, comparator_set)
-    except ValueError as err:  # data the run rejects, e.g. a gradient past the learner's limits
-        raise UsageError(str(err)) from None
+    except (ValueError, MemoryError) as err:  # data the run rejects, or too large a T
+        raise UsageError(str(err) or "out of memory") from None
     rec = result.record
     lines = ["round,loss,comp_loss,cum_regret,bound,decomposition"]
     for t in range(len(rec)):
@@ -295,10 +294,10 @@ def cmd_compare(args) -> int:
             learner = build_learner(name, dict(cfg))
             stream = build_stream(dict(cfg))  # same seed: every learner sees the same draw
             run = _play(learner, stream, T)
-            losses = loss_column(run.loss_family, run.loss_params, _require_finite(run.iterates),
+            losses = loss_column(run.loss_family, run.loss_params, run.iterates,
                                  run.labels) if T else np.zeros(0)
-        except ValueError as err:  # a config value or a gradient the learner rejects
-            raise UsageError(str(err)) from None
+        except (ValueError, MemoryError) as err:  # a rejected value or gradient, too large a size
+            raise UsageError(str(err) or "out of memory") from None
         # the nonzeros of x_2..x_{T+1}, the iterate each round's step returned
         columns[name] = (losses, np.cumsum(losses), np.count_nonzero(run.next_iterates, axis=1))
     header = ["round"]

@@ -157,6 +157,8 @@ class LearningRateSchedule:
     encodes an infinite learning rate (zero accumulated curvature).  Rates
     must be non-increasing in t so every sigma_t = 1/eta_t - 1/eta_{t-1}
     is nonnegative; ``bounds.RunTrace.sigmas`` checks it on a run's trace.
+    A rate or rate scale below 2^-511 is rejected: 1/eta, sqrt(t + shift)/scale
+    and sqrt(offset^2 + sum_s g_s^2)/scale (a root of at most 2^1023) stay finite.
     """
 
     def inverse_rate(self, t: int, sq_sum=0.0):
@@ -165,9 +167,7 @@ class LearningRateSchedule:
 
 class ConstantRate(LearningRateSchedule):
     def __init__(self, eta: float):
-        if not (np.isfinite(eta) and eta > 0):
-            raise ValueError(f"constant rate requires eta > 0, got {eta}")
-        self.eta = float(eta)
+        self.eta = _rate(eta, "constant rate requires eta")
 
     def inverse_rate(self, t, sq_sum=0.0):
         return 1.0 / self.eta
@@ -183,11 +183,9 @@ class InverseSqrtRate(LearningRateSchedule):
     """
 
     def __init__(self, scale: float, shift: int = 0):
-        if not (np.isfinite(scale) and scale > 0):
-            raise ValueError(f"scale must be > 0, got {scale}")
+        self.scale = _rate(scale, "scale must be")
         if shift not in (0, 1):
             raise ValueError(f"shift must be 0 or 1, got {shift}")
-        self.scale = float(scale)
         self.shift = int(shift)
 
     def inverse_rate(self, t, sq_sum=0.0):
@@ -205,13 +203,11 @@ class AdaGradRate(LearningRateSchedule):
     """
 
     def __init__(self, scale: float, offset: float = 0.0):
-        if not (np.isfinite(scale) and scale > 0):
-            raise ValueError(f"scale must be > 0, got {scale}")
+        self.scale = _rate(scale, "scale must be")
         if not (np.isfinite(offset) and offset >= 0):
             raise ValueError(f"offset must be >= 0, got {offset}")
         if not offset < GRAD_LIMIT:  # offset^2 joins the squared-gradient sum
             raise ValueError(f"offset must be < 2^511 (about 6.7e153), got {offset}")
-        self.scale = float(scale)
         self.offset = float(offset)
 
     def inverse_rate(self, t, sq_sum=0.0):
@@ -229,6 +225,15 @@ GRAD_LIMIT = 2.0 ** 511
 SQ_SUM_LIMIT = 2.0 ** 1022
 SQ_SUM_MESSAGE = ("squared-gradient sums need |g_i| < 2^511 (about 6.7e153) and a running "
                   "sum <= 2^1022 (about 4.5e307)")
+
+
+def _rate(value, requirement: str) -> float:
+    """float(value) for a rate or rate scale in [2^-511, inf), else "<requirement> ..." raised."""
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{requirement} > 0, got {value}")
+    if not value >= 1.0 / GRAD_LIMIT:
+        raise ValueError(f"{requirement} >= 2^-511 (about 1.5e-154), got {value}")
+    return float(value)
 
 
 def _add_squares(sq_sum: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -21,7 +21,6 @@ from .bounds import (
     RunTrace,
     _bound_and_rhs,
     best_comparator,
-    cumulative_regret,
 )
 from .core import ConstantRate, FeasibleSet, _require_finite, as_point
 from .learners import BoundConfig, FtrlCompositeL1
@@ -44,7 +43,8 @@ def _play(learner, stream, T: int) -> RunTrace:
 
     The stream is used only through ``event``.  The loss rows (the gradients
     for linear losses, else the events' parameter rows) are held by
-    reference.  Every round must share one loss family.
+    reference.  Every round must share one loss family.  Before anything reads
+    them, x_1..x_{T+1} are checked finite, with ``as_point``'s ValueError.
     """
     if T < 0:
         raise ValueError(f"round count must be >= 0, got {T}")
@@ -70,6 +70,7 @@ def _play(learner, stream, T: int) -> RunTrace:
         learner.step(event.g)
         inv_rates[t - 1] = learner.last_inv_rate
     points[T] = learner.x
+    _require_finite(points)
     return RunTrace(grads=grads, points=points, inv_rates=inv_rates, inv0=inv0,
                     reg_kind=learner.reg_kind, penalty_lam=learner.lam,
                     linearized=getattr(learner, "linearized", False),
@@ -82,15 +83,14 @@ def run_rounds(learner, stream, T: int, rule: BoundRule | None = None,
                comparator_set: FeasibleSet | None = None) -> RunResult:
     """Play ``T`` rounds (``_play``) and account for them from the trace alone.
 
-    The iterate column and x* are validated once, with ``as_point``'s
-    ValueError.  x* is the mean center for quadratic losses, else
+    x* is validated once, with ``as_point``'s ValueError (``_play`` checks
+    the points).  x* is the mean center for quadratic losses, else
     ``best_comparator`` over ``comparator_set`` (default: the learner's set).
     ``loss_column`` gives f_t(x_t) and f_t(x*) in one call each, and
     ``bounds._bound_and_rhs`` the bound and the stability decomposition.
     """
     trace = _play(learner, stream, T)
     dim = trace.grads.shape[1]
-    iterates = _require_finite(trace.iterates)  # before anything derives psi from it
     if T == 0:
         x_star = np.zeros(dim)
     elif trace.loss_family == QUADRATIC:
@@ -100,15 +100,13 @@ def run_rounds(learner, stream, T: int, rule: BoundRule | None = None,
     x_star = as_point(x_star, dim=dim)
     losses = comp_losses = np.zeros(0)
     if T > 0:
-        losses = loss_column(trace.loss_family, trace.loss_params, iterates, trace.labels)
+        losses = loss_column(trace.loss_family, trace.loss_params, trace.iterates, trace.labels)
         comp_losses = loss_column(trace.loss_family, trace.loss_params, x_star, trace.labels)
-    cum = cumulative_regret(losses, comp_losses)
     bound, rhs = _bound_and_rhs(trace, x_star, rule, cfg)
 
-    record = RegretRecord(loss=losses, comp_loss=comp_losses, cum_regret=cum,
-                          bound=bound, strong_ftrl_rhs=rhs)
-    bound_ok = bool(np.all(cum <= bound + 1e-9))
-    decomposition_ok = bool(np.all(cum <= rhs + 1e-9))
+    record = RegretRecord(loss=losses, comp_loss=comp_losses, bound=bound, strong_ftrl_rhs=rhs)
+    bound_ok = bool(np.all(record.cum_regret <= bound + 1e-9))
+    decomposition_ok = bool(np.all(record.cum_regret <= rhs + 1e-9))
     return RunResult(record=record, x_star=x_star, x_final=trace.points[-1].copy(),
                      trace=trace, bound_ok=bound_ok, decomposition_ok=decomposition_ok)
 

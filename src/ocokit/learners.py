@@ -194,16 +194,15 @@ class QuadraticFtrl(OnlineLearner):
         g = as_point(g, dim=self.dim)
         sq_sum = _add_squares(self.sq_sum, g)  # may raise; no state has moved yet
         x_prev = self.x
-        prev_inv = self.last_inv_rate
         inv = self._inverse_rate() if self._lagged else None  # from rounds 1..t-1
         self.t += 1
         self.g_sum = self.g_sum + g
         self.sq_sum = sq_sum
         if inv is None:
             inv = self._inverse_rate()
-        sigma = np.maximum(inv - prev_inv, 0.0)
         b = self.g_sum + self.g_psi_sum if self.linearized else self.g_sum
         if self.centering == PROXIMAL:
+            sigma = np.maximum(inv - self.last_inv_rate, 0.0)
             self.adj_sum = self.adj_sum + sigma * x_prev
             b = b - self.adj_sum
         self.last_inv_rate = inv

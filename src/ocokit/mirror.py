@@ -26,7 +26,6 @@ from .core import (
     UnsupportedCombination,
     _add_squares,
     _l1_step,
-    _psi_subgradient,
     as_point,
     penalty_weight,
 )
@@ -77,14 +76,6 @@ class MirrorDescent(OnlineLearner):
             u = _l1_step(g - w * x_prev, self.lam, w, box)
         self.x = _project_quadratic(u, w, fs, self.schedule)
         return self.x
-
-    def extract_last_psi_subgradient(self, x_prev, g) -> np.ndarray:
-        """The penalty subgradient of the last step, taken from x_prev with g.
-
-        x_prev is the iterate the step started from and g the gradient it
-        took, both already validated by ``step``; they are not checked again.
-        """
-        return _psi_subgradient(x_prev, self.x, g, self.last_inv_rate, self.lam)
 
 
 class MdAsFtrl(QuadraticFtrl):

@@ -1,10 +1,11 @@
 """Brute-force verifiers, independent of every closed-form solver.
 
-Numeric argmin by golden-section search over a coarse grid, separable
-multi-coordinate argmin, finite-difference subgradients, and executable
-forms of the stability inequalities underpinning the regret analysis.
-Nothing here calls the closed-form code paths; everything works from raw
-objective closures or raw coefficient descriptions.
+Numeric argmin by golden-section search over a coarse grid down to one
+fixed width, 1e-8, separable multi-coordinate argmin, finite-difference
+subgradients (step 1e-5), and executable forms of the stability inequalities
+underpinning the regret analysis.  Nothing here calls the closed-form code
+paths; everything works from raw objective closures or raw coefficient
+descriptions.
 """
 
 from __future__ import annotations
@@ -17,21 +18,20 @@ import numpy as np
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def default_bracket(b: float, a: float, radius: float = 1.0) -> float:
-    """Half-width of the default golden-section bracket: 100 * max(|b|/a, radius)."""
-    return 100.0 * max(abs(b) / a, radius)
+def default_bracket(b: float, a: float) -> float:
+    """Half-width of the default golden-section bracket: 100 * max(|b|/a, 1)."""
+    return 100.0 * max(abs(b) / a, 1.0)
 
 
-def numeric_argmin_1d(objective, lo: float, hi: float, tol: float = 1e-8) -> float:
+def numeric_argmin_1d(objective, lo: float, hi: float) -> float:
     """Minimize a convex scalar function on [lo, hi].
 
     A coarse grid locates the minimizing cell, then golden-section search
-    refines it to the requested interval width.
+    refines it to an interval of width 1e-8.
     """
     if lo >= hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    tol = 1e-8
     grid = np.linspace(lo, hi, 33)
     vals = [objective(float(g)) for g in grid]
     k = int(np.argmin(vals))
@@ -54,7 +54,7 @@ def numeric_argmin_1d(objective, lo: float, hi: float, tol: float = 1e-8) -> flo
     return 0.5 * (a + b)
 
 
-def numeric_argmin_separable(objectives, lo, hi, tol: float = 1e-8) -> np.ndarray:
+def numeric_argmin_separable(objectives, lo, hi) -> np.ndarray:
     """Coordinate-wise numeric_argmin_1d for a separable objective.
 
     ``objectives`` is a sequence of scalar closures; ``lo``/``hi`` are
@@ -69,11 +69,11 @@ def numeric_argmin_separable(objectives, lo, hi, tol: float = 1e-8) -> np.ndarra
         if f(lo[i]) == f(hi[i]) == f(0.5 * (lo[i] + hi[i])):
             out[i] = 0.5 * (lo[i] + hi[i])
         else:
-            out[i] = numeric_argmin_1d(f, lo[i], hi[i], tol)
+            out[i] = numeric_argmin_1d(f, lo[i], hi[i])
     return out
 
 
-def numeric_argmin_ball_2d(objective, radius: float, tol: float = 1e-8) -> np.ndarray:
+def numeric_argmin_ball_2d(objective, radius: float) -> np.ndarray:
     """Minimize a convex f(x0, x1) over the disk of the given radius.
 
     Nested golden-section: the outer search over x0 minimizes the partial
@@ -84,20 +84,19 @@ def numeric_argmin_ball_2d(objective, radius: float, tol: float = 1e-8) -> np.nd
         half = math.sqrt(max(radius ** 2 - x0 ** 2, 0.0))
         if half == 0.0:
             return objective(x0, 0.0)
-        return objective(x0, numeric_argmin_1d(lambda y: objective(x0, y), -half, half, tol))
+        return objective(x0, numeric_argmin_1d(lambda y: objective(x0, y), -half, half))
 
-    x0 = numeric_argmin_1d(slice_min, -radius, radius, tol)
+    x0 = numeric_argmin_1d(slice_min, -radius, radius)
     half = math.sqrt(max(radius ** 2 - x0 ** 2, 0.0))
     if half == 0.0:
         return np.array([x0, 0.0])
-    x1 = numeric_argmin_1d(lambda y: objective(x0, y), -half, half, tol)
+    x1 = numeric_argmin_1d(lambda y: objective(x0, y), -half, half)
     return np.array([x0, x1])
 
 
-def finite_difference_subgradient(f, x, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient estimate of f at x (valid where f is smooth)."""
-    if h <= 0:
-        raise ValueError(f"step must be > 0, got {h}")
+def finite_difference_subgradient(f, x) -> np.ndarray:
+    """Central-difference gradient estimate of f at x, step 1e-5 (valid where f is smooth)."""
+    h = 1e-5
     x = np.atleast_1d(np.asarray(x, dtype=float))
     g = np.empty_like(x)
     for i in range(x.size):
@@ -183,7 +182,7 @@ def polished_argmin_1d(f, lo: float, hi: float, kink_at_zero: bool = False) -> f
     alone cannot.  Kink and edge candidates win only when strictly better,
     since near the optimum value comparisons are noise.
     """
-    x = numeric_argmin_1d(f, lo, hi, tol=1e-8)
+    x = numeric_argmin_1d(f, lo, hi)
     spread = 1.0
     if kink_at_zero:
         spread = min(spread, abs(x) / 2.0)
@@ -230,13 +229,12 @@ class StabilityReport:
         return self.dist_holds and self.value_holds
 
 
-def check_smoothchange(phi1: QuadraticObjective, psi: LinearPlusL1,
-                       samples: int = 8, rng=None) -> StabilityReport:
+def check_smoothchange(phi1: QuadraticObjective, psi: LinearPlusL1, rng=None) -> StabilityReport:
     """Executable form of the one-step stability inequalities.
 
     With x1 = argmin phi1, phi2 = phi1 + psi, x2 = argmin phi2, and b a
-    subgradient of psi at x1:  ||x1 - x2|| <= ||b||*  and, for x' = x2
-    plus sampled points,  phi2(x1) - phi2(x') <= ||b||*^2 / 2.  Both
+    subgradient of psi at x1:  ||x1 - x2|| <= ||b||*  and, for x' = x2 plus
+    8 points drawn from ``rng``,  phi2(x1) - phi2(x') <= ||b||*^2 / 2.  Both
     argmins are located numerically from the raw coordinate closures.
     """
     q = phi1.quad
@@ -266,12 +264,11 @@ def check_smoothchange(phi1: QuadraticObjective, psi: LinearPlusL1,
     value_rhs = 0.5 * dual_b ** 2
     value_at_x2 = phi2(x1) - phi2(x2)
     value_lhs = value_at_x2
-    if samples:
-        rng = np.random.default_rng(0) if rng is None else rng
-        span = np.where(np.isfinite(half), np.minimum(half, 1e3), 1e3)
-        for _ in range(samples):
-            xp = rng.uniform(-span, span)
-            value_lhs = max(value_lhs, phi2(x1) - phi2(xp))
+    rng = np.random.default_rng(0) if rng is None else rng
+    span = np.where(np.isfinite(half), np.minimum(half, 1e3), 1e3)
+    for _ in range(8):
+        xp = rng.uniform(-span, span)
+        value_lhs = max(value_lhs, phi2(x1) - phi2(xp))
     return StabilityReport(
         x1=x1,
         x2=x2,

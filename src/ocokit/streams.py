@@ -28,7 +28,7 @@ LOGISTIC = "logistic"    # f_t(x) = log(1 + e^{-z}) + (1 - y_t) z, z = a_t . x; 
 
 @dataclass
 class StreamEvent:
-    """Round t's subgradient g and its loss f_t, as data.
+    """One round's subgradient g and its loss f_t, as data; the driver keeps the round index.
 
     ``family`` names the loss family, ``param`` is its parameter row (g_t,
     the center c_t or the features a_t; see the family constants) and
@@ -37,7 +37,6 @@ class StreamEvent:
     per run for the whole loss column.
     """
 
-    t: int
     g: np.ndarray
     family: str
     param: np.ndarray
@@ -114,7 +113,7 @@ class L1AdversaryStream:
     def event(self, t: int, x_t) -> StreamEvent:
         """Reads x_t, the learner's own iterate, unchecked; step validates g."""
         g = np.array([l1_adversary_next(float(np.ravel(x_t)[0]), t, self.G, self.lam)])
-        return StreamEvent(t, g, LINEAR, g)
+        return StreamEvent(g, LINEAR, g)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +144,7 @@ class RandomLinearStream:
         # sqrt(g.g) is how np.linalg.norm computes a 1-D l2 norm, without its overhead
         scale = math.sqrt(float(g @ g)) if self.norm == "l2" else np.max(np.abs(g))
         g = g * (self.G / scale) if scale > 0 else np.zeros(self.dim)
-        return StreamEvent(t, g, LINEAR, g)
+        return StreamEvent(g, LINEAR, g)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +176,7 @@ class StronglyConvexQuadraticStream:
         if nrm > 0:
             c *= self._rng.uniform(0.0, self.center_radius) / nrm
         g = x_t - c  # x_t is the learner's own iterate, unchecked; step validates g
-        return StreamEvent(t, g, QUADRATIC, c)
+        return StreamEvent(g, QUADRATIC, c)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +246,7 @@ class LogisticStream:
     def event(self, t: int, x_t) -> StreamEvent:
         """Reads x_t, the learner's own iterate, unchecked; step validates g."""
         a, y = self.examples[t - 1]
-        return StreamEvent(t, _logistic_gradient(x_t, a, y), LOGISTIC, a, float(y))
+        return StreamEvent(_logistic_gradient(x_t, a, y), LOGISTIC, a, float(y))
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +316,13 @@ def serialize_svmlight(label: int, features: dict[int, float]) -> str:
     return " ".join(parts)
 
 
-def load_svmlight(lines, dim: int | None = None):
-    """Parse lines into (dense feature array, label) pairs of size ``dim``.
+def load_svmlight(lines, dim: int) -> list:
+    """Parse lines into a list of (dense feature row of size ``dim``, label) pairs.
 
     An index past ``dim`` is a ParseError naming its line, raised before any
-    row is allocated.  With no ``dim`` rows are sized to the largest index.
+    row is allocated.
     """
     parsed = []
-    max_idx = 0
     for lineno, line in enumerate(lines, start=1):
         if not line.split("#", 1)[0].strip():
             continue
@@ -332,17 +330,13 @@ def load_svmlight(lines, dim: int | None = None):
             label, feats = parse_svmlight(line)
         except ParseError as err:
             raise ParseError(str(err.args[0]).split(" (line")[0], line=lineno, column=err.column) from None
+        if feats and max(feats) > dim:
+            raise ParseError(f"feature index {max(feats)} exceeds dimension {dim}", line=lineno)
         parsed.append((label, feats))
-        if feats:
-            last = max(feats)
-            if dim is not None and last > dim:
-                raise ParseError(f"feature index {last} exceeds dimension {dim}", line=lineno)
-            max_idx = max(max_idx, last)
-    n = max(dim if dim is not None else max_idx, 1)
     examples = []
     for label, feats in parsed:
-        a = np.zeros(n)
+        a = np.zeros(dim)
         for idx, val in feats.items():
             a[idx - 1] = val
         examples.append((a, label))
-    return examples, n
+    return examples

@@ -533,7 +533,7 @@ def suite_mirror(seed0: int = 0) -> SuiteResult:
             g = rng.normal(0, 1, size=n)
             x_prev = md.x.copy()
             md.step(g)
-            g_psi = md.extract_last_psi_subgradient(x_prev, g)
+            g_psi = core._psi_subgradient(x_prev, md.x, g, md.last_inv_rate, md.lam)
             ok = ok and bool(np.all(np.abs(g_psi) <= lam + 1e-12))
             nz = md.x != 0
             ok = ok and bool(np.all(g_psi[nz] == lam * np.sign(md.x[nz])))
@@ -684,6 +684,4 @@ def run_suite(name: str) -> SuiteResult:
                 merged.passed = False
                 merged.failures.extend(f"[{out.name}] {msg}" for msg in out.failures)
         return merged
-    if name not in SUITES:
-        raise KeyError(name)
     return SUITES[name]()

@@ -62,6 +62,7 @@ def assert_one_line_usage_error(code, out, err, starts="ocokit: "):
 
 
 SQ_SUM_ERR = "ocokit: squared-gradient sums need |g_i| < 2^511"
+TINY_RATE_ERR = "ocokit: constant rate requires eta >= 2^-511 (about 1.5e-154), got 1e-320\n"
 
 # a stream and a bound each CLI learner runs with
 LEARNER_RUNS = {
@@ -187,6 +188,25 @@ class TestRun:
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("ocokit: ")
+
+    # 1/eta would overflow to inf, and so would every bound and decomposition row
+    @pytest.mark.parametrize("learner,bound", [("constant-ogd", "non-adaptive"),
+                                               ("dual-averaging", "general-ftrl")])
+    def test_a_rate_below_2_minus_511_is_usage_error(self, tmp_path, capsys, learner, bound):
+        cfg = write_config(tmp_path, f"learner = {learner}\nstream = random-linear\n"
+                                     f"bound = {bound}\nT = 3\nn = 2\neta = 1e-320\n")
+        code, out, err = run_cli(["run", "--config", cfg], capsys)
+        assert (code, out, err) == (2, "", TINY_RATE_ERR)
+
+    # sizes that fail at once, 10^13 floats being 80 TB; n is allocated by the
+    # learner, T by the run
+    @pytest.mark.parametrize("lines", ["n = 10000000000000\nT = 5",
+                                       "n = 2\nT = 10000000000000"])
+    def test_a_size_too_large_to_allocate_is_usage_error(self, tmp_path, capsys, lines):
+        cfg = write_config(tmp_path, "learner = dual-averaging\nstream = random-linear\n"
+                                     f"bound = da-closed-form\n{lines}\n")
+        assert_one_line_usage_error(*run_cli(["run", "--config", cfg], capsys),
+                                    "ocokit: Unable to allocate")
 
     @pytest.mark.parametrize("learner,bound,lines", [
         ("constant-ogd", "non-adaptive", "T = 0"),
@@ -421,6 +441,18 @@ eta = 0.1
         assert code == 2
         assert out == ""
         assert err == "ocokit: constant rate requires eta > 0, got 0.0\n"
+
+    def test_a_rate_below_2_minus_511_is_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "learners = dual-averaging, constant-ogd\n"
+                                     "stream = random-linear\nT = 3\nn = 2\neta = 1e-320\n")
+        code, out, err = run_cli(["compare", "--config", cfg], capsys)
+        assert (code, out, err) == (2, "", TINY_RATE_ERR)
+
+    def test_a_size_too_large_to_allocate_is_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "learners = dual-averaging, ftrl-l1\n"
+                                     "stream = random-linear\nT = 5\nn = 10000000000000\n")
+        assert_one_line_usage_error(*run_cli(["compare", "--config", cfg], capsys),
+                                    "ocokit: Unable to allocate")
 
 
     @pytest.mark.parametrize("learners", ["adagrad-ftrl-proximal, dual-averaging",

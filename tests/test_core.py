@@ -174,6 +174,32 @@ def test_trace_sigma_increments_sum_to_inverse_rate():
         assert np.max(np.abs(total - trace.inv_rates)) <= 1e-9
 
 
+SCHEDULES = {"constant": ConstantRate, "inverse-sqrt": InverseSqrtRate, "adagrad": AdaGradRate}
+
+
+@pytest.mark.parametrize("name", SCHEDULES)
+@pytest.mark.parametrize("tiny", [1e-320, 2.0 ** -512])
+def test_a_rate_below_2_minus_511_is_rejected(name, tiny):
+    # its inverse, 1 / eta or sqrt(...) / scale, would overflow to inf
+    with pytest.raises(ValueError, match=r" >= 2\^-511 \(about 1.5e-154\), got "):
+        SCHEDULES[name](tiny)
+
+
+@pytest.mark.parametrize("name", SCHEDULES)
+def test_a_rate_of_2_minus_511_builds_with_finite_inverse_rates(name):
+    sched = SCHEDULES[name](2.0 ** -511)
+    assert np.all(np.isfinite(sched.inverse_rate(10 ** 6, 2.0 ** 1022)))
+
+
+@pytest.mark.parametrize("name,message", [("constant", "constant rate requires eta > 0"),
+                                          ("inverse-sqrt", "scale must be > 0"),
+                                          ("adagrad", "scale must be > 0")])
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_a_rate_that_is_not_positive_and_finite_keeps_its_message(name, message, bad):
+    with pytest.raises(ValueError, match=message):
+        SCHEDULES[name](bad)
+
+
 def test_feasible_set_validation_and_membership():
     with pytest.raises(ValueError):
         FeasibleSet.l2_ball(0.0)

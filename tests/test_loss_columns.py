@@ -148,12 +148,14 @@ class _NonFiniteComparatorStream(StronglyConvexQuadraticStream):
     """Quadratic events with an inf center, so x*, the mean center, is inf; g stays finite."""
 
     def event(self, t, x_t):
-        return StreamEvent(t, np.ones(self.dim), QUADRATIC, np.full(self.dim, math.inf))
+        return StreamEvent(np.ones(self.dim), QUADRATIC, np.full(self.dim, math.inf))
 
 
-def test_a_non_finite_iterate_makes_run_rounds_raise():
+# round 9 of 8 is x_{T+1}: never played, but psi, the stability terms and x_final read it
+@pytest.mark.parametrize("bad_round", [4, 9])
+def test_a_non_finite_iterate_makes_run_rounds_raise(bad_round):
     with pytest.raises(ValueError, match="point has non-finite coordinates"):
-        run_rounds(_NonFiniteLearner(3, bad_round=4), RandomLinearStream(1, 3, 1.0), 8)
+        run_rounds(_NonFiniteLearner(3, bad_round=bad_round), RandomLinearStream(1, 3, 1.0), 8)
 
 
 def test_a_non_finite_comparator_makes_run_rounds_raise():
@@ -165,7 +167,7 @@ def test_a_stream_that_changes_loss_family_is_rejected():
     class Mixed(RandomLinearStream):
         def event(self, t, x_t):
             ev = super().event(t, x_t)
-            return ev if t < 3 else StreamEvent(t, ev.g, QUADRATIC, ev.g)
+            return ev if t < 3 else StreamEvent(ev.g, QUADRATIC, ev.g)
 
     with pytest.raises(ValueError, match="loss family"):
         run_rounds(DualAveraging(2, ConstantRate(0.5)), Mixed(0, 2, 1.0), 5)

@@ -5,7 +5,7 @@ from ocokit import core, oracle
 
 
 def test_numeric_argmin_simple_quadratic():
-    x = oracle.numeric_argmin_1d(lambda v: (v - 1.0) ** 2, -10, 10, tol=1e-8)
+    x = oracle.numeric_argmin_1d(lambda v: (v - 1.0) ** 2, -10, 10)
     assert x == pytest.approx(1.0, abs=1e-7)
 
 

@@ -19,6 +19,7 @@ from ocokit.core import (
     InverseSqrtRate,
     InvariantViolation,
     LearningRateSchedule,
+    _psi_subgradient,
 )
 from ocokit.driver import run_rounds
 from ocokit.learners import (
@@ -113,7 +114,8 @@ def _stepped_psi(learner, stream, T):
         if isinstance(learner, MdAsFtrl):
             psi[t - 1] = learner.last_g_psi
         else:
-            psi[t - 1] = learner.extract_last_psi_subgradient(x_prev, event.g)
+            psi[t - 1] = _psi_subgradient(x_prev, learner.x, event.g, learner.last_inv_rate,
+                                          learner.lam)
     return psi
 
 

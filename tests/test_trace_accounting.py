@@ -39,6 +39,7 @@ from ocokit.core import (
     FeasibleSet,
     InverseSqrtRate,
     LearningRateSchedule,
+    _psi_subgradient,
     negative_entropy,
 )
 from ocokit.driver import run_rounds
@@ -214,7 +215,7 @@ class _GivenGradients:
 
     def event(self, t, x_t):
         g = self.rows[t - 1].copy()
-        return StreamEvent(t, g, LINEAR, g)
+        return StreamEvent(g, LINEAR, g)
 
 
 class _FirstCoordinateFree(LearningRateSchedule):
@@ -434,7 +435,7 @@ def _loop_record(learner, stream, T):
         iterates.append(x)
         inv_rates.append(np.broadcast_to(learner.last_inv_rate, (learner.dim,)))
         if isinstance(learner, MirrorDescent):
-            psi.append(learner.extract_last_psi_subgradient(x, event.g))
+            psi.append(_psi_subgradient(x, learner.x, event.g, learner.last_inv_rate, learner.lam))
     return np.array(grads), np.array(iterates), np.array(inv_rates), inv0, \
         (np.array(psi) if psi else None)
 
