@@ -41,8 +41,8 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """A rejected config or command line; ``main`` prints it as one ``ocokit:`` line, exit 2."""
 
 
 _INT_KEYS = {"T", "seed", "n"}
@@ -81,7 +81,7 @@ def parse_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise UsageError(f"cannot read config: {err}")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -188,8 +188,6 @@ def build_learner(name, cfg):
     if name == "md-l1":
         return MirrorDescent(n, ConstantRate(_horizon_rate(cfg)), lam=cfg["lambda"])
     if name == "entropic":
-        if n < 2:
-            raise UsageError("the entropic learner needs n >= 2")
         return EntropicFtrl(n, cfg["G_inf"])
     if name == "ogd-strongly-convex":
         return StronglyConvexOgd(n)
@@ -215,19 +213,14 @@ def build_run(cfg):
     """The learner, stream, rule, BoundConfig and comparator set of a ``run`` config."""
     _require(cfg, "learner", "stream", "T", "bound")
     _rounds(cfg)
-    try:
-        learner = build_learner(cfg["learner"], cfg)
-        rule = _bound_rule(cfg)
-        stream = build_stream(cfg)
-        bc = BoundConfig(R=cfg["R"], R_inf=cfg["R_inf"], G=cfg["G"], G_inf=cfg["G_inf"],
-                         n=cfg["n"], eta=cfg.get("eta"))
-        # an unconstrained learner is compared with the points of the ball of radius R
-        comparator_set = FeasibleSet.l2_ball(cfg["R"]) if \
-            learner.feasible_set.kind == FeasibleSet.UNCONSTRAINED else learner.feasible_set
-    except (ValueError, MemoryError) as err:  # a value the constructors reject, or too large an n
-        raise UsageError(str(err) or "out of memory") from None
-    if stream.dim != learner.dim:
-        raise UsageError("learner and stream dimensions differ")
+    learner = build_learner(cfg["learner"], cfg)
+    rule = _bound_rule(cfg)
+    stream = build_stream(cfg)
+    bc = BoundConfig(R=cfg["R"], R_inf=cfg["R_inf"], G=cfg["G"], G_inf=cfg["G_inf"],
+                     n=cfg["n"], eta=cfg.get("eta"))
+    # an unconstrained learner is compared with the points of the ball of radius R
+    comparator_set = FeasibleSet.l2_ball(cfg["R"]) if \
+        learner.feasible_set.kind == FeasibleSet.UNCONSTRAINED else learner.feasible_set
     if cfg["learner"] == "entropic" and isinstance(stream, StronglyConvexQuadraticStream):
         raise UsageError("learner 'entropic' cannot run on stream 'strongly-convex': "
                          "its comparator, the mean center, is not on the simplex")
@@ -258,10 +251,7 @@ def cmd_run(args) -> int:
     if args.seed is not None:
         cfg["seed"] = args.seed
     learner, stream, rule, bc, comparator_set = build_run(cfg)
-    try:
-        result = run_rounds(learner, stream, cfg["T"], rule, bc, comparator_set)
-    except (ValueError, MemoryError) as err:  # data the run rejects, or too large a T
-        raise UsageError(str(err) or "out of memory") from None
+    result = run_rounds(learner, stream, cfg["T"], rule, bc, comparator_set)
     rec = result.record
     lines = ["round,loss,comp_loss,cum_regret,bound,decomposition"]
     for t in range(len(rec)):
@@ -290,14 +280,11 @@ def cmd_compare(args) -> int:
     T = _rounds(cfg)
     columns = {}
     for name in names:
-        try:
-            learner = build_learner(name, dict(cfg))
-            stream = build_stream(dict(cfg))  # same seed: every learner sees the same draw
-            run = _play(learner, stream, T)
-            losses = loss_column(run.loss_family, run.loss_params, run.iterates,
-                                 run.labels) if T else np.zeros(0)
-        except (ValueError, MemoryError) as err:  # a rejected value or gradient, too large a size
-            raise UsageError(str(err) or "out of memory") from None
+        learner = build_learner(name, dict(cfg))
+        stream = build_stream(dict(cfg))  # same seed: every learner sees the same draw
+        run = _play(learner, stream, T)
+        losses = loss_column(run.loss_family, run.loss_params, run.iterates,
+                             run.labels) if T else np.zeros(0)
         # the nonzeros of x_2..x_{T+1}, the iterate each round's step returned
         columns[name] = (losses, np.cumsum(losses), np.count_nonzero(run.next_iterates, axis=1))
     header = ["round"]
@@ -377,8 +364,10 @@ def main(argv=None) -> int:
                 "repro-l1": cmd_repro_l1, "verify": cmd_verify}
     try:
         return handlers[args.command](args)
-    except UsageError as err:
-        print(f"ocokit: {err}", file=sys.stderr)
+    # the caller's fault: a rejected value (UsageError is one), too large a size, a file
+    # that cannot be read or written; a broken invariant (RuntimeError) stays a traceback
+    except (ValueError, MemoryError, OSError) as err:
+        print(f"ocokit: {str(err) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -41,14 +41,17 @@ class RunResult:
 def _play(learner, stream, T: int) -> RunTrace:
     """Play ``T`` rounds into their ``RunTrace``, calling nothing on the learner but ``step``.
 
-    The stream is used only through ``event``.  The loss rows (the gradients
-    for linear losses, else the events' parameter rows) are held by
-    reference.  Every round must share one loss family.  Before anything reads
-    them, x_1..x_{T+1} are checked finite, with ``as_point``'s ValueError.
+    The stream is used only through ``event``, and its ``dim`` must be the
+    learner's.  The loss rows (the gradients for linear losses, else the
+    events' parameter rows) are held by reference.  Every round must share one
+    loss family.  Before anything reads them, x_1..x_{T+1} are checked finite,
+    with ``as_point``'s ValueError.
     """
     if T < 0:
         raise ValueError(f"round count must be >= 0, got {T}")
     dim = learner.dim
+    if stream.dim != dim:
+        raise ValueError(f"stream has dimension {stream.dim} but the learner has dimension {dim}")
     family = None
     rows, labels = [], []
     grads = np.zeros((T, dim))
@@ -124,40 +127,35 @@ L1_EXAMPLE_ETA = 2.0 / math.sqrt(L1_EXAMPLE_T)
 @dataclass
 class L1ExampleResult:
     rows: list  # (t, x_md, x_ftrl)
-    ok: bool
     failures: list
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
 def repro_l1_example() -> L1ExampleResult:
     """Run the 1-D adversary example: G=11, T=16, lam=0.5, eta=0.5.
 
-    The adversary reacts to the mirror-descent iterate; the identical
-    gradient stream feeds the accumulated-penalty learner.  Mirror descent
+    The adversary reacts to the mirror-descent iterate (``_play``); the
+    recorded gradients feed the accumulated-penalty learner.  Mirror descent
     oscillates between +/-(G - lam)/sqrt(T) = +/-2.625 forever, while the
     accumulated penalty drives its twin to an exact zero once
     |g_{1:t}| < t lam holds, which the alternating gradient sums reach at
     t = 12 (so x_t = 0 from t = 13 on).
     """
     G, T, lam, eta = L1_EXAMPLE_G, L1_EXAMPLE_T, L1_EXAMPLE_LAM, L1_EXAMPLE_ETA
-    adversary = L1AdversaryStream(G, lam)
     md = MirrorDescent(1, ConstantRate(eta), lam=lam)
+    trace = _play(md, L1AdversaryStream(G, lam), T - 1)
     ftrl = FtrlCompositeL1(1, ConstantRate(eta), lam=lam)
+    x_ftrl = [float(ftrl.x[0])] + [float(ftrl.step(g)[0]) for g in trace.grads]
+    rows = [(t, float(trace.points[t - 1, 0]), x_ftrl[t - 1]) for t in range(1, T + 1)]
 
     amplitude = (G - lam) / math.sqrt(T)
-    zero_onset = None
-    g_running = 0.0
-    rows = [(1, 0.0, 0.0)]
+    # np.cumsum adds in round order, so each prefix is the running sum's float
+    zero_onset = next((t + 1 for t, g_sum in enumerate(np.cumsum(trace.grads[:, 0]), start=1)
+                       if abs(g_sum) < t * lam), None)
     failures = []
-    for t in range(1, T):
-        event = adversary.event(t, md.x)
-        g = float(event.g[0])
-        g_running += g
-        x_md = float(md.step(event.g)[0])
-        x_ftrl = float(ftrl.step(event.g)[0])
-        rows.append((t + 1, x_md, x_ftrl))
-        if zero_onset is None and abs(g_running) < (t * lam):
-            zero_onset = t + 1
-
     for t, x_md, x_ftrl in rows[1:]:
         if abs(abs(x_md) - amplitude) > 1e-12:
             failures.append(f"round {t}: mirror-descent point {x_md} not +/-{amplitude}")
@@ -174,4 +172,4 @@ def repro_l1_example() -> L1ExampleResult:
                 failures.append(f"round {t}: expected exact zero, got {x_ftrl}")
             if t == zero_onset - 1 and t >= 2 and x_ftrl == 0.0:
                 failures.append(f"round {t}: zero region started early")
-    return L1ExampleResult(rows=rows, ok=not failures, failures=failures)
+    return L1ExampleResult(rows=rows, failures=failures)

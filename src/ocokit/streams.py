@@ -76,13 +76,14 @@ def loss_column(family: str, params, points: np.ndarray, labels=()) -> np.ndarra
 
 
 class ParseError(ValueError):
-    """Malformed svmlight input; carries line and column context."""
+    """Malformed svmlight input; carries line and column context beside its bare message."""
 
     def __init__(self, message, line=None, column=None):
         where = ""
         if line is not None:
             where = f" (line {line}" + (f", col {column})" if column is not None else ")")
         super().__init__(message + where)
+        self.message = message
         self.line = line
         self.column = column
 
@@ -245,6 +246,9 @@ class LogisticStream:
 
     def event(self, t: int, x_t) -> StreamEvent:
         """Reads x_t, the learner's own iterate, unchecked; step validates g."""
+        count = len(self.examples)
+        if not 1 <= t <= count:
+            raise ValueError(f"round {t} is outside 1..{count}: the stream has {count} examples")
         a, y = self.examples[t - 1]
         return StreamEvent(_logistic_gradient(x_t, a, y), LOGISTIC, a, float(y))
 
@@ -329,7 +333,7 @@ def load_svmlight(lines, dim: int) -> list:
         try:
             label, feats = parse_svmlight(line)
         except ParseError as err:
-            raise ParseError(str(err.args[0]).split(" (line")[0], line=lineno, column=err.column) from None
+            raise ParseError(err.message, line=lineno, column=err.column) from None
         if feats and max(feats) > dim:
             raise ParseError(f"feature index {max(feats)} exceeds dimension {dim}", line=lineno)
         parsed.append((label, feats))

@@ -7,6 +7,7 @@ for every randomized check.  All randomness is seeded.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -42,20 +43,18 @@ from .streams import (
 @dataclass
 class SuiteResult:
     name: str
-    passed: bool
     lines: list = field(default_factory=list)
     failures: list = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
     def check(self, ok: bool, label: str):
         self.lines.append(f"{'PASS' if ok else 'FAIL'}  {label}")
         if not ok:
             self.failures.append(label)
-            self.passed = False
         return ok
-
-
-def _new(name) -> SuiteResult:
-    return SuiteResult(name=name, passed=True)
 
 
 def _random_schedule(rng) -> core.LearningRateSchedule:
@@ -73,7 +72,7 @@ def _random_schedule(rng) -> core.LearningRateSchedule:
 
 def suite_equivalence(n_streams: int = 100, max_T: int = 200, seed0: int = 0) -> SuiteResult:
     """Round-by-round agreement of MirrorDescent and MdAsFtrl iterates."""
-    res = _new("equivalence")
+    res = SuiteResult("equivalence")
     worst = 0.0
     for k in range(n_streams):
         rng = np.random.default_rng(seed0 + k)
@@ -102,7 +101,7 @@ FTRL_L1_TRAJECTORY = [0.0, 2.625, -2.125, 2.125, -1.625, 1.625, -1.125, 1.125,
 
 
 def suite_l1_example() -> SuiteResult:
-    res = _new("l1-example")
+    res = SuiteResult("l1-example")
     out = repro_l1_example()
     res.check(out.ok, "oscillation and zero-region assertions hold")
     for msg in out.failures:
@@ -154,29 +153,27 @@ def _bound_pairings(T: int):
             for learner, bound, stream in _PAIRINGS}
 
 
-_BOUND_RUN_CACHE: dict = {}
+BOUND_STREAMS = 200  # streams per pairing in the bound suites
+BOUND_T = 64
 
 
-def run_bound_experiments(streams_per_pair: int = 200, T: int = 64, seed0: int = 0):
-    """Run every (learner, bound) pairing; cached so the diagnostic suite can reuse it."""
-    key = (streams_per_pair, T, seed0)
-    if key in _BOUND_RUN_CACHE:
-        return _BOUND_RUN_CACHE[key]
+@functools.cache  # the bound and diagnostic suites read the same runs
+def run_bound_experiments():
+    """Run every (learner, bound) pairing on ``BOUND_STREAMS`` streams of ``BOUND_T`` rounds."""
     results = {}
-    for p, (pair_name, make) in enumerate(_bound_pairings(T).items()):
+    for p, (pair_name, make) in enumerate(_bound_pairings(BOUND_T).items()):
         runs = []
-        for k in range(streams_per_pair):
-            rng = np.random.default_rng(seed0 + 7919 * p + 104729 * k)
-            learner, stream, rule, cfg, comp_set = make(seed0 + 7919 * p + 104729 * k + 1, rng)
-            runs.append(run_rounds(learner, stream, T, rule, cfg, comp_set))
+        for k in range(BOUND_STREAMS):
+            seed = 7919 * p + 104729 * k
+            learner, stream, rule, cfg, comp_set = make(seed + 1, np.random.default_rng(seed))
+            runs.append(run_rounds(learner, stream, BOUND_T, rule, cfg, comp_set))
         results[pair_name] = runs
-    _BOUND_RUN_CACHE[key] = results
     return results
 
 
-def suite_bounds(streams_per_pair: int = 200, T: int = 64, seed0: int = 0) -> SuiteResult:
-    res = _new("bounds")
-    results = run_bound_experiments(streams_per_pair, T, seed0)
+def suite_bounds() -> SuiteResult:
+    res = SuiteResult("bounds")
+    results = run_bound_experiments()
     for pair_name, runs in results.items():
         ok = all(r.bound_ok for r in runs)
         res.check(ok, f"{pair_name}: regret <= bound at every prefix on {len(runs)} streams")
@@ -187,11 +184,10 @@ def suite_bounds(streams_per_pair: int = 200, T: int = 64, seed0: int = 0) -> Su
     return res
 
 
-def suite_stability_diagnostic(streams_per_pair: int = 200, T: int = 64,
-                               seed0: int = 0) -> SuiteResult:
+def suite_stability_diagnostic() -> SuiteResult:
     """Stability decomposition >= regret, and the weak bound dominates the sharp one."""
-    res = _new("stability-diagnostic")
-    results = run_bound_experiments(streams_per_pair, T, seed0)
+    res = SuiteResult("stability-diagnostic")
+    results = run_bound_experiments()
     decomp_ok = all(r.decomposition_ok for runs in results.values() for r in runs)
     res.check(decomp_ok, "decomposition RHS >= cumulative regret on every run")
 
@@ -215,21 +211,21 @@ def suite_stability_diagnostic(streams_per_pair: int = 200, T: int = 64,
     return res
 
 
-def suite_percoord_dominance(n_streams: int = 50, T: int = 64, seed0: int = 7) -> SuiteResult:
+def suite_percoord_dominance() -> SuiteResult:
     """Per-coordinate adaptive bound <= fixed-horizon rate under uniform caps."""
-    res = _new("percoord-dominance")
+    res = SuiteResult("percoord-dominance")
     ok = True
-    for k in range(n_streams):
-        rng = np.random.default_rng(seed0 + k)
+    for seed in range(7, 57):
+        rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 6))
         G, R_inf = 1.0, 1.0
-        stream = RandomLinearStream(seed0 + k, n, G / math.sqrt(n), "sup")
-        grads = np.array([stream.event(t, np.zeros(n)).g for t in range(1, T + 1)])
+        stream = RandomLinearStream(seed, n, G / math.sqrt(n), "sup")
+        grads = np.array([stream.event(t, np.zeros(n)).g for t in range(1, 65)])
         cfg = BoundConfig(R=R_inf * math.sqrt(n), R_inf=R_inf, G=G, n=n)
         per = bound_curve(BoundRule.ADAGRAD_PER_COORD, cfg, grads)
         fixed = bound_curve(BoundRule.PROX_CLOSED_FORM, cfg, grads)
         ok = ok and not np.any(per > fixed + 1e-9)
-    res.check(ok, f"per-coordinate bound <= ball-rate bound on {n_streams} uniformly capped streams")
+    res.check(ok, "per-coordinate bound <= ball-rate bound on 50 uniformly capped streams")
     return res
 
 
@@ -239,7 +235,7 @@ def suite_percoord_dominance(n_streams: int = 50, T: int = 64, seed0: int = 7) -
 
 def suite_oracle_closed_form(count: int = 1000, smooth_count: int = 500,
                              seed0: int = 0) -> SuiteResult:
-    res = _new("oracle-closed-form")
+    res = SuiteResult("oracle-closed-form")
     rng = np.random.default_rng(seed0)
 
     # soft threshold
@@ -382,9 +378,9 @@ def suite_oracle_closed_form(count: int = 1000, smooth_count: int = 500,
 # Per-module invariants
 # ---------------------------------------------------------------------------
 
-def suite_core(seed0: int = 0) -> SuiteResult:
-    res = _new("core")
-    rng = np.random.default_rng(seed0)
+def suite_core() -> SuiteResult:
+    res = SuiteResult("core")
+    rng = np.random.default_rng(0)
 
     ok = True
     for _ in range(500):
@@ -431,9 +427,9 @@ def suite_core(seed0: int = 0) -> SuiteResult:
     return res
 
 
-def suite_learners(seed0: int = 0) -> SuiteResult:
-    res = _new("learners")
-    rng = np.random.default_rng(seed0)
+def suite_learners() -> SuiteResult:
+    res = SuiteResult("learners")
+    rng = np.random.default_rng(0)
 
     # closed-form equivalence of the three quadratic learners at a fixed rate
     ok = True
@@ -457,7 +453,7 @@ def suite_learners(seed0: int = 0) -> SuiteResult:
     for k in range(20):
         n = int(rng.integers(1, 4))
         learner = StronglyConvexOgd(n)
-        stream = StronglyConvexQuadraticStream(seed0 + k, n)
+        stream = StronglyConvexQuadraticStream(k, n)
         history = []
         for t in range(1, 25):
             x_t = learner.x.copy()
@@ -516,11 +512,11 @@ def suite_learners(seed0: int = 0) -> SuiteResult:
     return res
 
 
-def suite_mirror(seed0: int = 0) -> SuiteResult:
-    res = _new("mirror")
-    rng = np.random.default_rng(seed0)
+def suite_mirror() -> SuiteResult:
+    res = SuiteResult("mirror")
+    rng = np.random.default_rng(0)
 
-    eq = suite_equivalence(n_streams=30, max_T=120, seed0=seed0)
+    eq = suite_equivalence(n_streams=30, max_T=120)
     res.check(eq.passed, "ftrl-form twin agreement (30-stream spot check)")
 
     # subgradient extraction stays inside the penalty band
@@ -558,18 +554,18 @@ def suite_mirror(seed0: int = 0) -> SuiteResult:
     return res
 
 
-def suite_projection_families(n_streams: int = 100, T: int = 40, seed0: int = 0) -> SuiteResult:
-    res = _new("projection-families")
-    rng = np.random.default_rng(seed0)
+def suite_projection_families() -> SuiteResult:
+    res = SuiteResult("projection-families")
+    rng = np.random.default_rng(0)
     worst = 0.0
-    for _ in range(n_streams):
+    for _ in range(100):
         n = int(rng.integers(1, 4))
         eta = float(rng.uniform(0.1, 1.0))
         R = float(rng.uniform(0.2, 1.0))
         fset = FeasibleSet.l2_ball(R)
         lazies = [LazyProjection(n, eta, fset, v) for v in LazyProjection.VARIANTS]
         greedies = [GreedyProjection(n, eta, fset, v) for v in GreedyProjection.VARIANTS]
-        for _ in range(T):
+        for _ in range(40):
             g = rng.normal(0, 1, size=n)
             xs = [l.step(g) for l in lazies]
             for x in xs[1:]:
@@ -577,7 +573,7 @@ def suite_projection_families(n_streams: int = 100, T: int = 40, seed0: int = 0)
             ys = [gr.step(g) for gr in greedies]
             for y in ys[1:]:
                 worst = max(worst, float(np.max(np.abs(y - ys[0]))))
-    res.check(worst <= 1e-9, f"within-family formulations agree on {n_streams} ball streams "
+    res.check(worst <= 1e-9, f"within-family formulations agree on 100 ball streams "
                              f"(max gap {worst:.2e})")
 
     lazy = LazyProjection(1, 1.0, FeasibleSet.box(1.0))
@@ -592,9 +588,9 @@ def suite_projection_families(n_streams: int = 100, T: int = 40, seed0: int = 0)
     return res
 
 
-def suite_streams(seed0: int = 0) -> SuiteResult:
-    res = _new("streams")
-    rng = np.random.default_rng(seed0)
+def suite_streams() -> SuiteResult:
+    res = SuiteResult("streams")
+    rng = np.random.default_rng(0)
 
     ok = True
     for _ in range(200):
@@ -641,18 +637,22 @@ def suite_streams(seed0: int = 0) -> SuiteResult:
 # Sparsity contrast on a logistic + L1 run
 # ---------------------------------------------------------------------------
 
-def sparsity_contrast(seed: int = 5, n: int = 50, T: int = 2000, lam: float = 0.02,
-                      eta: float = 0.1):
-    """Final nonzero counts of the accumulated-penalty learner vs mirror descent."""
-    ftrl, md = (_play(learner, LogisticStream.synthetic(seed, n, T), T).points[-1]
+def sparsity_contrast():
+    """Final nonzero counts of the accumulated-penalty learner vs mirror descent.
+
+    Both play 2000 rounds of the seed-5 synthetic logistic stream at n = 50,
+    with eta = 0.1 and lam = 0.02.
+    """
+    n, T, lam, eta = 50, 2000, 0.02, 0.1
+    ftrl, md = (_play(learner, LogisticStream.synthetic(5, n, T), T).points[-1]
                 for learner in (FtrlCompositeL1(n, ConstantRate(eta), lam),
                                 MirrorDescent(n, ConstantRate(eta), lam=lam)))
     return int(np.count_nonzero(ftrl)), int(np.count_nonzero(md))
 
 
-def suite_sparsity(seed: int = 5) -> SuiteResult:
-    res = _new("sparsity")
-    ftrl_nz, md_nz = sparsity_contrast(seed=seed)
+def suite_sparsity() -> SuiteResult:
+    res = SuiteResult("sparsity")
+    ftrl_nz, md_nz = sparsity_contrast()
     res.check(ftrl_nz <= md_nz,
               f"accumulated penalty is at least as sparse: {ftrl_nz} vs {md_nz} nonzeros")
     return res
@@ -676,12 +676,10 @@ SUITES = {
 
 def run_suite(name: str) -> SuiteResult:
     if name == "all":
-        merged = _new("all")
+        merged = SuiteResult("all")
         for sub in SUITES.values():
             out = sub()
             merged.lines.extend(f"[{out.name}] {line}" for line in out.lines)
-            if not out.passed:
-                merged.passed = False
-                merged.failures.extend(f"[{out.name}] {msg}" for msg in out.failures)
+            merged.failures.extend(f"[{out.name}] {msg}" for msg in out.failures)
         return merged
     return SUITES[name]()

@@ -10,7 +10,6 @@ from ocokit import suites
 from ocokit.driver import repro_l1_example
 
 BOUND_STREAMS = 200
-BOUND_T = 64
 
 
 def report(number, ok, label):
@@ -51,7 +50,7 @@ def test_criterion_2_one_dimensional_l1_reproduction():
 
 def test_criterion_3_bound_suites_hold_at_every_prefix():
     start = time.monotonic()
-    result = suites.suite_bounds(streams_per_pair=BOUND_STREAMS, T=BOUND_T, seed0=0)
+    result = suites.suite_bounds()
     elapsed = time.monotonic() - start
     for line in result.lines:
         print("   ", line)
@@ -61,8 +60,7 @@ def test_criterion_3_bound_suites_hold_at_every_prefix():
 
 
 def test_criterion_4_stability_decomposition_and_weak_bound_dominance():
-    result = suites.suite_stability_diagnostic(streams_per_pair=BOUND_STREAMS,
-                                               T=BOUND_T, seed0=0)
+    result = suites.suite_stability_diagnostic()
     for line in result.lines:
         print("   ", line)
     report(4, result.passed,
@@ -79,7 +77,7 @@ def test_criterion_5_oracle_certification():
 
 
 def test_criterion_6_projection_families():
-    result = suites.suite_projection_families(n_streams=100, seed0=0)
+    result = suites.suite_projection_families()
     for line in result.lines:
         print("   ", line)
     report(6, result.passed,
@@ -88,7 +86,7 @@ def test_criterion_6_projection_families():
 
 
 def test_criterion_7_sparsity_contrast_on_logistic_l1():
-    ftrl_nz, md_nz = suites.sparsity_contrast(seed=5, n=50, T=2000, lam=0.02, eta=0.1)
+    ftrl_nz, md_nz = suites.sparsity_contrast()
     report(7, ftrl_nz <= md_nz,
            f"accumulated-penalty learner at least as sparse: {ftrl_nz} vs {md_nz} "
            f"nonzeros of 50")

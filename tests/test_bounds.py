@@ -148,7 +148,7 @@ def test_regret_record_rejects_columns_of_different_lengths():
 def test_per_coordinate_bound_dominates_fixed_rate_under_uniform_caps():
     from ocokit import suites
 
-    result = suites.suite_percoord_dominance(n_streams=50)
+    result = suites.suite_percoord_dominance()
     assert result.passed, result.failures
 
 

@@ -55,6 +55,13 @@ def write_huge_gradient_data(tmp_path):
     return str(path)
 
 
+def write_non_utf8_config(tmp_path, text):
+    """``text`` and then a comment with a Latin-1 byte, which is not UTF-8."""
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(text.encode() + b"# caf\xe9\n")
+    return str(path)
+
+
 def assert_one_line_usage_error(code, out, err, starts="ocokit: "):
     assert code == 2
     assert out == ""
@@ -180,6 +187,8 @@ class TestRun:
         # eta = 0 is a rate, not a missing one: the default schedule must not replace it
         ("dual-averaging", "da-closed-form", "eta = 0"),
         ("ftrl-proximal", "prox-closed-form", "eta = 0"),
+        # the learner's own check: the simplex needs two coordinates
+        ("entropic", "entropic", "n = 1"),
     ])
     def test_invalid_config_value_is_usage_error(self, tmp_path, capsys, learner, bound, line):
         cfg = write_config(tmp_path, f"learner = {learner}\nstream = random-linear\n"
@@ -332,6 +341,19 @@ class TestRun:
         assert (code, out, err) == (
             2, "", "ocokit: G = 2R = 8e+153 must be below 2^511 (about 6.7e153)\n")
 
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_an_unwritable_out_is_usage_error(self, tmp_path, capsys, where):
+        out = tmp_path / "no-such-dir" / "rows.csv"
+        text = RUN_CFG + (f"out = {out}\n" if where == "config" else "")
+        argv = ["run", "--config", write_config(tmp_path, text)]
+        argv += ["--out", str(out)] if where == "flag" else []
+        assert_one_line_usage_error(*run_cli(argv, capsys))
+
+    def test_a_config_that_is_not_utf8_is_usage_error(self, tmp_path, capsys):
+        cfg = write_non_utf8_config(tmp_path, RUN_CFG)
+        assert_one_line_usage_error(*run_cli(["run", "--config", cfg], capsys),
+                                    "ocokit: cannot read config: 'utf-8' codec can't decode")
+
     def test_parse_config_closes_its_file(self, tmp_path):
         cfg = write_config(tmp_path, RUN_CFG)
         with warnings.catch_warnings(record=True) as caught:
@@ -414,6 +436,21 @@ eta = 0.1
                                      "stream = logistic\nT = 3\nn = 2\n"
                                      f"data = {write_huge_gradient_data(tmp_path)}\n")
         assert_one_line_usage_error(*run_cli(["compare", "--config", cfg], capsys), SQ_SUM_ERR)
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_an_unwritable_out_is_usage_error(self, tmp_path, capsys, where):
+        out = tmp_path / "no-such-dir" / "rows.csv"
+        text = "learners = ftrl-l1, md-l1\nstream = random-linear\nT = 3\nn = 2\n"
+        text += f"out = {out}\n" if where == "config" else ""
+        argv = ["compare", "--config", write_config(tmp_path, text)]
+        argv += ["--out", str(out)] if where == "flag" else []
+        assert_one_line_usage_error(*run_cli(argv, capsys))
+
+    def test_a_config_that_is_not_utf8_is_usage_error(self, tmp_path, capsys):
+        cfg = write_non_utf8_config(tmp_path, "learners = ftrl-l1, md-l1\n"
+                                              "stream = random-linear\nT = 3\nn = 2\n")
+        assert_one_line_usage_error(*run_cli(["compare", "--config", cfg], capsys),
+                                    "ocokit: cannot read config: 'utf-8' codec can't decode")
 
     def test_single_learner_is_usage_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, """
@@ -507,6 +544,10 @@ class TestReproL1:
         for row in rows:
             if int(row[0]) >= 13:
                 assert row[2] == "0"
+
+    def test_an_unwritable_out_is_usage_error(self, tmp_path, capsys):
+        # a directory cannot be opened for writing
+        assert_one_line_usage_error(*run_cli(["repro-l1", "--out", str(tmp_path)], capsys))
 
 
 class TestVerify:

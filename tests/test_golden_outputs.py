@@ -9,10 +9,10 @@ on logistic losses, composite L1 on the 1-D adversary, mirror descent with
 L1, entropic, strongly convex), from three ``compare`` configs at seed 0
 (seven learners on logistic, random-linear and strongly convex streams),
 from ``repro-l1``, and from the five record arrays of every run of
-``suites.run_bound_experiments(200, 64, 0)``, the runs that ``verify
-bounds`` and ``verify stability-diagnostic`` check.  A change that moves one
-printed digit fails here; if that change is intended, the new digests go in
-with it, and the reason with them.
+``suites.run_bound_experiments()`` (200 streams per pairing, T = 64), the
+runs that ``verify bounds`` and ``verify stability-diagnostic`` check.  A
+change that moves one printed digit fails here; if that change is intended,
+the new digests go in with it, and the reason with them.
 
 The values are bitwise-sensitive to numpy's summation and dot-product
 kernels, which the numpy 2 builds these digests come from share; older
@@ -112,7 +112,7 @@ def test_repro_l1_bytes_are_pinned(tmp_path):
 
 def test_bound_run_arrays_are_pinned():
     digest = hashlib.sha256()
-    for runs in suites.run_bound_experiments(200, 64, 0).values():
+    for runs in suites.run_bound_experiments().values():
         for run in runs:
             rec = run.record
             for column in (rec.loss, rec.comp_loss, rec.cum_regret, rec.bound,

@@ -175,6 +175,17 @@ def test_a_falling_inverse_rate_makes_run_rounds_raise():
                    BoundRule.GENERAL_FTRL, comparator_set=FeasibleSet.l2_ball(1.0))
 
 
+@pytest.mark.parametrize("stream_dim,learner_dim", [(3, 2), (1, 3)])
+def test_a_stream_and_a_learner_of_different_sizes_make_run_rounds_raise(stream_dim,
+                                                                        learner_dim):
+    learner = DualAveraging(learner_dim, ConstantRate(0.5))
+    with pytest.raises(ValueError, match=f"stream has dimension {stream_dim} but the "
+                                         f"learner has dimension {learner_dim}"):
+        run_rounds(learner, RandomLinearStream(0, stream_dim, 1.0), 4,
+                   comparator_set=FeasibleSet.l2_ball(1.0))
+    assert learner.t == 0  # raised before round 1
+
+
 class _EventOnly:
     """A stream that has nothing but ``event`` and ``dim``; ``params`` gets each event's row."""
 

@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ocokit import oracle
+from ocokit.core import ConstantRate, FeasibleSet
+from ocokit.driver import run_rounds
+from ocokit.learners import FtrlProximal
 from ocokit.streams import (
     L1AdversaryStream,
     LogisticStream,
@@ -75,6 +78,17 @@ class TestLogistic:
     def test_loss_is_stable_at_extreme_scores(self):
         assert np.isfinite(logistic_loss(np.array([1000.0]), np.array([1.0]), 0))
         assert np.isfinite(logistic_loss(np.array([-1000.0]), np.array([1.0]), 1))
+
+    @pytest.mark.parametrize("t", [0, -1, 4])
+    def test_a_round_outside_the_examples_is_rejected(self, t):
+        stream = LogisticStream.synthetic(0, 2, 3)
+        with pytest.raises(ValueError, match=f"round {t} is outside 1..3: the stream has 3 "):
+            stream.event(t, np.zeros(2))
+
+    def test_a_run_longer_than_the_examples_raises_a_value_error(self):
+        stream = LogisticStream.synthetic(0, 2, 3)
+        with pytest.raises(ValueError, match="round 4 is outside 1..3"):
+            run_rounds(FtrlProximal(2, ConstantRate(0.5), FeasibleSet.l2_ball(1.0)), stream, 4)
 
     def test_synthetic_stream_is_deterministic(self):
         a = LogisticStream.synthetic(3, 5, 20)
@@ -155,6 +169,14 @@ class TestSvmlight:
     def test_malformed_lines(self, line):
         with pytest.raises(ParseError):
             parse_svmlight(line)
+
+    def test_error_keeps_its_bare_message_beside_the_position(self):
+        with pytest.raises(ParseError) as exc:
+            load_svmlight(["1 1:0.5", "1 2:1 2:3"], dim=2)
+        err = exc.value
+        assert (err.message, err.line, err.column) == (
+            "feature indices must be strictly increasing, got 2 after 2", 2, 7)
+        assert str(err) == f"{err.message} (line 2, col 7)"
 
     def test_error_carries_position(self):
         with pytest.raises(ParseError) as exc:
