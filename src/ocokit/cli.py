@@ -139,7 +139,7 @@ def build_stream(cfg):
         try:
             with open(cfg["data"], encoding="utf-8") as fh:
                 examples = load_svmlight(fh, n)
-        except OSError as err:
+        except (OSError, UnicodeDecodeError) as err:
             raise UsageError(f"cannot read data file: {err}")
         if len(examples) < T:
             raise UsageError(f"data has {len(examples)} examples but T = {T}")

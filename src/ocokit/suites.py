@@ -254,6 +254,8 @@ def suite_oracle_closed_form(count: int = 1000, smooth_count: int = 500,
 
     # softmax on the 2-simplex via a 1-D slice
     def xlogx(p):
+        if isinstance(p, np.ndarray):  # math.log per point: np.log may round differently
+            return np.array([xlogx(v) for v in p.tolist()])
         return p * math.log(p) if p > 0 else 0.0
 
     worst = 0.0
@@ -262,8 +264,8 @@ def suite_oracle_closed_form(count: int = 1000, smooth_count: int = 500,
         inv = float(rng.uniform(0.2, 5.0))
         closed = core.softmax_simplex(-g / inv)
 
-        def obj(p):
-            return g[0] * p + g[1] * (1 - p) + inv * (math.log(2) + xlogx(p) + xlogx(1 - p))
+        def obj(p, g0=float(g[0]), g1=float(g[1])):
+            return g0 * p + g1 * (1 - p) + inv * (math.log(2) + xlogx(p) + xlogx(1 - p))
 
         p = oracle.numeric_argmin_1d(obj, 0.0, 1.0)
         worst = max(worst, abs(closed[0] - p), abs(closed[1] - (1 - p)))
@@ -282,7 +284,8 @@ def suite_oracle_closed_form(count: int = 1000, smooth_count: int = 500,
             x = learner.step(g)
             z = learner.g_sum - learner.adj_sum
             inv = learner.last_inv_rate
-            objs = [(lambda v, i=i: z[i] * v + 0.5 * inv[i] * v * v) for i in range(n)]
+            objs = [(lambda v, zi=zi, wi=wi: zi * v + 0.5 * wi * v * v)
+                    for zi, wi in zip(z.tolist(), inv.tolist())]
             num = oracle.numeric_argmin_separable(objs, -R, R)
             worst = max(worst, float(np.max(np.abs(x - num))))
             steps += 1
@@ -301,8 +304,9 @@ def suite_oracle_closed_form(count: int = 1000, smooth_count: int = 500,
             x_prev = md.x.copy()
             x = md.step(g)
             w = md.last_inv_rate
-            objs = [(lambda v, i=i: g[i] * v + lam * abs(v) + 0.5 * w[i] * (v - x_prev[i]) ** 2)
-                    for i in range(n)]
+            objs = [(lambda v, gi=gi, wi=wi, xi=xi:
+                     gi * v + lam * abs(v) + 0.5 * wi * ((v - xi) * (v - xi)))
+                    for gi, wi, xi in zip(g.tolist(), w.tolist(), x_prev.tolist())]
             half = np.array([oracle.default_bracket(abs(g[i]) + w[i] * abs(x_prev[i]), w[i])
                              for i in range(n)])
             num = oracle.numeric_argmin_separable(objs, -half, half)
@@ -318,7 +322,7 @@ def suite_oracle_closed_form(count: int = 1000, smooth_count: int = 500,
         R = float(rng.uniform(0.3, 2.0))
         v = rng.normal(0, 2, size=n)
         closed = core.clamp_box(v, R)
-        objs = [(lambda x, i=i: (x - v[i]) ** 2) for i in range(n)]
+        objs = [(lambda x, vi=vi: (x - vi) * (x - vi)) for vi in v.tolist()]
         num = oracle.numeric_argmin_separable(objs, -R, R)
         worst = max(worst, float(np.max(np.abs(closed - num))))
     res.check(worst <= core.TOL_ORACLE, f"box projection vs numeric argmin on {count} draws "
@@ -330,12 +334,14 @@ def suite_oracle_closed_form(count: int = 1000, smooth_count: int = 500,
         if k % 2 == 0:
             v = rng.normal(0, 2, size=1)
             closed = core.project_l2_ball(v, R)
-            num = np.array([oracle.numeric_argmin_1d(lambda x: (x - v[0]) ** 2, -R, R)])
+            v0 = float(v[0])
+            num = np.array([oracle.numeric_argmin_1d(lambda x: (x - v0) * (x - v0), -R, R)])
         else:
             v = rng.normal(0, 2, size=2)
             closed = core.project_l2_ball(v, R)
+            v0, v1 = v.tolist()
             num = oracle.numeric_argmin_ball_2d(
-                lambda a, b: (a - v[0]) ** 2 + (b - v[1]) ** 2, R)
+                lambda a, b: (a - v0) * (a - v0) + (b - v1) * (b - v1), R)
         worst = max(worst, float(np.max(np.abs(closed - num))))
     res.check(worst <= core.TOL_ORACLE, f"ball projection vs numeric argmin on {count} draws "
                                         f"(max gap {worst:.2e})")
@@ -462,8 +468,9 @@ def suite_learners() -> SuiteResult:
             x_next = learner.step(ev.g)
             objs = []
             for i in range(n):
-                objs.append(lambda v, i=i: sum(
-                    gs[i] * (v - xs[i]) + 0.5 * (v - xs[i]) ** 2 for xs, gs in history))
+                terms = [(float(gs[i]), float(xs[i])) for xs, gs in history]
+                objs.append(lambda v, terms=terms: sum(
+                    gi * (v - xi) + 0.5 * ((v - xi) * (v - xi)) for gi, xi in terms))
             # value noise near a flat minimum exceeds 1e-8 for plain
             # golden section, so use the parabolic-polished search
             num = np.array([oracle.polished_argmin_1d(f, -3, 3) for f in objs])

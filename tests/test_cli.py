@@ -298,6 +298,14 @@ class TestRun:
         assert (code, out, err) == (2, "", "ocokit: malformed feature token '1_0:5' "
                                            "(line 1, col 3)\n")
 
+    def test_data_that_is_not_utf8_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.svm"
+        path.write_bytes(b"1 1:0.5 2:-1 # caf\xe9\n-1 2:0.25\n")
+        cfg = write_config(tmp_path, "learner = adagrad-ftrl-proximal\nstream = logistic\n"
+                                     f"bound = ftrl-proximal\nT = 2\nn = 2\ndata = {path}\n")
+        assert_one_line_usage_error(*run_cli(["run", "--config", cfg], capsys),
+                                    "ocokit: cannot read data file: 'utf-8' codec can't decode")
+
     @pytest.mark.parametrize("radius", ["-1", "0", "inf", "nan"])
     def test_a_comparator_radius_that_is_not_positive_and_finite_is_usage_error(
             self, tmp_path, capsys, radius):
