@@ -38,12 +38,7 @@ from .learners import (
     QuadraticFtrl,
     StronglyConvexOgd,
 )
-from .mirror import (
-    GreedyProjection,
-    LazyProjection,
-    MdAsFtrl,
-    MirrorDescent,
-)
+from .mirror import MdAsFtrl, MirrorDescent
 from .streams import (
     L1AdversaryStream,
     LogisticStream,

@@ -27,7 +27,7 @@ from .learners import (
     FtrlProximal,
     StronglyConvexOgd,
 )
-from .mirror import GreedyProjection, LazyProjection, MdAsFtrl, MirrorDescent
+from .mirror import MdAsFtrl, MirrorDescent
 from .streams import (
     LogisticStream,
     RandomLinearStream,
@@ -561,30 +561,81 @@ def suite_mirror() -> SuiteResult:
     return res
 
 
+def _lazy_family(n: int, eta: float, fset: FeasibleSet) -> list:
+    """Lazy projection's members, each a map g_t -> x_{t+1}; dual averaging is the last.
+
+    The restatements keep g_{1:t} and project -eta g_{1:t}, or keep the dual
+    point theta and map it through the regularizer's conjugate gradient.
+    """
+    g_sum, theta = np.zeros(n), np.zeros(n)
+
+    def projection(g):
+        nonlocal g_sum
+        g_sum = g_sum + g
+        return fset.project(-eta * g_sum)
+
+    def explicit(g):
+        nonlocal theta
+        theta = theta - g
+        return fset.project(eta * theta)
+
+    return [projection, explicit, DualAveraging(n, ConstantRate(eta), fset).step]
+
+
+def _greedy_family(n: int, eta: float, fset: FeasibleSet) -> list:
+    """Greedy projection's members, each a map g_t -> x_{t+1}; mirror descent is the third.
+
+    The others: the two-step Proj(x_t - eta g_t), the dual point
+    theta = x_t / eta - g_t, and the accumulated objective with the set's
+    indicator linearized through extracted subgradients.
+    """
+    x_two_step, x_explicit, accum = np.zeros(n), np.zeros(n), np.zeros(n)
+
+    def projection(g):
+        nonlocal x_two_step
+        x_two_step = fset.project(x_two_step - eta * g)
+        return x_two_step
+
+    def explicit(g):
+        nonlocal x_explicit
+        theta = x_explicit / eta - g
+        x_explicit = fset.project(eta * theta)
+        return x_explicit
+
+    def accumulated(g):  # accum is g_{1:t} + g_ind_{1:t-1}
+        nonlocal accum
+        accum = accum + g
+        x = fset.project(-eta * accum)
+        g_ind = -accum - x / eta  # the indicator subgradient that keeps optimality exact
+        accum = accum + g_ind
+        return x
+
+    return [projection, explicit,
+            MirrorDescent(n, ConstantRate(eta), feasible_set=fset).step, accumulated]
+
+
 def suite_projection_families() -> SuiteResult:
+    """Lazy and greedy projection: dual averaging and mirror descent at a constant rate."""
     res = SuiteResult("projection-families")
     rng = np.random.default_rng(0)
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(1, 4))
         eta = float(rng.uniform(0.1, 1.0))
-        R = float(rng.uniform(0.2, 1.0))
-        fset = FeasibleSet.l2_ball(R)
-        lazies = [LazyProjection(n, eta, fset, v) for v in LazyProjection.VARIANTS]
-        greedies = [GreedyProjection(n, eta, fset, v) for v in GreedyProjection.VARIANTS]
+        fset = FeasibleSet.l2_ball(float(rng.uniform(0.2, 1.0)))
+        families = (_lazy_family(n, eta, fset), _greedy_family(n, eta, fset))
         for _ in range(40):
             g = rng.normal(0, 1, size=n)
-            xs = [l.step(g) for l in lazies]
-            for x in xs[1:]:
-                worst = max(worst, float(np.max(np.abs(x - xs[0]))))
-            ys = [gr.step(g) for gr in greedies]
-            for y in ys[1:]:
-                worst = max(worst, float(np.max(np.abs(y - ys[0]))))
+            for steps in families:
+                xs = [step(g) for step in steps]
+                for x in xs[1:]:
+                    worst = max(worst, float(np.max(np.abs(x - xs[0]))))
     res.check(worst <= 1e-9, f"within-family formulations agree on 100 ball streams "
                              f"(max gap {worst:.2e})")
 
-    lazy = LazyProjection(1, 1.0, FeasibleSet.box(1.0))
-    greedy = GreedyProjection(1, 1.0, FeasibleSet.box(1.0))
+    box = FeasibleSet.box(1.0)
+    lazy = DualAveraging(1, ConstantRate(1.0), box)
+    greedy = MirrorDescent(1, ConstantRate(1.0), feasible_set=box)
     trajectory = []
     for g in (2.0, -2.0):
         trajectory.append((float(lazy.step([g])[0]), float(greedy.step([g])[0])))

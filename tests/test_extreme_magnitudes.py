@@ -31,12 +31,14 @@ from ocokit.learners import (
     FtrlProximal,
     StronglyConvexOgd,
 )
-from ocokit.mirror import GreedyProjection, LazyProjection, MdAsFtrl, MirrorDescent
+from ocokit.mirror import MdAsFtrl, MirrorDescent
 
 BALL, BOX = FeasibleSet.l2_ball(1.0), FeasibleSet.box(1.0)
 
 LEARNERS = {
     "da-constant": lambda n: DualAveraging(n, ConstantRate(0.3)),
+    "da-constant-ball": lambda n: DualAveraging(n, ConstantRate(0.3), BALL),
+    "da-constant-box": lambda n: DualAveraging(n, ConstantRate(0.3), BOX),
     "da-sqrt-ball": lambda n: DualAveraging(n, InverseSqrtRate(0.5, shift=1), BALL),
     "da-adagrad-box": lambda n: DualAveraging(n, AdaGradRate(1.0, offset=0.5), BOX),
     "prox-constant-ball": lambda n: FtrlProximal(n, ConstantRate(0.3), BALL),
@@ -50,16 +52,11 @@ LEARNERS = {
     "md-adagrad-box": lambda n: MirrorDescent(n, AdaGradRate(1.0), lam=0.1, feasible_set=BOX),
     "md-adagrad-ball": lambda n: MirrorDescent(n, AdaGradRate(1.0), feasible_set=BALL),
     "md-constant-ball": lambda n: MirrorDescent(n, ConstantRate(0.3), feasible_set=BALL),
+    "md-constant-box": lambda n: MirrorDescent(n, ConstantRate(0.3), feasible_set=BOX),
     "md-as-ftrl": lambda n: MdAsFtrl(n, ConstantRate(0.3), lam=0.1),
     "md-as-ftrl-adagrad": lambda n: MdAsFtrl(n, AdaGradRate(1.0), lam=0.1),
     "entropic": lambda n: EntropicFtrl(max(n, 2), 1.0),
     "strongly-convex": lambda n: StronglyConvexOgd(n),
-    "lazy-ball": lambda n: LazyProjection(n, 0.3, BALL),
-    "lazy-box-explicit": lambda n: LazyProjection(n, 0.3, BOX, "explicit"),
-    "lazy-ball-ftrl": lambda n: LazyProjection(n, 0.3, BALL, "ftrl"),
-    "greedy-ball": lambda n: GreedyProjection(n, 0.3, BALL),
-    "greedy-box-implicit": lambda n: GreedyProjection(n, 0.3, BOX, "implicit"),
-    "greedy-ball-ftrl": lambda n: GreedyProjection(n, 0.3, BALL, "ftrl"),
 }
 
 _entries = st.one_of(

@@ -4,9 +4,10 @@ Refactors of the driver, the learners and the loss accounting must leave
 the CSV bytes of ``ocokit run``, ``ocokit compare`` and ``ocokit repro-l1``
 unchanged, and the arrays of the verify bound runs too.  The digests below
 were recorded from eight ``run`` configs at seed 0 (every stream family and
-every learner kind: lazy and greedy ball projections, AdaGrad on a box and
-on logistic losses, composite L1 on the 1-D adversary, mirror descent with
-L1, entropic, strongly convex), from three ``compare`` configs at seed 0
+every learner kind: unconstrained dual averaging, FTRL-Proximal on a ball,
+AdaGrad on a box and on logistic losses, composite L1 on the 1-D
+adversary, mirror descent with L1, entropic, strongly convex), from three
+``compare`` configs at seed 0
 (seven learners on logistic, random-linear and strongly convex streams),
 from ``repro-l1``, and from the five record arrays of every run of
 ``suites.run_bound_experiments()`` (200 streams per pairing, T = 64), the

@@ -25,13 +25,15 @@ from ocokit.learners import (
     QuadraticFtrl,
     StronglyConvexOgd,
 )
-from ocokit.mirror import GreedyProjection, LazyProjection, MdAsFtrl, MirrorDescent
+from ocokit.mirror import MdAsFtrl, MirrorDescent
 
 BALL = FeasibleSet.l2_ball(0.8)
 BOX = FeasibleSet.box(0.5)
 
 LEARNERS = {
     "dual-averaging-ball": lambda: DualAveraging(2, InverseSqrtRate(0.7, shift=1), BALL),
+    "dual-averaging-constant-ball": lambda: DualAveraging(2, ConstantRate(0.5), BALL),
+    "dual-averaging-constant-box": lambda: DualAveraging(2, ConstantRate(0.5), BOX),
     "ftrl-proximal-ball": lambda: FtrlProximal(2, ConstantRate(0.5), BALL),
     "ftrl-proximal-adagrad-box": lambda: FtrlProximal(2, AdaGradRate(0.7), BOX),
     "ftrl-composite-l1": lambda: FtrlCompositeL1(2, ConstantRate(0.5), 0.05),
@@ -39,13 +41,10 @@ LEARNERS = {
     "strongly-convex-ogd": lambda: StronglyConvexOgd(2),
     "mirror-descent-l1": lambda: MirrorDescent(2, ConstantRate(0.3), lam=0.1),
     "mirror-descent-ball": lambda: MirrorDescent(2, ConstantRate(0.5), feasible_set=BALL),
+    "mirror-descent-constant-box": lambda: MirrorDescent(2, ConstantRate(0.5), feasible_set=BOX),
     "md-as-ftrl": lambda: MdAsFtrl(2, ConstantRate(0.3), lam=0.1),
     "quadratic-ftrl-l1-box": lambda: QuadraticFtrl(2, AdaGradRate(0.7), BOX, "proximal", 0.05),
 }
-for _variant in LazyProjection.VARIANTS:
-    LEARNERS[f"lazy-{_variant}"] = lambda v=_variant: LazyProjection(2, 0.5, BALL, v)
-for _variant in GreedyProjection.VARIANTS:
-    LEARNERS[f"greedy-{_variant}"] = lambda v=_variant: GreedyProjection(2, 0.5, BALL, v)
 
 EXPORTED_LEARNERS = [obj for obj in vars(ocokit).values()
                      if inspect.isclass(obj) and callable(getattr(obj, "step", None))]
@@ -82,7 +81,7 @@ def test_the_starting_point_is_read_only_too(name):
 
 
 def test_the_table_covers_every_exported_learner_class():
-    assert len(EXPORTED_LEARNERS) == 10
+    assert len(EXPORTED_LEARNERS) == 8
     assert {type(make()) for make in LEARNERS.values()} == set(EXPORTED_LEARNERS)
 
 

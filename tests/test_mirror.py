@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ocokit import oracle
+from ocokit import oracle, suites
 from ocokit.core import (
     AdaGradRate,
     ConsistencyError,
@@ -14,7 +14,8 @@ from ocokit.core import (
     _psi_subgradient,
 )
 from ocokit.driver import repro_l1_example
-from ocokit.mirror import GreedyProjection, LazyProjection, MdAsFtrl, MirrorDescent
+from ocokit.learners import DualAveraging
+from ocokit.mirror import MdAsFtrl, MirrorDescent
 
 
 class TestMirrorDescent:
@@ -199,11 +200,18 @@ def test_oscillation_on_the_adversary():
 
 
 class TestProjectionFamilies:
+    """Lazy projection is DualAveraging, greedy projection MirrorDescent, at a constant rate."""
+
+    FAMILIES = {
+        "lazy": lambda rate, fset: DualAveraging(2, rate, fset),
+        "greedy": lambda rate, fset: MirrorDescent(2, rate, feasible_set=fset),
+    }
+
     def test_interior_trajectories_coincide(self):
         rng = np.random.default_rng(7)
         fset = FeasibleSet.l2_ball(50.0)  # big enough that projection never binds
-        lazy = LazyProjection(2, 0.1, fset)
-        greedy = GreedyProjection(2, 0.1, fset)
+        lazy = DualAveraging(2, ConstantRate(0.1), fset)
+        greedy = MirrorDescent(2, ConstantRate(0.1), feasible_set=fset)
         g_sum = np.zeros(2)
         for _ in range(20):
             g = rng.normal(size=2)
@@ -213,8 +221,8 @@ class TestProjectionFamilies:
             assert np.allclose(greedy.step(g), want, atol=1e-12)
 
     def test_crafted_divergence_at_round_three(self):
-        lazy = LazyProjection(1, 1.0, FeasibleSet.box(1.0))
-        greedy = GreedyProjection(1, 1.0, FeasibleSet.box(1.0))
+        lazy = DualAveraging(1, ConstantRate(1.0), FeasibleSet.box(1.0))
+        greedy = MirrorDescent(1, ConstantRate(1.0), feasible_set=FeasibleSet.box(1.0))
         assert lazy.step([2.0])[0] == -1.0 and greedy.step([2.0])[0] == -1.0
         x3_lazy = lazy.step([-2.0])[0]
         x3_greedy = greedy.step([-2.0])[0]
@@ -223,27 +231,50 @@ class TestProjectionFamilies:
         assert abs(x3_lazy - x3_greedy) == 1.0
 
     def test_zero_gradients_stay_put(self):
-        for cls in (LazyProjection, GreedyProjection):
-            learner = cls(2, 0.5, FeasibleSet.l2_ball(1.0))
+        for make in self.FAMILIES.values():
+            learner = make(ConstantRate(0.5), FeasibleSet.l2_ball(1.0))
             for _ in range(5):
                 assert np.allclose(learner.step([0.0, 0.0]), 0.0)
 
     @pytest.mark.parametrize("eta", [0.0, -1.0, math.nan, math.inf])
-    @pytest.mark.parametrize("cls", [LazyProjection, GreedyProjection])
-    def test_every_variant_rejects_a_rate_that_is_not_positive_and_finite(self, cls, eta):
-        for variant in cls.VARIANTS:
-            with pytest.raises(ValueError, match="eta > 0"):
-                cls(2, eta, FeasibleSet.box(1.0), variant)
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_a_rate_that_is_not_positive_and_finite_is_rejected(self, family, eta):
+        with pytest.raises(ValueError, match="eta > 0"):
+            self.FAMILIES[family](ConstantRate(eta), FeasibleSet.box(1.0))
 
-    @pytest.mark.parametrize("cls", [LazyProjection, GreedyProjection])
-    def test_variants_agree_on_random_ball_streams(self, cls):
+    @pytest.mark.parametrize("family", [suites._lazy_family, suites._greedy_family],
+                             ids=["lazy", "greedy"])
+    def test_restatements_agree_on_random_ball_streams(self, family):
         rng = np.random.default_rng(8)
         for _ in range(30):
             eta = float(rng.uniform(0.1, 1.0))
             fset = FeasibleSet.l2_ball(float(rng.uniform(0.2, 1.0)))
-            members = [cls(2, eta, fset, v) for v in cls.VARIANTS]
+            members = family(2, eta, fset)
             for _ in range(25):
                 g = rng.normal(size=2)
-                xs = [m.step(g) for m in members]
+                xs = [step(g) for step in members]
                 for x in xs[1:]:
                     assert np.max(np.abs(x - xs[0])) <= 1e-9
+
+    def test_the_accumulated_form_without_its_indicator_subgradient_fails_the_suite(
+            self, monkeypatch):
+        # Dropping g_ind turns the greedy accumulated form into the lazy update,
+        # so the suite's restatements must catch it: they are not the learners.
+        greedy_family = suites._greedy_family
+
+        def greedy_without_indicator(n, eta, fset):
+            accum = np.zeros(n)
+
+            def accumulated(g):
+                nonlocal accum
+                accum = accum + g
+                return fset.project(-eta * accum)
+
+            return greedy_family(n, eta, fset)[:-1] + [accumulated]
+
+        monkeypatch.setattr(suites, "_greedy_family", greedy_without_indicator)
+        result = suites.suite_projection_families()
+        assert len(result.failures) == 1
+        label = result.failures[0]
+        assert label.startswith("within-family formulations agree on 100 ball streams")
+        assert float(label.rsplit("max gap ", 1)[1].rstrip(")")) > 1e-9

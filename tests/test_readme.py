@@ -1,14 +1,30 @@
-"""Every fenced ``python`` block in README.md runs as written, with RuntimeWarning an error."""
+"""README.md stays true to the package.
 
+Every fenced ``python`` block runs as written, with RuntimeWarning an error,
+and every CamelCase name the prose cites in backticks exists.
+"""
+
+import builtins
+import importlib
+import pkgutil
 import re
 import warnings
 from pathlib import Path
 
 import pytest
 
+import ocokit
+
 README = Path(__file__).resolve().parent.parent / "README.md"
-BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
-                    flags=re.MULTILINE | re.DOTALL)
+TEXT = README.read_text(encoding="utf-8")
+BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT, flags=re.MULTILINE | re.DOTALL)
+PROSE = re.sub(r"^```.*?^```", "", TEXT, flags=re.MULTILINE | re.DOTALL)
+# a span that is `Name`, or starts `Name(` or `Name.`, with Name CamelCase
+CITED = sorted({m.group(1) for span in re.findall(r"`([^`]+)`", PROSE)
+                if (m := re.fullmatch(r"([A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*)(?:[(.].*)?",
+                                      span, flags=re.DOTALL))})
+NAMESPACES = [ocokit, builtins] + [importlib.import_module(f"ocokit.{info.name}")
+                                   for info in pkgutil.iter_modules(ocokit.__path__)]
 
 
 def test_the_readme_has_a_python_block():
@@ -20,3 +36,9 @@ def test_a_readme_python_block_runs(block):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         exec(compile(block, str(README), "exec"), {"__name__": "readme"})
+
+
+def test_every_camelcase_name_the_readme_cites_exists():
+    assert "MirrorDescent" in CITED and "RunTrace" in CITED
+    missing = [name for name in CITED if not any(hasattr(ns, name) for ns in NAMESPACES)]
+    assert missing == []
