@@ -256,6 +256,41 @@ class TestProjectionFamilies:
                 for x in xs[1:]:
                     assert np.max(np.abs(x - xs[0])) <= 1e-9
 
+    # (family, index of the restatement, index of the learner) in the suite's lists
+    RESTATEMENTS = {
+        "lazy-projection": (suites._lazy_family, 0, 2),
+        "lazy-explicit": (suites._lazy_family, 1, 2),
+        "greedy-projection": (suites._greedy_family, 0, 2),
+        "greedy-explicit": (suites._greedy_family, 1, 2),
+        "greedy-accumulated": (suites._greedy_family, 3, 2),
+    }
+    SETS = {
+        "unconstrained": lambda size: FeasibleSet.unconstrained(),
+        "ball": FeasibleSet.l2_ball,
+        "box": FeasibleSet.box,
+    }
+
+    @pytest.mark.parametrize("kind", list(SETS))
+    @pytest.mark.parametrize("form", list(RESTATEMENTS))
+    def test_each_restatement_tracks_its_learner_step_by_step(self, form, kind):
+        family, member, learner = self.RESTATEMENTS[form]
+        rng = np.random.default_rng(9)
+        on_boundary = 0
+        for _ in range(20):
+            n = int(rng.integers(1, 4))
+            eta = float(rng.uniform(0.1, 1.0))
+            size = float(rng.uniform(0.2, 1.0))
+            fset = self.SETS[kind](size)
+            steps = family(n, eta, fset)
+            for _ in range(25):
+                g = rng.normal(size=n)
+                x_form, x_learner = steps[member](g), steps[learner](g)
+                assert np.max(np.abs(x_form - x_learner)) <= 1e-9
+                reach = np.linalg.norm(x_learner) if kind == "ball" else np.max(np.abs(x_learner))
+                on_boundary += reach >= size - 1e-12
+        # a bounded set must bind on these streams, or the projection went untested
+        assert kind == "unconstrained" or on_boundary > 0
+
     def test_the_accumulated_form_without_its_indicator_subgradient_fails_the_suite(
             self, monkeypatch):
         # Dropping g_ind turns the greedy accumulated form into the lazy update,
