@@ -404,8 +404,8 @@ def bound_curve(rule: BoundRule, cfg: BoundConfig, grads, x_star=None,
         _prefix_sums(cum_sq, out=cum_sq)
         return 2.0 * math.sqrt(2.0) * cfg.R_inf * np.sum(np.sqrt(cum_sq, out=cum_sq), axis=1)
     if rule is BoundRule.ENTROPIC:
-        cfg.require("G_inf", "n")
-        log_n = math.log(cfg.n)
+        cfg.require("G_inf")
+        log_n = math.log(grads.shape[1])
         sup_sq = np.max(np.abs(grads), axis=1) ** 2 if T else np.zeros(0)
         prior = np.concatenate([[0.0], np.cumsum(sup_sq)[:-1]]) if T else sup_sq
         adaptive = 2.0 * np.sqrt((cfg.G_inf ** 2 + prior) * log_n)

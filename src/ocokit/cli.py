@@ -217,7 +217,7 @@ def build_run(cfg):
     rule = _bound_rule(cfg)
     stream = build_stream(cfg)
     bc = BoundConfig(R=cfg["R"], R_inf=cfg["R_inf"], G=cfg["G"], G_inf=cfg["G_inf"],
-                     n=cfg["n"], eta=cfg.get("eta"))
+                     eta=cfg.get("eta"))
     # an unconstrained learner is compared with the points of the ball of radius R
     comparator_set = FeasibleSet.l2_ball(cfg["R"]) if \
         learner.feasible_set.kind == FeasibleSet.UNCONSTRAINED else learner.feasible_set

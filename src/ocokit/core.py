@@ -161,11 +161,15 @@ class LearningRateSchedule:
     and sqrt(offset^2 + sum_s g_s^2)/scale (a root of at most 2^1023) stay finite.
     """
 
+    reads_sq_sum = True  # the rate reads sq_sum, which learners keep only then
+
     def inverse_rate(self, t: int, sq_sum=0.0):
         raise NotImplementedError
 
 
 class ConstantRate(LearningRateSchedule):
+    reads_sq_sum = False
+
     def __init__(self, eta: float):
         self.eta = _rate(eta, "constant rate requires eta")
 
@@ -181,6 +185,8 @@ class InverseSqrtRate(LearningRateSchedule):
 
     shift=0 gives an infinite rate at t=0 (no round-zero curvature).
     """
+
+    reads_sq_sum = False
 
     def __init__(self, scale: float, shift: int = 0):
         self.scale = _rate(scale, "scale must be")
@@ -236,10 +242,12 @@ def _rate(value, requirement: str) -> float:
     return float(value)
 
 
-def _add_squares(sq_sum: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """sq_sum + g * g for a finite g, or a ValueError naming the limits it would pass."""
+def _add_squares(sq_sum: np.ndarray | None, g: np.ndarray) -> np.ndarray | None:
+    """sq_sum + g * g (None if no sum is kept), or a ValueError naming the limits g passes."""
     if not _all(np.abs(g) < GRAD_LIMIT):
         raise ValueError(f"{SQ_SUM_MESSAGE}; got max |g_i| = {float(np.max(np.abs(g))):.3g}")
+    if sq_sum is None:
+        return None
     out = sq_sum + g * g
     if not _all(out <= SQ_SUM_LIMIT):
         raise ValueError(f"{SQ_SUM_MESSAGE}; the sum reached {float(np.max(out)):.3g}")

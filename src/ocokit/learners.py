@@ -3,7 +3,7 @@
 Every learner, here and in ``mirror``, is an ``OnlineLearner``: it takes
 its dimension first and rejects a gradient of any other size.  Beyond the
 round index, iterate and deployed inverse rate, it keeps only the O(n) state
-its step reads (gradient, squared-gradient and proximal adjustment sums).
+its step and rate read (gradient, squared-gradient and proximal adjustment sums).
 ``step(g)`` consumes g_t and returns the next iterate.  Loss
 linearization is the caller's job: learners only ever see g_t.  Learners
 keep no regret accounting: ``reg_kind`` names the family of their
@@ -16,7 +16,7 @@ incremental quadratic regularizers are centered (the origin or the
 iterates) and in how the penalty enters (t lam ||x||_1, or lam ||x||_1 and
 its past tangents).  ``DualAveraging``, ``FtrlProximal``,
 ``FtrlCompositeL1`` and ``mirror.MdAsFtrl`` are presets that fix those
-choices and check which schedules and feasible sets they accept.
+choices and check their premises; each runs any ``LearningRateSchedule``.
 
 Instances are single-threaded state machines; distinct instances share
 nothing and may run on distinct threads.
@@ -34,7 +34,6 @@ from .core import (
     SQ_SUM_LIMIT,
     SQ_SUM_MESSAGE,
     AdaGradRate,
-    ConstantRate,
     FeasibleSet,
     InverseSqrtRate,
     LearningRateSchedule,
@@ -65,7 +64,6 @@ class BoundConfig:
     R_inf: float | None = None    # box half-width
     G: float | None = None        # L2 gradient bound
     G_inf: float | None = None    # per-coordinate / sup-norm gradient bound
-    n: int | None = None          # dimension
     eta: float | None = None      # fixed rate of the non-adaptive learner
 
     def require(self, *names):
@@ -73,13 +71,14 @@ class BoundConfig:
             value = getattr(self, name)
             if value is None:
                 raise ValueError(f"bound needs config field {name!r}")
-            if name != "n" and value <= 0:
+            if value <= 0:
                 raise ValueError(f"config field {name!r} must be > 0, got {value}")
 
 
 class OnlineLearner:
     """Common bookkeeping: dimension, feasible set, round index, iterate, inverse rate.
 
+    A ``LearningRateSchedule`` owns the rate and declares the sums it reads.
     ``step`` hands callers the learner's own iterate ``x``, without a copy,
     and the next step reads it back as x_prev; freezing it on assignment
     means a caller's write raises instead of silently changing the learner's
@@ -178,7 +177,7 @@ class QuadraticFtrl(OnlineLearner):
         self.schedule = schedule
         self.centering = centering
         self.g_sum = np.zeros(dim)
-        self.sq_sum = np.zeros(dim)
+        self.sq_sum = np.zeros(dim) if schedule.reads_sq_sum else None
         if centering == PROXIMAL:
             self.adj_sum = np.zeros(dim)  # a_{1:t}, which only the proximal step reads
         self.last_inv_rate = self._inverse_rate()
@@ -221,16 +220,14 @@ class DualAveraging(QuadraticFtrl):
 
     x_{t+1} = argmin g_{1:t} . x + (1/2 eta) ||x||^2 over the feasible set,
     solved lazily: the unconstrained solution -eta g_{1:t} is projected once
-    per round.  Supported schedules: constant, 1/sqrt(t+1) decay, and the
-    per-coordinate adaptive rate with a strictly positive offset.
+    per round.  Any schedule runs; 1/sqrt(t) decay needs shift=1 (the rate
+    1/sqrt(t+1)) and the per-coordinate adaptive rate a strictly positive offset.
     """
 
     def __init__(self, dim: int, schedule: LearningRateSchedule,
                  feasible_set: FeasibleSet | None = None):
         if isinstance(schedule, InverseSqrtRate) and schedule.shift != 1:
             raise UnsupportedCombination("centered sqrt decay requires shift=1")
-        if not isinstance(schedule, (ConstantRate, InverseSqrtRate, AdaGradRate)):
-            raise UnsupportedCombination(f"unsupported schedule {schedule!r} for dual averaging")
         super().__init__(dim, schedule, feasible_set)
 
 
@@ -246,8 +243,6 @@ class FtrlProximal(QuadraticFtrl):
         if feasible_set.kind == FeasibleSet.UNCONSTRAINED and isinstance(schedule, AdaGradRate):
             raise UnsupportedCombination(
                 "per-coordinate adaptive rates need a bounded feasible set")
-        if not isinstance(schedule, (ConstantRate, InverseSqrtRate, AdaGradRate)):
-            raise UnsupportedCombination(f"unsupported schedule {schedule!r} for proximal FTRL")
         super().__init__(dim, schedule, feasible_set, PROXIMAL)
 
 
@@ -269,8 +264,8 @@ class FtrlCompositeL1(QuadraticFtrl):
 class EntropicFtrl(OnlineLearner):
     """Simplex learner with the entropy regularizer; softmax closed form.
 
-    eta_t = sqrt(log n) / sqrt(G_inf^2 + sum_s ||g_s||_inf^2) and
-    x_{t+1} = softmax(-eta_t g_{1:t}); starts at the uniform distribution.
+    eta_t = sqrt(log n) / sqrt(G_inf^2 + sum_s ||g_s||_inf^2), AdaGrad's rate on the sup
+    norm, and x_{t+1} = softmax(-eta_t g_{1:t}); starts at the uniform distribution.
     """
 
     reg_kind = ENTROPIC
@@ -280,30 +275,24 @@ class EntropicFtrl(OnlineLearner):
             raise ValueError(f"simplex learner needs dimension >= 2, got {dim}")
         if not (np.isfinite(g_inf) and g_inf > 0):
             raise ValueError(f"sup-norm gradient bound must be > 0, got {g_inf}")
-        if not g_inf < GRAD_LIMIT:  # g_inf^2 joins the squared-gradient sum
-            raise ValueError(f"sup-norm gradient bound must be < 2^511 (about 6.7e153), "
-                             f"got {g_inf}")
         super().__init__(dim, FeasibleSet.simplex())
-        self.g_inf = float(g_inf)
+        self.schedule = AdaGradRate(math.sqrt(math.log(dim)), offset=g_inf)
         self.g_sum = np.zeros(dim)
         self.sup_sq_sum = 0.0
         self.x = np.full(dim, 1.0 / dim)
-        self._log_n = math.log(dim)
-        self.last_inv_rate = np.full(dim, self._inv(0.0))
-
-    def _inv(self, sup_sq) -> float:
-        return math.sqrt(self.g_inf ** 2 + sup_sq) / math.sqrt(self._log_n)
+        self.last_inv_rate = np.full(dim, self.schedule.inverse_rate(0, 0.0))
 
     def step(self, g) -> np.ndarray:
         g = as_point(g, dim=self.dim)
         g_max = float(np.max(np.abs(g)))
+        # libm pow, as the pinned runs were recorded: g_max * g_max differs in the last bit
         sup_sq_sum = self.sup_sq_sum + (g_max ** 2 if g_max < GRAD_LIMIT else math.inf)
         if not sup_sq_sum <= SQ_SUM_LIMIT:
             raise ValueError(f"{SQ_SUM_MESSAGE}; got max |g_i| = {g_max:.3g}")
         self.t += 1
         self.g_sum = self.g_sum + g
         self.sup_sq_sum = sup_sq_sum
-        inv = self._inv(self.sup_sq_sum)
+        inv = self.schedule.inverse_rate(self.t, sup_sq_sum)
         self.last_inv_rate = np.full(self.dim, inv)
         self.x = _softmax(-self.g_sum / inv)
         return self.x

@@ -40,7 +40,7 @@ class MirrorDescent(OnlineLearner):
     B_t is the divergence of the accumulated diagonal quadratic regularizer,
     sum_i w_i (x_i - x_{t,i})^2 / 2 with w = ``last_inv_rate``.  Closed form:
     per-coordinate soft thresholding, clamped to a box, or (with no penalty)
-    projected onto an L2 ball.  State: the point and the squared-gradient sums.
+    projected onto an L2 ball.  State: the point and any sums its schedule reads.
     """
 
     reg_kind = PROXIMAL  # the regularizer family bounds reads from the run trace
@@ -52,7 +52,7 @@ class MirrorDescent(OnlineLearner):
         super().__init__(dim, _quadratic_set(feasible_set, lam))
         self.lam = lam
         self.schedule = schedule
-        self.sq_sum = np.zeros(dim)
+        self.sq_sum = np.zeros(dim) if schedule.reads_sq_sum else None
         self.last_inv_rate = _broadcast_inv(schedule.inverse_rate(0, self.sq_sum), dim)
 
     def step(self, g) -> np.ndarray:

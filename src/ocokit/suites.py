@@ -221,7 +221,7 @@ def suite_percoord_dominance() -> SuiteResult:
         G, R_inf = 1.0, 1.0
         stream = RandomLinearStream(seed, n, G / math.sqrt(n), "sup")
         grads = np.array([stream.event(t, np.zeros(n)).g for t in range(1, 65)])
-        cfg = BoundConfig(R=R_inf * math.sqrt(n), R_inf=R_inf, G=G, n=n)
+        cfg = BoundConfig(R=R_inf * math.sqrt(n), R_inf=R_inf, G=G)
         per = bound_curve(BoundRule.ADAGRAD_PER_COORD, cfg, grads)
         fixed = bound_curve(BoundRule.PROX_CLOSED_FORM, cfg, grads)
         ok = ok and not np.any(per > fixed + 1e-9)

@@ -63,7 +63,7 @@ def test_best_comparator_rules():
 
 
 def test_closed_form_bound_values():
-    cfg = BoundConfig(R=1.0, G=1.0, R_inf=1.0, n=2)
+    cfg = BoundConfig(R=1.0, G=1.0, R_inf=1.0)
     grads = np.zeros((100, 1))
     star = np.array([1.0])
     assert bound_curve(BoundRule.DA_CLOSED_FORM, cfg, grads, x_star=star)[99] == \
@@ -82,11 +82,26 @@ def test_missing_config_field_is_an_error():
 
 
 def test_entropic_bound_cap():
-    cfg = BoundConfig(G_inf=1.0, n=4)
+    cfg = BoundConfig(G_inf=1.0)
     grads = np.ones((10, 4))
     curve = bound_curve(BoundRule.ENTROPIC, cfg, grads)
     for t in range(1, 11):
         assert curve[t - 1] <= 2.0 * math.sqrt(t * math.log(4)) + 1e-12
+
+
+@pytest.mark.parametrize("width", [2, 3, 4, 5])
+def test_the_entropic_bound_reads_the_dimension_from_the_gradients(width):
+    # min(2 sqrt((G_inf^2 + sum_{s<t} ||g_s||_inf^2) log n), 2 G_inf sqrt(t log n)), n = width
+    rng = np.random.default_rng(width)
+    G_inf = 1.5
+    grads = rng.uniform(-G_inf, G_inf, size=(12, width))
+    curve = bound_curve(BoundRule.ENTROPIC, BoundConfig(G_inf=G_inf), grads)
+    log_n, prior = math.log(width), 0.0
+    for t in range(1, 13):
+        want = min(2.0 * math.sqrt((G_inf ** 2 + prior) * log_n),
+                   2.0 * G_inf * math.sqrt(t * log_n))
+        assert curve[t - 1] == pytest.approx(want, rel=1e-12)
+        prior += float(np.max(np.abs(grads[t - 1]))) ** 2
 
 
 def test_bound_curves_are_monotone():

@@ -88,7 +88,10 @@ def test_every_learner_gives_a_finite_feasible_iterate_or_a_typed_error(name, n,
     lambda: MirrorDescent(2, AdaGradRate(1.0)),
     lambda: MdAsFtrl(2, AdaGradRate(1.0), lam=0.1),
     lambda: EntropicFtrl(2, 1.0),
-], ids=["ftrl-proximal", "dual-averaging", "mirror-descent", "md-as-ftrl", "entropic"])
+    lambda: FtrlProximal(2, InverseSqrtRate(1.0), FeasibleSet.l2_ball(1.0)),
+    lambda: MirrorDescent(2, ConstantRate(0.5)),
+], ids=["ftrl-proximal", "dual-averaging", "mirror-descent", "md-as-ftrl", "entropic",
+        "ftrl-proximal-sqrt-no-sum", "mirror-descent-constant-no-sum"])
 def test_a_gradient_past_the_squared_sum_limit_is_rejected_before_the_state_moves(make):
     learner = make()
     learner.step([0.5, -0.25])

@@ -322,13 +322,20 @@ def test_array_soft_threshold_keeps_its_validation(bad):
 
 
 def test_presets_keep_the_attributes_suites_read():
-    for learner, kind in ((DualAveraging(2, ConstantRate(0.5)), "centered"),
-                          (FtrlProximal(2, ConstantRate(0.5), FeasibleSet.box(1.0)), "proximal"),
-                          (FtrlCompositeL1(2, ConstantRate(0.5), 0.1), "centered")):
+    box = FeasibleSet.box(1.0)
+    for make, kind in ((lambda rate: DualAveraging(2, rate), "centered"),
+                       (lambda rate: FtrlProximal(2, rate, box), "proximal"),
+                       (lambda rate: FtrlCompositeL1(2, rate, 0.1), "centered")):
+        learner = make(ConstantRate(0.5))
         learner.step([0.3, -0.4])
         assert learner.reg_kind == kind
-        for attr in ("g_sum", "sq_sum", "last_inv_rate"):
+        for attr in ("g_sum", "last_inv_rate"):
             assert getattr(learner, attr).shape == (2,)
+        # no suite reads sq_sum: it is kept only for a rate that reads it
+        assert learner.sq_sum is None
+        adaptive = make(AdaGradRate(1.0, offset=0.5))
+        adaptive.step([0.3, -0.4])
+        assert adaptive.sq_sum.shape == (2,)
         # the adjustment sum a_{1:t} is state only the proximal step reads
         if kind == "proximal":
             assert learner.adj_sum.shape == (2,)
@@ -355,6 +362,34 @@ class _InfiniteRate(LearningRateSchedule):
         return 0.0
 
 
+class _CustomAdaGrad(LearningRateSchedule):
+    """1/eta_{t,i} = sqrt(1 + sum_s g_{s,i}^2), declaring nothing about what it reads."""
+
+    def inverse_rate(self, t, sq_sum=0.0):
+        return np.sqrt(1.0 + sq_sum)
+
+
+@pytest.mark.parametrize("make", [
+    lambda rate: QuadraticFtrl(2, rate, FeasibleSet.box(1.0)),
+    lambda rate: QuadraticFtrl(2, rate, FeasibleSet.box(1.0), centering=PROXIMAL),
+    lambda rate: MirrorDescent(2, rate, lam=0.1, feasible_set=FeasibleSet.box(1.0)),
+    lambda rate: MdAsFtrl(2, rate, lam=0.1),
+], ids=["centered", "proximal", "mirror-descent", "md-as-ftrl"])
+def test_a_learner_keeps_squared_sums_only_for_a_schedule_that_reads_them(make):
+    rows = np.array([[0.3, -0.4], [1.5, 0.0], [-0.2, 2.0]])
+    for rate in (ConstantRate(0.5), InverseSqrtRate(1.0, shift=1)):
+        learner = make(rate)
+        for g in rows:
+            learner.step(g)
+        assert learner.sq_sum is None
+    # AdaGrad reads the sums, and so does a custom schedule unless it declares otherwise
+    for rate in (AdaGradRate(1.0, offset=0.5), _CustomAdaGrad()):
+        learner = make(rate)
+        for g in rows:
+            learner.step(g)
+        assert _same_bits(learner.sq_sum, rows[0] ** 2 + rows[1] ** 2 + rows[2] ** 2)
+
+
 def test_a_coordinate_that_never_sees_a_gradient_stays_exactly_zero_on_a_box():
     rng = np.random.default_rng(9)
     box = FeasibleSet.box(0.8)
@@ -377,7 +412,10 @@ def test_a_coordinate_that_never_sees_a_gradient_stays_exactly_zero_on_a_box():
     lambda: QuadraticFtrl(2, _InfiniteRate(), FeasibleSet.l2_ball(1.0)),
     lambda: MirrorDescent(2, _InfiniteRate(), lam=0.1),
     lambda: MdAsFtrl(2, _InfiniteRate(), lam=0.1),
-], ids=["composite", "proximal", "ball", "mirror-descent", "md-as-ftrl"])
+    lambda: DualAveraging(2, _InfiniteRate()),
+    lambda: FtrlProximal(2, _InfiniteRate(), FeasibleSet.l2_ball(1.0)),
+], ids=["composite", "proximal", "ball", "mirror-descent", "md-as-ftrl", "dual-averaging",
+        "ftrl-proximal-ball"])
 def test_an_infinite_rate_with_an_active_gradient_is_unbounded(make):
     learner = make()
     with pytest.raises(UnsupportedCombination):

@@ -1,7 +1,8 @@
 """README.md stays true to the package.
 
 Every fenced ``python`` block runs as written, with RuntimeWarning an error,
-and every CamelCase name the prose cites in backticks exists.
+every CamelCase name the prose cites in backticks exists, and the learner
+table lists the CLI's learners with the bounds each pairs with.
 """
 
 import builtins
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import ocokit
+from ocokit import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 TEXT = README.read_text(encoding="utf-8")
@@ -42,3 +44,10 @@ def test_every_camelcase_name_the_readme_cites_exists():
     assert "MirrorDescent" in CITED and "RunTrace" in CITED
     missing = [name for name in CITED if not any(hasattr(ns, name) for ns in NAMESPACES)]
     assert missing == []
+
+
+def test_the_learner_table_lists_every_cli_learner_with_its_bounds():
+    rows = re.findall(r"^\| `([a-z0-9-]+)` +\|[^|]*\|([^|]*)\|$", TEXT, flags=re.MULTILINE)
+    assert [name for name, _ in rows] == list(cli.LEARNERS)
+    for name, bounds in rows:
+        assert set(re.findall(r"`([^`]+)`", bounds)) == cli.COMPAT[name], name

@@ -136,7 +136,7 @@ def test_psi_from_the_trace_is_each_steps_own_bit_for_bit(cls, sched, n, T):
 def test_comparator_off_the_simplex_gives_an_infinite_decomposition():
     # the strongly convex stream's x* is the mean center, here with a negative coordinate
     result = run_rounds(EntropicFtrl(3, 1.0), StronglyConvexQuadraticStream(0, 3), 40,
-                        BoundRule.ENTROPIC, BoundConfig(G_inf=1.0, n=3))
+                        BoundRule.ENTROPIC, BoundConfig(G_inf=1.0))
     assert np.any(result.x_star < 0)
     assert np.all(result.record.strong_ftrl_rhs == np.inf)
 
