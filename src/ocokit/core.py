@@ -154,7 +154,9 @@ class LearningRateSchedule:
     """Defines eta_t through its inverse 1/eta_t (= cumulative curvature).
 
     ``inverse_rate(t, sq_sum)`` returns 1/eta_t; the convention 1/eta = 0
-    encodes an infinite learning rate (zero accumulated curvature).  Rates
+    encodes an infinite learning rate (zero accumulated curvature).
+    ``inverse_rates(ts, sq_sums)`` is its row form, which the learners' block
+    play reads: one row per round, the same bits as one call per round.  Rates
     must be non-increasing in t so every sigma_t = 1/eta_t - 1/eta_{t-1}
     is nonnegative; ``bounds.RunTrace.sigmas`` checks it on a run's trace.
     A rate or rate scale below 2^-511 is rejected: 1/eta, sqrt(t + shift)/scale
@@ -166,6 +168,19 @@ class LearningRateSchedule:
     def inverse_rate(self, t: int, sq_sum=0.0):
         raise NotImplementedError
 
+    def inverse_rates(self, ts: np.ndarray, sq_sums=None) -> np.ndarray:
+        """``inverse_rate(ts[k], sq_sums[k])`` for every k, one row per round.
+
+        ``sq_sums`` holds the sums at each round (None when no sum is kept).
+        The rows are scalars or per-coordinate arrays, as ``inverse_rate``
+        returns them.  This default calls ``inverse_rate`` once per round, so
+        a schedule that defines only that keeps its per-round meaning; the
+        schedules here override it with one array expression of the same bits.
+        """
+        rows = [self.inverse_rate(t, None if sq_sums is None else sq_sums[k])
+                for k, t in enumerate(ts.tolist())]
+        return np.array(np.broadcast_arrays(*rows))
+
 
 class ConstantRate(LearningRateSchedule):
     reads_sq_sum = False
@@ -175,6 +190,9 @@ class ConstantRate(LearningRateSchedule):
 
     def inverse_rate(self, t, sq_sum=0.0):
         return 1.0 / self.eta
+
+    def inverse_rates(self, ts, sq_sums=None):
+        return np.full(len(ts), 1.0 / self.eta)
 
     def __repr__(self):
         return f"ConstantRate(eta={self.eta})"
@@ -197,6 +215,9 @@ class InverseSqrtRate(LearningRateSchedule):
     def inverse_rate(self, t, sq_sum=0.0):
         return math.sqrt(t + self.shift) / self.scale
 
+    def inverse_rates(self, ts, sq_sums=None):
+        return np.sqrt(ts + self.shift) / self.scale
+
     def __repr__(self):
         return f"InverseSqrtRate(scale={self.scale}, shift={self.shift})"
 
@@ -218,6 +239,9 @@ class AdaGradRate(LearningRateSchedule):
 
     def inverse_rate(self, t, sq_sum=0.0):
         return np.sqrt(self.offset ** 2 + np.asarray(sq_sum, dtype=float)) / self.scale
+
+    def inverse_rates(self, ts, sq_sums=None):
+        return self.inverse_rate(None, sq_sums)  # elementwise in the sums; t is not read
 
     def __repr__(self):
         return f"AdaGradRate(scale={self.scale}, offset={self.offset})"
@@ -252,6 +276,41 @@ def _add_squares(sq_sum: np.ndarray | None, g: np.ndarray) -> np.ndarray | None:
     if not _all(out <= SQ_SUM_LIMIT):
         raise ValueError(f"{SQ_SUM_MESSAGE}; the sum reached {float(np.max(out)):.3g}")
     return out
+
+
+def _running_sums(start, rows: np.ndarray) -> np.ndarray:
+    """start + rows[0], start + rows[0] + rows[1], and so on, as a new array.
+
+    The sums a step adds one round at a time, in the same order: ``np.cumsum``
+    along axis 0 adds each row to the previous sum.
+    """
+    out = rows.copy()
+    if len(out):
+        out[0] += start
+    if len(out) > 1:  # one row is its own running sum
+        np.cumsum(out, axis=0, out=out)
+    return out
+
+
+def _add_square_rows(sq_sum: np.ndarray | None, G: np.ndarray) -> np.ndarray | None:
+    """The running sums a step's ``as_point`` and ``_add_squares`` give after each row of G.
+
+    Row t is sq_sum + g_1 * g_1 + ... + g_t * g_t, added in round order (None
+    if no sum is kept).  The first row those per-round checks reject raises
+    their error, before anything is returned.  Past that row the squares and
+    sums may overflow to inf; those entries are never read.
+    """
+    ok = np.abs(G) < GRAD_LIMIT  # False on inf and nan too
+    sums = None
+    if sq_sum is not None:
+        with np.errstate(over="ignore"):
+            sums = _running_sums(sq_sum, G * G)
+        ok &= sums <= SQ_SUM_LIMIT
+    if not _all(ok):
+        k = int(np.argmin(ok.all(axis=1)))
+        _require_finite(G[k])
+        _add_squares(sq_sum if k == 0 or sums is None else sums[k - 1], G[k])  # raises
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +560,9 @@ def softmax_simplex(z) -> np.ndarray:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    """``softmax_simplex`` of a finite 1-D z, unchecked."""
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    """``softmax_simplex`` of a finite 1-D z, or of each row of a 2-D one, unchecked.
+
+    A row-wise max and sum take the same values, in the same order, as the 1-D ones.
+    """
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)

@@ -1,7 +1,8 @@
 """Experiment loop: select x_t, reveal f_t, incur loss, update.
 
 ``_play`` runs a learner against a stream and returns the run's one
-record, a ``bounds.RunTrace``; from that record alone ``run_rounds`` adds
+record, a ``bounds.RunTrace``: an oblivious stream's gradients in one
+pre-drawn block, any other stream round by round.  From that record alone ``run_rounds`` adds
 the hindsight comparator, the losses, and the regret accounting of
 ``bounds`` (the requested bound and the stability decomposition at every
 prefix).  Also hosts the fixed one-dimensional L1 reproduction that
@@ -23,7 +24,7 @@ from .bounds import (
     best_comparator,
 )
 from .core import ConstantRate, FeasibleSet, _require_finite, as_point
-from .learners import BoundConfig, FtrlCompositeL1
+from .learners import BoundConfig, FtrlCompositeL1, OnlineLearner
 from .mirror import MirrorDescent
 from .streams import LINEAR, QUADRATIC, L1AdversaryStream, loss_column
 
@@ -38,14 +39,28 @@ class RunResult:
     decomposition_ok: bool
 
 
-def _play(learner, stream, T: int) -> RunTrace:
-    """Play ``T`` rounds into their ``RunTrace``, calling nothing on the learner but ``step``.
+def _oblivious(stream) -> bool:
+    """True when the class that defines the stream's ``event`` also defines ``gradients``.
 
-    The stream is used only through ``event``, and its ``dim`` must be the
-    learner's.  The loss rows (the gradients for linear losses, else the
-    events' parameter rows) are held by reference.  Every round must share one
-    loss family.  Before anything reads them, x_1..x_{T+1} are checked finite,
-    with ``as_point``'s ValueError.
+    A subclass that overrides ``event`` alone is played through its own events.
+    """
+    owner = next((cls for cls in type(stream).__mro__ if "event" in vars(cls)), None)
+    return owner is not None and "gradients" in vars(owner)
+
+
+def _play(learner, stream, T: int) -> RunTrace:
+    """Play ``T`` rounds into their ``RunTrace``.
+
+    The stream's ``dim`` must be the learner's.  An oblivious stream (see
+    ``_oblivious``) has linear losses that do not read the iterate, so its T
+    gradients are drawn up front by ``stream.gradients(T)``, which returns
+    the trace's own (T, n) ``grads``, and the learner takes them all in one
+    call of its row method, ``_play_rows`` (the step loop for a learner that
+    has none).  Any other stream is played round by round, ``event`` then
+    ``step``; every round must share one loss family.  The loss rows (the
+    gradients for linear losses, else the events' parameter rows) are held by
+    reference.  Either way the trace holds the same bits.  Before anything
+    reads them, x_1..x_{T+1} are checked finite, with ``as_point``'s ValueError.
     """
     if T < 0:
         raise ValueError(f"round count must be >= 0, got {T}")
@@ -54,25 +69,34 @@ def _play(learner, stream, T: int) -> RunTrace:
         raise ValueError(f"stream has dimension {stream.dim} but the learner has dimension {dim}")
     family = None
     rows, labels = [], []
-    grads = np.zeros((T, dim))
     points = np.zeros((T + 1, dim))
     inv_rates = np.zeros((T, dim))
     inv0 = np.broadcast_to(np.asarray(learner.last_inv_rate, dtype=float), (dim,)).copy()
-    for t in range(1, T + 1):
-        event = stream.event(t, learner.x)  # iterates are published read-only
-        if event.family != family:
-            if family is not None:
-                raise ValueError(f"round {t} changes the loss family from {family} "
-                                 f"to {event.family}")
-            family = event.family
-        if family != LINEAR:
-            rows.append(event.param)
-            labels.append(event.label)
-        grads[t - 1] = event.g
-        points[t - 1] = learner.x
-        learner.step(event.g)
-        inv_rates[t - 1] = learner.last_inv_rate
-    points[T] = learner.x
+    if _oblivious(stream):
+        grads = stream.gradients(T)
+        if grads.shape != (T, dim):
+            raise ValueError(f"stream.gradients({T}) has shape {grads.shape}, not {(T, dim)}")
+        family = LINEAR if T else None
+        points[0] = learner.x
+        play_rows = getattr(type(learner), "_play_rows", OnlineLearner._play_rows)
+        play_rows(learner, grads, points[1:], inv_rates)
+    else:
+        grads = np.zeros((T, dim))
+        for t in range(1, T + 1):
+            event = stream.event(t, learner.x)  # iterates are published read-only
+            if event.family != family:
+                if family is not None:
+                    raise ValueError(f"round {t} changes the loss family from {family} "
+                                     f"to {event.family}")
+                family = event.family
+            if family != LINEAR:
+                rows.append(event.param)
+                labels.append(event.label)
+            grads[t - 1] = event.g
+            points[t - 1] = learner.x
+            learner.step(event.g)
+            inv_rates[t - 1] = learner.last_inv_rate
+        points[T] = learner.x
     _require_finite(points)
     return RunTrace(grads=grads, points=points, inv_rates=inv_rates, inv0=inv0,
                     reg_kind=learner.reg_kind, penalty_lam=learner.lam,

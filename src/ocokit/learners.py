@@ -4,7 +4,10 @@ Every learner, here and in ``mirror``, is an ``OnlineLearner``: it takes
 its dimension first and rejects a gradient of any other size.  Beyond the
 round index, iterate and deployed inverse rate, it keeps only the O(n) state
 its step and rate read (gradient, squared-gradient and proximal adjustment sums).
-``step(g)`` consumes g_t and returns the next iterate.  Loss
+``step(g)`` consumes g_t and returns the next iterate; the private
+``_play_rows`` takes T pre-drawn gradients at once (the driver's block play),
+in one array pass where the iterates are a row-wise map of prefix sums
+(centered ``QuadraticFtrl`` that is not linearized, ``EntropicFtrl``).  Loss
 linearization is the caller's job: learners only ever see g_t.  Learners
 keep no regret accounting: ``reg_kind`` names the family of their
 accumulated objective, and ``bounds`` evaluates it, the regularizer and the
@@ -38,12 +41,15 @@ from .core import (
     InverseSqrtRate,
     LearningRateSchedule,
     UnsupportedCombination,
+    _add_square_rows,
     _add_squares,
     _clamp_box,
     _l1_step,
     _project_l2_ball,
     _project_l2_ball_weighted,
     _psi_subgradient,
+    _require_finite,
+    _running_sums,
     _softmax,
     as_point,
     penalty_weight,
@@ -110,6 +116,20 @@ class OnlineLearner:
     def step(self, g) -> np.ndarray:
         raise NotImplementedError
 
+    def _play_rows(self, grads: np.ndarray, next_points: np.ndarray,
+                   inv_rates: np.ndarray) -> None:
+        """Take T steps, one per row of ``grads``: x_{t+1} into ``next_points[t - 1]``.
+
+        ``inv_rates[t - 1]`` gets the inverse rate deployed at step t.  The
+        learner ends in the state of those T ``step`` calls.  This default is
+        the step loop, which reads nothing of the learner but ``step`` and
+        ``last_inv_rate``; a learner whose iterates are a row-wise map of
+        prefix sums overrides it with one array pass.
+        """
+        for k, g in enumerate(grads):
+            next_points[k] = self.step(g)
+            inv_rates[k] = self.last_inv_rate
+
 
 def _broadcast_inv(value, dim):
     inv = np.empty(dim)
@@ -128,12 +148,18 @@ def _quadratic_set(feasible_set, lam: float) -> FeasibleSet:
 
 
 def _project_quadratic(x, inv, feasible_set, schedule):
-    """x on the feasible set: box clamp, or ball weighted by inv under AdaGrad, else radial."""
+    """x on the feasible set: box clamp, or ball weighted by inv under AdaGrad, else radial.
+
+    A (T, n) x is projected row by row, each row with its own inv.
+    """
     kind = feasible_set.kind
     if kind == FeasibleSet.UNCONSTRAINED:
         return x
     if kind == FeasibleSet.BOX:
         return _clamp_box(x, feasible_set.radius)
+    if x.ndim == 2:
+        return np.array([_project_quadratic(row, w, feasible_set, schedule)
+                         for row, w in zip(x, inv)])
     if isinstance(schedule, AdaGradRate):
         return _project_l2_ball_weighted(x, inv, feasible_set.radius)
     return _project_l2_ball(x, feasible_set.radius)
@@ -205,14 +231,45 @@ class QuadraticFtrl(OnlineLearner):
             self.adj_sum = self.adj_sum + sigma * x_prev
             b = b - self.adj_sum
         self.last_inv_rate = inv
+        self.x = self._solve(b, self.lam if self.linearized else self.t * self.lam, inv)
+        if self.linearized:  # unconstrained (MdAsFtrl): the solve projected nothing
+            self.last_g_psi = _psi_subgradient(x_prev, self.x, g, inv, self.lam)
+            self.g_psi_sum = self.g_psi_sum + self.last_g_psi
+        return self.x
+
+    def _solve(self, b, lam, inv) -> np.ndarray:
+        """``_l1_step``, then the set's projection: one (n,) step, or one per row of (T, n)."""
         fs = self.feasible_set
         box = fs.radius if fs.kind == FeasibleSet.BOX else None
-        x = _l1_step(b, self.lam if self.linearized else self.t * self.lam, inv, box)
-        if self.linearized:
-            self.last_g_psi = _psi_subgradient(x_prev, x, g, inv, self.lam)
-            self.g_psi_sum = self.g_psi_sum + self.last_g_psi
-        self.x = _project_quadratic(x, inv, fs, self.schedule)
-        return self.x
+        return _project_quadratic(_l1_step(b, lam, inv, box), inv, fs, self.schedule)
+
+    def _play_rows(self, grads, next_points, inv_rates):
+        """Centered and not linearized, all T steps in one pass; else the step loop.
+
+        Row t is x_{t+1} = the solve of g_{1:t} (``np.cumsum`` adds in round
+        order), t lam and the schedule's rate rows, bit for bit what step t
+        returns.  A rejected gradient raises ``step``'s error before any state moves.
+        """
+        if self.centering != CENTERED or self.linearized:
+            return super()._play_rows(grads, next_points, inv_rates)
+        T = len(grads)
+        if T == 0:
+            return
+        sq_sums = _add_square_rows(self.sq_sum, grads)
+        ts = np.arange(self.t + 1, self.t + T + 1)
+        if self._lagged:  # step t deploys the rate rounds 1..t-1 determine
+            prev = np.concatenate([self.sq_sum[None], sq_sums[:-1]])
+            inv_rates[...] = self.schedule.inverse_rates(ts - 1, prev).reshape(T, -1)
+        else:
+            inv_rates[...] = self.schedule.inverse_rates(ts, sq_sums).reshape(T, -1)
+        g_sums = _running_sums(self.g_sum, grads)
+        next_points[...] = self._solve(g_sums, ts[:, None] * self.lam, inv_rates)
+        self.t += T
+        self.g_sum = g_sums[-1].copy()
+        if sq_sums is not None:
+            self.sq_sum = sq_sums[-1].copy()
+        self.last_inv_rate = inv_rates[-1].copy()
+        self.x = next_points[-1].copy()
 
 
 class DualAveraging(QuadraticFtrl):
@@ -283,19 +340,37 @@ class EntropicFtrl(OnlineLearner):
         self.last_inv_rate = np.full(dim, self.schedule.inverse_rate(0, 0.0))
 
     def step(self, g) -> np.ndarray:
-        g = as_point(g, dim=self.dim)
-        g_max = float(np.max(np.abs(g)))
-        # libm pow, as the pinned runs were recorded: g_max * g_max differs in the last bit
-        sup_sq_sum = self.sup_sq_sum + (g_max ** 2 if g_max < GRAD_LIMIT else math.inf)
-        if not sup_sq_sum <= SQ_SUM_LIMIT:
-            raise ValueError(f"{SQ_SUM_MESSAGE}; got max |g_i| = {g_max:.3g}")
-        self.t += 1
-        self.g_sum = self.g_sum + g
-        self.sup_sq_sum = sup_sq_sum
-        inv = self.schedule.inverse_rate(self.t, sup_sq_sum)
-        self.last_inv_rate = np.full(self.dim, inv)
-        self.x = _softmax(-self.g_sum / inv)
+        g = as_point(g, dim=self.dim)[None]
+        self._play_rows(g, np.empty_like(g), np.empty_like(g))
         return self.x
+
+    def _play_rows(self, grads, next_points, inv_rates):
+        """All T steps in one pass: x_{t+1} = softmax(-g_{1:t} / W_t), row by row.
+
+        A rejected gradient raises before any state moves.
+        """
+        T = len(grads)
+        if T == 0:
+            return
+        g_max = np.max(np.abs(grads), axis=1)
+        # libm pow on Python floats, as the pinned runs were recorded: g_max * g_max,
+        # and numpy's ** 2 on an array, differ from it in the last bit
+        squares = np.array([v ** 2 if v < GRAD_LIMIT else math.inf for v in g_max.tolist()])
+        with np.errstate(over="ignore"):
+            sums = _running_sums(self.sup_sq_sum, squares)
+        if not sums[-1] <= SQ_SUM_LIMIT:  # sums of squares never fall, and nan stays
+            k = int(np.argmin(sums <= SQ_SUM_LIMIT))
+            _require_finite(grads[k])
+            raise ValueError(f"{SQ_SUM_MESSAGE}; got max |g_i| = {g_max[k]:.3g}")
+        inv = self.schedule.inverse_rates(np.arange(self.t + 1, self.t + T + 1), sums)[:, None]
+        inv_rates[...] = inv
+        g_sums = _running_sums(self.g_sum, grads)
+        next_points[...] = _softmax(-g_sums / inv)
+        self.t += T
+        self.g_sum = g_sums[-1].copy()
+        self.sup_sq_sum = float(sums[-1])
+        self.last_inv_rate = inv_rates[-1].copy()
+        self.x = next_points[-1].copy()
 
 
 class StronglyConvexOgd(OnlineLearner):

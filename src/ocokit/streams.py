@@ -3,6 +3,9 @@
 Each stream yields one StreamEvent per round through ``event(t, x_t)``; the
 adaptive streams inspect the point the learner just played before choosing
 the loss, so the driver loop must follow select -> reveal -> incur -> update.
+An oblivious stream, whose linear losses never read the point, also offers
+``gradients(T)``: the next T rounds' gradients at once, which the driver
+draws up front (``RandomLinearStream``).
 Streams are single-consumer iterators; two instances built with the same
 seed replay the same sequence.
 
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _row_dots, as_point
+from .core import _all, _row_dots, as_point
 
 LINEAR = "linear"        # f_t(x) = g_t . x; the parameter row is g_t
 QUADRATIC = "quadratic"  # f_t(x) = ||x - c_t||^2 / 2; the row is the center c_t
@@ -125,7 +128,9 @@ class RandomLinearStream:
     """Seeded linear losses with every gradient rescaled to the declared cap.
 
     ``norm="l2"`` caps the Euclidean norm at G; ``norm="sup"`` caps the
-    max-magnitude coordinate.  Deterministic per seed.
+    max-magnitude coordinate.  Deterministic per seed.  The losses never
+    read the iterate, so ``gradients(T)`` draws the next T rounds at once;
+    ``event`` is its one-row case, and the two can be mixed in any order.
     """
 
     def __init__(self, seed: int, n: int, G: float, norm: str = "l2"):
@@ -141,11 +146,24 @@ class RandomLinearStream:
         self._rng = np.random.default_rng(seed)
 
     def event(self, t: int, x_t) -> StreamEvent:
-        g = self._rng.standard_normal(self.dim)
-        # sqrt(g.g) is how np.linalg.norm computes a 1-D l2 norm, without its overhead
-        scale = math.sqrt(float(g @ g)) if self.norm == "l2" else np.max(np.abs(g))
-        g = g * (self.G / scale) if scale > 0 else np.zeros(self.dim)
+        g = self.gradients(1)[0]
         return StreamEvent(g, LINEAR, g)
+
+    def gradients(self, T: int) -> np.ndarray:
+        """The next T rounds' gradients as the rows of a new (T, n) array.
+
+        One ``standard_normal((T, n))`` call draws the numbers of T draws of n,
+        in order.  Each row is scaled by G over its norm, sqrt(g.g) (how
+        np.linalg.norm computes a 1-D l2 norm) or max |g_i|; a row of norm 0
+        becomes +0.0.
+        """
+        g = self._rng.standard_normal((T, self.dim))
+        scale = np.sqrt(_row_dots(g, g)) if self.norm == "l2" else np.max(np.abs(g), axis=1)
+        live = scale > 0
+        g *= np.divide(self.G, scale, out=np.zeros(T), where=live)[:, None]
+        if not _all(live):
+            g[~live] = 0.0
+        return g
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,241 @@
+"""Block play of an oblivious stream against the round loop, bit for bit.
+
+``driver._play`` draws a ``RandomLinearStream``'s gradients up front, in one
+block, and hands them to the learner's row method: one array pass for the
+centered prefix-sum learners, the step loop over the drawn rows for the
+others.  A subclass that overrides ``event`` is played round by round, so it
+is the reference here.  Every ``RunTrace`` field, the ``RunResult``, the
+learner's end state and the stream's next event must be the same bits either
+way, at every T.  None of this depends on recorded digests, so it runs on
+every numpy the package supports.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from ocokit import cli
+from ocokit.core import (
+    GRAD_LIMIT,
+    AdaGradRate,
+    ConstantRate,
+    FeasibleSet,
+    InverseSqrtRate,
+    LearningRateSchedule,
+)
+from ocokit.driver import _oblivious, _play, run_rounds
+from ocokit.learners import DualAveraging, EntropicFtrl, FtrlCompositeL1, QuadraticFtrl
+from ocokit.streams import LINEAR, RandomLinearStream, StreamEvent
+
+
+class _RoundByRound(RandomLinearStream):
+    """The same stream, played through ``event``: it overrides ``event`` and not ``gradients``."""
+
+    def event(self, t, x_t):
+        return super().event(t, x_t)
+
+
+def _forbidden_step(g):
+    raise AssertionError("a row-kernel learner was stepped one round at a time")
+
+
+def _same(a, b):
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        a, b = np.asarray(a), np.asarray(b)
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, FeasibleSet):
+        return type(b) is FeasibleSet and repr(a) == repr(b)
+    return type(a) is type(b) and a == b
+
+
+STATE = ("t", "x", "g_sum", "sq_sum", "sup_sq_sum", "last_inv_rate", "adj_sum")
+
+
+def assert_same_state(a, b):
+    for name in STATE:
+        assert hasattr(a, name) == hasattr(b, name), name
+        if hasattr(a, name):
+            assert _same(getattr(a, name), getattr(b, name)), name
+
+
+def assert_same_trace(a, b):
+    for f in dataclasses.fields(a):
+        assert _same(getattr(a, f.name), getattr(b, f.name)), f.name
+
+
+def assert_same_result(a, b):
+    for f in dataclasses.fields(a.record):
+        assert _same(getattr(a.record, f.name), getattr(b.record, f.name)), f.name
+    for name in ("x_star", "x_final", "bound_ok", "decomposition_ok"):
+        assert _same(getattr(a, name), getattr(b, name)), name
+    assert_same_trace(a.trace, b.trace)
+
+
+BOUNDS = {"dual-averaging": "da-closed-form", "constant-ogd": "non-adaptive",
+          "ftrl-l1": "composite", "entropic": "entropic", "ftrl-proximal": "prox-closed-form",
+          "adagrad-ftrl-proximal": "adagrad-per-coord", "md-l1": "mirror-descent"}
+KERNEL = {"dual-averaging", "constant-ogd", "ftrl-l1", "entropic"}
+CONFIGS = [(learner, stream) for learner in BOUNDS
+           for stream in ("random-linear", "random-linear-sup")]
+
+
+def _build(learner, stream, T, seed):
+    cfg = dict(cli._DEFAULTS, learner=learner, bound=BOUNDS[learner], stream=stream,
+               T=T, seed=seed, n=3, **{"lambda": 0.1})
+    if T == 0 and learner in ("constant-ogd", "ftrl-l1", "md-l1"):
+        cfg["eta"] = 0.3  # the horizon rate R / (G sqrt(T)) needs T > 0
+    return cli.build_run(cfg)
+
+
+@pytest.mark.parametrize("T", [0, 1, 37, 10_000])
+@pytest.mark.parametrize("learner,stream", CONFIGS, ids=[f"{a}-{b}" for a, b in CONFIGS])
+def test_block_play_matches_the_round_loop_bit_for_bit(learner, stream, T):
+    seed = 11 + T
+    learner_a, stream_a, rule, cfg, comp_set = _build(learner, stream, T, seed)
+    learner_b, stream_b, *_ = _build(learner, stream, T, seed)
+    reference = _RoundByRound(seed, stream_b.dim, stream_b.G, stream_b.norm)
+    assert _oblivious(stream_a) and not _oblivious(reference)
+    if learner in KERNEL:
+        learner_a.step = _forbidden_step
+    got = run_rounds(learner_a, stream_a, T, rule, cfg, comp_set)
+    want = run_rounds(learner_b, reference, T, rule, cfg, comp_set)
+    assert_same_result(got, want)
+    if learner in KERNEL:
+        del learner_a.step
+    assert_same_state(learner_a, learner_b)
+    x = np.zeros(3)
+    assert _same(stream_a.event(T + 1, x).g, reference.event(T + 1, x).g)
+    assert _same(learner_a.step(stream_a.event(T + 2, x).g),
+                 learner_b.step(reference.event(T + 2, x).g))
+
+
+class _FirstCoordinateFree(LearningRateSchedule):
+    """AdaGrad with offset 1 and inverse rate 0 on coordinate 0, written into its own result."""
+
+    def inverse_rate(self, t, sq_sum=0.0):
+        inv = np.sqrt(1.0 + np.asarray(sq_sum, dtype=float))
+        inv[0] = 0.0
+        return inv
+
+
+class _RisingScalar(LearningRateSchedule):
+    """A scalar rate that reads neither t's type nor the sums' shape: 1/eta_t = log(t + 2)."""
+
+    reads_sq_sum = False
+
+    def inverse_rate(self, t, sq_sum=0.0):
+        assert type(t) is int and sq_sum is None
+        return math.log(t + 2)
+
+
+BALL, BOX = FeasibleSet.l2_ball(0.3), FeasibleSet.box(0.2)
+LIBRARY = {
+    "da-sqrt-ball": lambda n: DualAveraging(n, InverseSqrtRate(0.5, shift=1), BALL),
+    "da-constant-box": lambda n: DualAveraging(n, ConstantRate(0.4), BOX),
+    "da-adagrad-ball": lambda n: DualAveraging(n, AdaGradRate(0.5, offset=0.3), BALL),
+    "da-adagrad-box": lambda n: DualAveraging(n, AdaGradRate(0.5, offset=0.3), BOX),
+    "composite-adagrad-box": lambda n: FtrlCompositeL1(n, AdaGradRate(0.5, offset=1.0), 0.2,
+                                                       feasible_set=BOX),
+    "centered-first-free-box": lambda n: QuadraticFtrl(n, _FirstCoordinateFree(), BOX, lam=0.1),
+    "centered-rising-scalar": lambda n: QuadraticFtrl(n, _RisingScalar(), lam=0.05),
+    "entropic-wide": lambda n: EntropicFtrl(n, 0.8),
+}
+
+
+SIZES = [(name, n) for name in LIBRARY for n in (1, 2, 17)
+         if n > 1 or not name.startswith("entropic")]  # the simplex needs n >= 2
+
+
+@pytest.mark.parametrize("name,n", SIZES, ids=[f"{a}-n{b}" for a, b in SIZES])
+def test_row_kernels_match_their_steps_on_every_set_and_schedule(name, n):
+    a, b = LIBRARY[name](n), LIBRARY[name](n)
+    a.step = _forbidden_step
+    got = _play(a, RandomLinearStream(n, n, 1.7), 60)
+    want = _play(b, _RoundByRound(n, n, 1.7), 60)
+    assert_same_trace(got, want)
+    del a.step
+    assert_same_state(a, b)
+    if name.endswith("ball"):
+        assert np.any(np.linalg.norm(got.next_iterates, axis=1) >= BALL.radius * (1 - 1e-12))
+    if name.endswith("box"):
+        assert np.any(np.abs(got.next_iterates) == BOX.radius)
+    # a second block continues from the first one's state
+    assert_same_trace(_play(a, RandomLinearStream(5, n, 1.7), 9),
+                      _play(b, _RoundByRound(5, n, 1.7), 9))
+    assert_same_state(a, b)
+
+
+def test_the_entropic_rate_squares_each_sup_norm_with_libm_pow():
+    # At this seed the running sum of libm pow squares, v ** 2 on Python floats, ends
+    # an ulp away from the sum of v * v, which numpy's ** 2 on an array computes.
+    learner = EntropicFtrl(3, 1.0)
+    trace = _play(learner, RandomLinearStream(2296, 3, 1.0), 37)
+    by_pow, by_product = [0.0], [0.0]
+    for g in trace.grads:
+        v = float(np.max(np.abs(g)))
+        by_pow.append(by_pow[-1] + v ** 2)
+        by_product.append(by_product[-1] + v * v)
+    assert by_pow != by_product
+    assert learner.sup_sq_sum == by_pow[-1]
+    rates = AdaGradRate(math.sqrt(math.log(3)), offset=1.0).inverse_rate(0, by_pow[1:])
+    assert _same(trace.inv_rates, np.repeat(rates[:, None], 3, axis=1))
+
+
+class _Rows:
+    """An oblivious linear stream that plays the rows of a fixed array, one block or row at a time."""
+
+    def __init__(self, rows):
+        self.rows, self.dim, self.next = rows, rows.shape[1], 0
+
+    def gradients(self, T):
+        out = self.rows[self.next:self.next + T].copy()
+        self.next += T
+        return out
+
+    def event(self, t, x_t):
+        g = self.gradients(1)[0]
+        return StreamEvent(g, LINEAR, g)
+
+
+class _RowsRoundByRound(_Rows):
+    def event(self, t, x_t):
+        return super().event(t, x_t)
+
+
+LEARNERS = {
+    "dual-averaging": lambda: DualAveraging(2, InverseSqrtRate(0.5, shift=1)),
+    "composite-l1": lambda: FtrlCompositeL1(2, ConstantRate(0.4), 0.1),
+    "da-adagrad-box": lambda: DualAveraging(2, AdaGradRate(0.5, offset=0.3), BOX),
+    "entropic": lambda: EntropicFtrl(2, 1.0),
+}
+BAD_ROWS = {  # (row, the round that rejects it, whether only a kept squared sum rejects it)
+    "nan": ([0.3, math.nan], 7, False),
+    "inf": ([-math.inf, 0.1], 7, False),
+    "grad-limit": ([0.2, -GRAD_LIMIT], 7, False),
+    # from round 1 on: the fifth square of 2^510 takes the running sum past 2^1022
+    "sum-limit": ([2.0 ** 510, 0.0], 5, True),
+}
+CASES = [(name, bad) for name in LEARNERS for bad, (_, _, sums) in BAD_ROWS.items()
+         if not sums or name in ("da-adagrad-box", "entropic")]
+
+
+@pytest.mark.parametrize("name,bad", CASES, ids=[f"{a}-{b}" for a, b in CASES])
+def test_a_rejected_row_raises_the_loop_error_before_any_state_moves(name, bad):
+    row, k, sums = BAD_ROWS[bad]
+    rows = np.tile([[0.5, -0.25]], (9, 1))
+    if sums:
+        rows[:k] = row
+    else:
+        rows[k - 1] = row
+    looped = LEARNERS[name]()
+    with pytest.raises(ValueError) as loop_error:
+        _play(looped, _RowsRoundByRound(rows), len(rows))
+    assert looped.t == k - 1
+    learner, fresh = LEARNERS[name](), LEARNERS[name]()
+    with pytest.raises(ValueError) as block_error:
+        _play(learner, _Rows(rows), len(rows))
+    assert type(block_error.value) is type(loop_error.value)
+    assert str(block_error.value) == str(loop_error.value)
+    assert_same_state(learner, fresh)

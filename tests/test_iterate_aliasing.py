@@ -5,7 +5,9 @@ its dimension first, rejects a gradient of any other size before its state
 moves, and names by ``reg_kind`` a regularizer family that ``bounds`` knows.
 ``step`` returns the learner's own array without a copy, and the next step
 reads it back as x_prev, so every learner family publishes it read-only: a
-caller's write must not change the learner's state.
+caller's write must not change the learner's state.  A block play of an
+oblivious stream leaves the learner's state in arrays of its own, apart
+from the trace's columns.
 """
 
 import inspect
@@ -16,6 +18,7 @@ import pytest
 import ocokit
 from ocokit.bounds import _FAMILIES, _family
 from ocokit.core import AdaGradRate, ConstantRate, FeasibleSet, InverseSqrtRate
+from ocokit.driver import _play
 from ocokit.learners import (
     DualAveraging,
     EntropicFtrl,
@@ -26,6 +29,7 @@ from ocokit.learners import (
     StronglyConvexOgd,
 )
 from ocokit.mirror import MdAsFtrl, MirrorDescent
+from ocokit.streams import RandomLinearStream
 
 BALL = FeasibleSet.l2_ball(0.8)
 BOX = FeasibleSet.box(0.5)
@@ -71,6 +75,19 @@ def test_writing_into_the_returned_iterate_raises_and_changes_nothing(name):
     written, written_final = trajectory(LEARNERS[name], write=True)
     assert np.array_equal(clean, written)
     assert np.array_equal(clean_final, written_final)
+
+
+@pytest.mark.parametrize("name", list(LEARNERS))
+def test_after_a_block_play_the_state_shares_no_memory_with_the_trace(name):
+    learner = LEARNERS[name]()
+    trace = _play(learner, RandomLinearStream(3, 2, 1.0), 7)  # one pre-drawn block
+    assert not learner.x.flags.writeable
+    for value in (learner.x, getattr(learner, "g_sum", None), learner.last_inv_rate):
+        for column in (trace.points, trace.grads, trace.inv_rates):
+            assert value is None or not np.shares_memory(value, column)
+    points = trace.points.copy()
+    trace.points[:] = trace.grads[:] = trace.inv_rates[:] = 0.0
+    assert np.array_equal(learner.x, points[-1])
 
 
 @pytest.mark.parametrize("name", ["dual-averaging-ball", "mirror-descent-l1", "md-as-ftrl"])
