@@ -5,14 +5,15 @@ accounting reads nothing else but x*.  Closed-form rates need only the
 problem constants and the gradients.  Generic rates rebuild the deployed
 regularizer from the trace and evaluate it at the realized hindsight
 comparator, the tightest checkable form of each guarantee; ``bound_curve``
-returns the whole prefix curve.  ``_stability_terms`` evaluates the Strong
-FTRL Lemma's h_{0:t}(x_t) - h_{0:t}(x_{t+1}) - r_t(x_t) from the same trace
-for every round at once, so learners only ever ``step``.
+returns the whole prefix curve.
 
 Each regularizer family (none, centered or proximal quadratic, entropic,
-strongly convex lower bounds) is one object that owns its r_{0:t}(x*), its
-stability terms and its dual norm; ``_FAMILIES``, which maps a trace's
-``reg_kind`` name to that object, is the only reader of the name.
+strongly convex lower bounds) is one object that owns its r_{0:t}(x*), the
+objective h_{0:t} FTRL minimizes after round t (``h_rows``, every round at
+once at any points), its increment r_t and its dual norm; ``_FAMILIES``,
+which maps a trace's ``reg_kind`` name to that object, is the only reader of
+the name.  ``_stability_terms`` is the Strong FTRL Lemma's h_{0:t}(x_t) -
+h_{0:t}(x_{t+1}) - r_t(x_t) from those, so learners only ever ``step``.
 ``_bound_and_rhs`` is the whole accounting of a ``run_rounds`` call.  It
 builds sigma_t (``RunTrace.sigmas``) once, only for the families that read
 it, and r_{0:t}(x*) once, which the bound (``_trace_bound``) and the
@@ -31,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import FeasibleSet, InvariantViolation, _negative_entropy_rows, _psi_subgradient
-from .core import _row_dots, as_point, negative_entropy
+from .core import _row_dots, _running_sums, as_point, negative_entropy
 from .learners import CENTERED, ENTROPIC, NONE, PROXIMAL, STRONGLY_CONVEX, BoundConfig
 
 
@@ -151,26 +152,6 @@ def best_comparator(g_history, feasible_set: FeasibleSet) -> np.ndarray:
     return feasible_set.linear_minimizer(total)
 
 
-def _prefix_sums(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``np.cumsum(a, axis=0, out=out)`` for a 2-D float array, bit for bit.
-
-    Either way each column is summed top to bottom, one add per row.  A
-    wide array (n > T) is summed row by row, T vectorized adds of length n,
-    which is several times faster than numpy's column loop there; a tall
-    one keeps ``np.cumsum``, for which the row loop would be the slow one.
-    """
-    T, n = a.shape
-    if n <= T:
-        return np.cumsum(a, axis=0, out=out)
-    if out is None:
-        out = np.empty_like(a)
-    if T:
-        out[0] = a[0]
-        for t in range(1, T):
-            np.add(out[t - 1], a[t], out=out[t])
-    return out
-
-
 def _dual_sq_rows(grads: np.ndarray, inv_rows: np.ndarray, sup: bool) -> np.ndarray:
     """Per-round squared dual norms; a zero gradient costs 0 even at rate 0.
 
@@ -199,9 +180,9 @@ class _Family:
 
     ``reads_sigma``: it reads ``trace.sigmas()``; ``sup_dual``: its dual norm
     is the sup norm, at the first coordinate's rate.  The methods give r_0(x*),
-    r_{0:t}(x*) and r_{0:t-1}(x*) for t = 1..T, penalty excluded (``sigma``
-    is ``trace.sigmas()`` or None), and the stability terms.  The ``none``
-    kind has no regularizer and an unknown objective: every term is +inf.
+    r_{0:t}(x*) and r_{0:t-1}(x*) for t = 1..T, penalty excluded (``sigma`` is
+    ``trace.sigmas()`` or None), h_{0:t} at any points and r_t(x_t).  The
+    ``none`` kind has no regularizer and an unknown objective: no h_{0:t}.
     """
 
     reads_sigma = False
@@ -217,8 +198,23 @@ class _Family:
         """r_{0:t-1}(x*) given ``reg`` = r_{0:t}(x*): r_0(x*), then ``reg`` shifted down one."""
         return np.concatenate([[self.reg0(trace, x_star)], reg[:-1]]) if len(reg) else reg
 
-    def stability(self, trace: RunTrace, sigma) -> np.ndarray:
-        return np.full(trace.iterates.shape[0], np.inf)
+    def h_rows(self, trace: RunTrace, sigma, *points: np.ndarray) -> list | None:
+        """(h_{0:t}(P[t-1]) for t = 1..T, row term of P) for each (T, n) point set P.
+
+        h_{0:t} is the objective minimized after round t, less the constants it
+        cannot know (true loss values).  The row term (or None) is what h_{0:t}
+        weighs by a running weight per row; ``increment`` reads it at x_t.
+        """
+        return None
+
+    def increment(self, trace: RunTrace, sigma, row_term) -> np.ndarray | float:
+        """r_t(x_t) for t = 1..T, given ``h_rows``' row term at x_t."""
+        return 0.0
+
+
+def _half_weighted_sq(w: np.ndarray, P: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """sum_i w_i P_i^2 / 2 of every row, with ``buf`` (P's shape) as scratch."""
+    return 0.5 * np.sum(np.multiply(w, np.square(P, out=buf), out=buf), axis=1)
 
 
 class _Quadratic(_Family):
@@ -238,9 +234,7 @@ class _Quadratic(_Family):
         if sigma is None:
             sigma = trace.sigmas()
         d = np.subtract(x_star, trace.iterates)
-        np.square(d, out=d)
-        contrib = 0.5 * np.sum(np.multiply(sigma, d, out=d), axis=1)
-        return self.reg0(trace, x_star) + np.cumsum(contrib)
+        return self.reg0(trace, x_star) + np.cumsum(_half_weighted_sq(sigma, d, d))
 
     def prior_reg_rows(self, trace, x_star, reg):
         if self.proximal or not len(reg):
@@ -252,45 +246,38 @@ class _Quadratic(_Family):
         np.multiply(0.5, trace.inv_rates[:-1], out=half[1:])
         return half @ (x_star ** 2)
 
-    def stability(self, trace, sigma):
-        """h_{0:t} = g_{1:t}.x + inv_t.x^2/2 (- a_{1:t}.x, a_s = sigma_s x_s, when proximal)
-        + t lam ||x||_1 + the recentering value sum_s sigma_s ||x_s||^2/2, and
-        r_t = sigma_t ||x_t||^2/2 (0 when proximal) + lam ||x_t||_1.  Given
-        ``trace.psi``, the proximal form with the penalty replaced by its
-        tangents: linear term g_{1:t} + g_psi_{1:t}, r_t(x_t) = g_psi_t.x_t.
-        One (T, n) buffer holds g_{1:t}, g_psi_{1:t}, each weighted square and a_{1:t}.
+    def h_rows(self, trace, sigma, *points):
+        """h_{0:t} = ((g_{1:t}.x + inv_t.x^2/2 (- a_{1:t}.x, a_s = sigma_s x_s, when proximal))
+        + t lam ||x||_1) + sum_s sigma_s ||x_s||^2/2, row term ||x||_1 (None if lam = 0).
+        Given ``trace.psi`` the penalty enters by its tangents, with no row term:
+        (g_{1:t}.x + g_psi_{1:t}.x) + (quadratic + recentering), summed in that order.
+        One (T, n) buffer holds g_{1:t}, g_psi_{1:t}, each weighted square, a_{1:t} and |x|.
         """
-        X, Xn = trace.iterates, trace.next_iterates
-        buf = _prefix_sums(trace.grads)  # g_{1:t}
-        now, nxt = _row_dots(buf, X), _row_dots(buf, Xn)
+        X, buf = trace.iterates, _running_sums(None, trace.grads)  # g_{1:t}
+        lin = [_row_dots(buf, P) for P in points]
         if trace.psi is not None:
-            _prefix_sums(trace.psi, out=buf)  # g_psi_{1:t}
-            now, nxt = now + _row_dots(buf, X), nxt + _row_dots(buf, Xn)
-        tmp = buf
-
-        def half_weighted_sq(w, P):
-            return 0.5 * np.sum(np.multiply(w, np.square(P, out=tmp), out=tmp), axis=1)
-
-        inv = trace.inv_rates
-        quad_now, quad_next = half_weighted_sq(inv, X), half_weighted_sq(inv, Xn)
-        inc = half_weighted_sq(sigma, X)  # sigma_t ||x_t||^2 / 2
+            _running_sums(None, trace.psi, out=buf)  # g_psi_{1:t}
+            lin = [v + _row_dots(buf, P) for v, P in zip(lin, points)]
+        quad = [_half_weighted_sq(trace.inv_rates, P, buf) for P in points]
         rec = 0.0
         if self.proximal:
-            adj = _prefix_sums(np.multiply(sigma, X, out=tmp), out=tmp)  # a_{1:t}
-            quad_now, quad_next = quad_now - _row_dots(adj, X), quad_next - _row_dots(adj, Xn)
-            rec = np.cumsum(inc)
+            rec = np.cumsum(_half_weighted_sq(sigma, X, buf))
+            adj = _running_sums(None, np.multiply(sigma, X, out=buf), out=buf)  # a_{1:t}
+            quad = [q - _row_dots(adj, P) for q, P in zip(quad, points)]
         if trace.psi is not None:
-            return (now + (quad_now + rec)) - (nxt + (quad_next + rec)) - _row_dots(trace.psi, X)
-        h_now, h_next = now + quad_now, nxt + quad_next
-        r_t = 0.0 if self.proximal else inc
-        lam = trace.penalty_lam
-        if lam:
-            l1_now = np.sum(np.abs(X, out=tmp), axis=1)
-            l1_next = np.sum(np.abs(Xn, out=tmp), axis=1)
-            ts = np.arange(1, X.shape[0] + 1, dtype=float)
-            h_now, h_next = h_now + ts * lam * l1_now, h_next + ts * lam * l1_next
-            r_t = r_t + lam * l1_now
-        return (h_now + rec) - (h_next + rec) - r_t
+            return [(v + (q + rec), None) for v, q in zip(lin, quad)]
+        if not trace.penalty_lam:
+            return [(v + q + rec, None) for v, q in zip(lin, quad)]
+        t_lam = np.arange(1, X.shape[0] + 1, dtype=float) * trace.penalty_lam
+        l1 = [np.sum(np.abs(P, out=buf), axis=1) for P in points]
+        return [(v + q + t_lam * a + rec, a) for v, q, a in zip(lin, quad, l1)]
+
+    def increment(self, trace, sigma, l1):
+        """sigma_t ||x_t||^2/2 (0 if proximal) + lam ||x_t||_1; g_psi_t.x_t given ``trace.psi``."""
+        if trace.psi is not None:
+            return _row_dots(trace.psi, trace.iterates)
+        r_t = 0.0 if self.proximal else _half_weighted_sq(sigma, trace.iterates, np.empty_like(sigma))
+        return r_t + trace.penalty_lam * l1 if trace.penalty_lam else r_t
 
     def divergence(self, w, u, v) -> float:
         """The Bregman divergence of sum_i w_i x_i^2 / 2: sum_i w_i (u_i - v_i)^2 / 2."""
@@ -315,15 +302,15 @@ class _Entropic(_Family):
     def reg_rows(self, trace, x_star, sigma):
         return trace.inv_rates[:, 0] * self._at(x_star)
 
-    def stability(self, trace, sigma):
-        """h_{0:t} is g_{1:t}.x + inv_t (negative entropy of x), r_t = sigma_t (negative
-        entropy of x_t), the entropies taken row-wise."""
-        X, Xn = trace.iterates, trace.next_iterates
-        g_sum = _prefix_sums(trace.grads)
-        now, nxt = _row_dots(g_sum, X), _row_dots(g_sum, Xn)
-        ent, ent_next = _negative_entropy_rows(X), _negative_entropy_rows(Xn)
-        w = trace.inv_rates[:, 0]
-        return (now + w * ent) - (nxt + w * ent_next) - sigma[:, 0] * ent
+    def h_rows(self, trace, sigma, *points):
+        """h_{0:t} = g_{1:t}.x + inv_t (negative entropy of x); the row term is the entropy."""
+        g_sum, w = _running_sums(None, trace.grads), trace.inv_rates[:, 0]
+        ents = [_negative_entropy_rows(P) for P in points]
+        return [(_row_dots(g_sum, P) + w * ent, ent) for P, ent in zip(points, ents)]
+
+    def increment(self, trace, sigma, ent):
+        """sigma_t (negative entropy of x_t)."""
+        return sigma[:, 0] * ent
 
     def divergence(self, w: float, u, v) -> float:
         """w sum_i [u_i log(u_i/v_i) - u_i + v_i], w KL(u || v) when both sum to one; v > 0."""
@@ -338,20 +325,16 @@ class _Entropic(_Family):
 class _LowerBounds(_Family):
     """Follow the leader on the strongly convex losses' quadratic lower bounds; no regularizer."""
 
-    def stability(self, trace, sigma):
-        """h_{0:t} is the summed lower bounds g_s.(x - x_s) + ||x - x_s||^2/2."""
-        X, Xn = trace.iterates, trace.next_iterates
-        buf = _prefix_sums(trace.grads)  # g_{1:t}
-        now, nxt = _row_dots(buf, X), _row_dots(buf, Xn)
+    def h_rows(self, trace, sigma, *points):
+        """h_{0:t} is the summed lower bounds g_s.(x - x_s) + ||x - x_s||^2/2; r_t = 0."""
+        X, buf = trace.iterates, _running_sums(None, trace.grads)  # g_{1:t}
+        lin = [_row_dots(buf, P) for P in points]
         ts = np.arange(1, X.shape[0] + 1, dtype=float)
         gx = np.cumsum(_row_dots(trace.grads, X))
         sq = np.cumsum(_row_dots(X, X))
-        centers = _prefix_sums(X, out=buf)
-
-        def h(P, lin):
-            return lin - gx + 0.5 * (ts * _row_dots(P, P) - 2.0 * _row_dots(P, centers) + sq)
-
-        return h(X, now) - h(Xn, nxt)
+        centers = _running_sums(None, X, out=buf)
+        return [(v - gx + 0.5 * (ts * _row_dots(P, P) - 2.0 * _row_dots(P, centers) + sq), None)
+                for v, P in zip(lin, points)]
 
 
 # The one place a ``reg_kind`` name meets its accounting.
@@ -369,19 +352,21 @@ def _family(kind: str) -> _Family:
 
 
 def _stability_terms(trace: RunTrace, sigma: np.ndarray | None) -> np.ndarray:
-    """h_{0:t}(x_t) - h_{0:t}(x_{t+1}) - r_t(x_t) for t = 1..T from the trace's family.
+    """The Strong FTRL Lemma's h_{0:t}(x_t) - h_{0:t}(x_{t+1}) - r_t(x_t) for t = 1..T.
 
-    h_{0:t} is the objective minimized after round t, less the constants it
-    cannot know (true loss values); ``sigma`` is ``trace.sigmas()`` or None.
-    +inf for the ``none`` kind and a linearized trace without ``psi``.  Each
-    sum is taken in the order a round-by-round evaluation of h_{0:t} takes it,
-    so that the terms equal it bit for bit (tests/test_decomposition_rhs.py
-    keeps one as the oracle).
+    h_{0:t} and r_t are the family's ``h_rows`` and ``increment``; ``sigma`` is
+    ``trace.sigmas()`` or None.  +inf where h_{0:t} is unknown: the ``none``
+    kind and a linearized trace without ``psi``.  Each sum is taken in the order
+    a round-by-round evaluation of h_{0:t} takes it, so that the terms equal it
+    bit for bit (tests/test_decomposition_rhs.py keeps one as the oracle).
     """
     family = _family(trace.reg_kind)
-    if trace.linearized and trace.psi is None:
+    rows = None if trace.linearized and trace.psi is None else \
+        family.h_rows(trace, sigma, trace.iterates, trace.next_iterates)
+    if rows is None:
         return np.full(trace.iterates.shape[0], np.inf)
-    return family.stability(trace, sigma)
+    (h_now, row_term), (h_next, _) = rows
+    return h_now - h_next - family.increment(trace, sigma, row_term)
 
 
 def bound_curve(rule: BoundRule, cfg: BoundConfig, grads, x_star=None,
@@ -401,7 +386,7 @@ def bound_curve(rule: BoundRule, cfg: BoundConfig, grads, x_star=None,
     if rule is BoundRule.ADAGRAD_PER_COORD:
         cfg.require("R_inf")
         cum_sq = np.square(grads)
-        _prefix_sums(cum_sq, out=cum_sq)
+        _running_sums(None, cum_sq, out=cum_sq)
         return 2.0 * math.sqrt(2.0) * cfg.R_inf * np.sum(np.sqrt(cum_sq, out=cum_sq), axis=1)
     if rule is BoundRule.ENTROPIC:
         cfg.require("G_inf")

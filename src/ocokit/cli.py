@@ -213,6 +213,9 @@ def build_run(cfg):
     """The learner, stream, rule, BoundConfig and comparator set of a ``run`` config."""
     _require(cfg, "learner", "stream", "T", "bound")
     _rounds(cfg)
+    # the bounds square these, even one the run ignores; finite ones fail before the build
+    constants = [(key, cfg[key]) for key in ("R", "R_inf", "G", "G_inf")]
+    _below_grad_limit([(k, v) for k, v in constants if math.isfinite(v)])
     learner = build_learner(cfg["learner"], cfg)
     rule = _bound_rule(cfg)
     stream = build_stream(cfg)
@@ -226,11 +229,14 @@ def build_run(cfg):
                          "its comparator, the mean center, is not on the simplex")
     if cfg["learner"] == "ogd-strongly-convex" and isinstance(stream, StronglyConvexQuadraticStream):
         bc.G = stream.gradient_cap
-    # the bounds square these, and more; a constant the run ignores is rejected too
-    for key, value in [(k, cfg[k]) for k in ("R", "R_inf", "G", "G_inf")] + [("G = 2R", bc.G)]:
+    _below_grad_limit(constants + [("G = 2R", bc.G)])
+    return learner, stream, rule, bc, comparator_set
+
+
+def _below_grad_limit(constants):
+    for key, value in constants:
         if value >= GRAD_LIMIT:
             raise UsageError(f"{key} = {value:g} must be below 2^511 (about 6.7e153)")
-    return learner, stream, rule, bc, comparator_set
 
 
 def _fmt(value: float) -> str:

@@ -278,17 +278,25 @@ def _add_squares(sq_sum: np.ndarray | None, g: np.ndarray) -> np.ndarray | None:
     return out
 
 
-def _running_sums(start, rows: np.ndarray) -> np.ndarray:
-    """start + rows[0], start + rows[0] + rows[1], and so on, as a new array.
+def _running_sums(start, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """start + rows[0], start + rows[0] + rows[1], and so on, into ``out`` or a new array.
 
-    The sums a step adds one round at a time, in the same order: ``np.cumsum``
-    along axis 0 adds each row to the previous sum.
+    Bit for bit ``np.cumsum`` along axis 0 after adding ``start`` (None: nothing,
+    as 0.0 turns -0.0 into 0.0) to the first row.  A wide 2-D array (n > T) is
+    summed row by row, several times faster than numpy's column loop there.
     """
-    out = rows.copy()
-    if len(out):
-        out[0] += start
-    if len(out) > 1:  # one row is its own running sum
-        np.cumsum(out, axis=0, out=out)
+    T = len(rows)
+    if rows.ndim == 1 or rows.shape[1] <= T:  # tall: the row loop would be the slow one
+        if start is not None:
+            rows = rows.copy()
+            rows[:1] += start
+            out = rows if out is None else out
+        return np.cumsum(rows, axis=0, out=out)
+    out = np.empty_like(rows) if out is None else out
+    if T:
+        out[0] = rows[0] if start is None else rows[0] + start
+    for t in range(1, T):
+        np.add(out[t - 1], rows[t], out=out[t])
     return out
 
 

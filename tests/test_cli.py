@@ -341,6 +341,17 @@ class TestRun:
         assert (code, out, err) == (
             2, "", "ocokit: R = 1e+200 must be below 2^511 (about 6.7e153)\n")
 
+    @pytest.mark.parametrize("learner", list(LEARNER_RUNS))
+    def test_a_huge_constant_is_named_before_the_learner_builds(self, tmp_path, capsys, learner):
+        # building first named what the learner derives from it: entropic's rate
+        # "offset" for G_inf, a rate "scale" or "eta" below 2^-511 for G
+        stream, bound = LEARNER_RUNS[learner]
+        for key in ("R", "R_inf", "G", "G_inf"):
+            cfg = write_config(tmp_path, f"learner = {learner}\nstream = {stream}\n"
+                                         f"bound = {bound}\nT = 5\nn = 2\n{key} = 1e200\n")
+            assert run_cli(["run", "--config", cfg], capsys) == (
+                2, "", f"ocokit: {key} = 1e+200 must be below 2^511 (about 6.7e153)\n")
+
     def test_a_derived_gradient_cap_past_2_511_is_usage_error(self, tmp_path, capsys):
         # R is below the limit, but the strongly convex stream's gradient cap 2R is not
         cfg = write_config(tmp_path, "learner = ogd-strongly-convex\nstream = strongly-convex\n"

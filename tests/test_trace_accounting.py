@@ -29,7 +29,6 @@ from ocokit.bounds import (
     RunTrace,
     _bound_and_rhs,
     _dual_sq_rows,
-    _prefix_sums,
     _stability_terms,
     bound_curve,
 )
@@ -40,6 +39,7 @@ from ocokit.core import (
     InverseSqrtRate,
     LearningRateSchedule,
     _psi_subgradient,
+    _running_sums,
     negative_entropy,
 )
 from ocokit.driver import run_rounds
@@ -403,19 +403,27 @@ def test_dual_sq_rows_match_the_nested_where(shape):
         assert same_bits(_dual_sq_rows(grads, inv, sup), ref_dual_sq_rows(grads, inv, sup))
 
 
-@pytest.mark.parametrize("shape", [(0, 3), (1, 5), (48, 10_000), (4096, 5), (2, 10_000)])
+@pytest.mark.parametrize("shape", [(0, 3), (1, 5), (48, 10_000), (4096, 5), (2, 10_000),
+                                   (0,), (1,), (64,)])
 def test_prefix_sums_equal_cumsum_bit_for_bit(shape):
-    rng = np.random.default_rng(shape[0] + shape[1])
+    rng = np.random.default_rng(shape[0] + shape[-1])
     a = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, size=shape)
     a[rng.random(shape) < 0.3] = 0.0
     a[rng.random(shape) < 0.3] = -0.0
-    if shape[0]:
-        a[0, : shape[1] // 2] = -0.0  # a column of -0.0 sums to -0.0
+    head = a[:1] if a.ndim == 1 else a[:1, : shape[1] // 2]
+    head[...] = -0.0  # a column of -0.0 sums to -0.0
     keep = a.copy()
+    # a start row (a scalar for 1-D rows) is added to the first row, then summed down
+    start = rng.standard_normal(shape[1:]) * 10.0 ** rng.integers(-8, 8, size=shape[1:])
+    if a.ndim == 1:
+        start = float(start)  # as the entropic rate's running sum is kept
+    shifted = a.copy()
+    shifted[:1] += start
+    assert same_bits(_running_sums(start, a), np.cumsum(shifted, axis=0))
     want = np.cumsum(a, axis=0)
-    assert same_bits(_prefix_sums(a), want)
+    assert same_bits(_running_sums(None, a), want)
     assert same_bits(a, keep)
-    assert same_bits(_prefix_sums(a, out=a), want)  # in place, as the stability terms use it
+    assert same_bits(_running_sums(None, a, out=a), want)  # in place, as the stability terms use it
 
 
 # ---------------------------------------------------------------------------
