@@ -259,11 +259,10 @@ def cmd_run(args) -> int:
     learner, stream, rule, bc, comparator_set = build_run(cfg)
     result = run_rounds(learner, stream, cfg["T"], rule, bc, comparator_set)
     rec = result.record
+    columns = (rec.loss, rec.comp_loss, rec.cum_regret, rec.bound, rec.strong_ftrl_rhs)
     lines = ["round,loss,comp_loss,cum_regret,bound,decomposition"]
-    for t in range(len(rec)):
-        lines.append(",".join([str(t + 1), _fmt(rec.loss[t]), _fmt(rec.comp_loss[t]),
-                               _fmt(rec.cum_regret[t]), _fmt(rec.bound[t]),
-                               _fmt(rec.strong_ftrl_rhs[t])]))
+    lines += [",".join([str(t), *map(_fmt, row)])
+              for t, row in enumerate(zip(*(c.tolist() for c in columns)), start=1)]
     _emit(lines, args.out or cfg.get("out"))
     if result.bound_ok:
         return EXIT_OK
@@ -292,7 +291,8 @@ def cmd_compare(args) -> int:
         losses = loss_column(run.loss_family, run.loss_params, run.iterates,
                              run.labels) if T else np.zeros(0)
         # the nonzeros of x_2..x_{T+1}, the iterate each round's step returned
-        columns[name] = (losses, np.cumsum(losses), np.count_nonzero(run.next_iterates, axis=1))
+        nonzeros = np.count_nonzero(run.next_iterates, axis=1)
+        columns[name] = (losses.tolist(), np.cumsum(losses).tolist(), nonzeros.tolist())
     header = ["round"]
     for name in names:
         header += [f"loss_{name}", f"cum_loss_{name}", f"nonzeros_{name}"]

@@ -55,12 +55,14 @@ def _play(learner, stream, T: int) -> RunTrace:
     ``_oblivious``) has linear losses that do not read the iterate, so its T
     gradients are drawn up front by ``stream.gradients(T)``, which returns
     the trace's own (T, n) ``grads``, and the learner takes them all in one
-    call of its row method, ``_play_rows`` (the step loop for a learner that
-    has none).  Any other stream is played round by round, ``event`` then
-    ``step``; every round must share one loss family.  The loss rows (the
-    gradients for linear losses, else the events' parameter rows) are held by
-    reference.  Either way the trace holds the same bits.  Before anything
-    reads them, x_1..x_{T+1} are checked finite, with ``as_point``'s ValueError.
+    call of its row method, ``_play_rows``: array passes for the prefix sums
+    and rates, and a loop only where the iterate carries into the next step
+    (the step loop for a learner that has none).  Any other stream is played
+    round by round, ``event`` then ``step``; every round must share one loss
+    family.  The loss rows (the gradients for linear losses, else the events'
+    parameter rows) are held by reference.  Either way the trace holds the
+    same bits.  Before anything reads them, x_1..x_{T+1} are checked finite,
+    with ``as_point``'s ValueError.
     """
     if T < 0:
         raise ValueError(f"round count must be >= 0, got {T}")

@@ -5,13 +5,18 @@ its dimension first and rejects a gradient of any other size.  Beyond the
 round index, iterate and deployed inverse rate, it keeps only the O(n) state
 its step and rate read (gradient, squared-gradient and proximal adjustment sums).
 ``step(g)`` consumes g_t and returns the next iterate; the private
-``_play_rows`` takes T pre-drawn gradients at once (the driver's block play),
-in one array pass where the iterates are a row-wise map of prefix sums
-(centered ``QuadraticFtrl`` that is not linearized, ``EntropicFtrl``).  Loss
-linearization is the caller's job: learners only ever see g_t.  Learners
-keep no regret accounting: ``reg_kind`` names the family of their
-accumulated objective, and ``bounds`` evaluates it, the regularizer and the
-Strong FTRL stability terms from the run's trace (``bounds.RunTrace``).
+``_play_rows`` takes T pre-drawn gradients at once (the driver's block play).
+Every prefix that does not read the iterate (squared sums, rates, g_{1:t})
+comes from array passes; the iterates follow in the same pass where they are
+a row-wise map of those prefixes (centered ``QuadraticFtrl`` that is not
+linearized, ``EntropicFtrl``), and by a loop of only the iterate recurrence
+where x_t carries into the next step (proximal ``QuadraticFtrl``,
+``mirror.MirrorDescent``).  The ``QuadraticFtrl`` and ``MirrorDescent``
+passes run over cache-sized slices of the block.  Loss linearization is the
+caller's job: learners only ever see g_t.  Learners keep no regret
+accounting: ``reg_kind`` names the family of their accumulated objective,
+and ``bounds`` evaluates it, the regularizer and the Strong FTRL stability
+terms from the run's trace (``bounds.RunTrace``).
 
 Dual averaging, proximal FTRL, composite-L1 FTRL and mirror descent's FTRL
 form are one solver, ``QuadraticFtrl``: they differ only in where the
@@ -123,12 +128,32 @@ class OnlineLearner:
         ``inv_rates[t - 1]`` gets the inverse rate deployed at step t.  The
         learner ends in the state of those T ``step`` calls.  This default is
         the step loop, which reads nothing of the learner but ``step`` and
-        ``last_inv_rate``; a learner whose iterates are a row-wise map of
-        prefix sums overrides it with one array pass.
+        ``last_inv_rate``; a learner overrides it to compute its prefixes
+        (and, where they are a row-wise map of those, its iterates) in array
+        passes, slice by slice through ``_play_blocks``.
         """
         for k, g in enumerate(grads):
             next_points[k] = self.step(g)
             inv_rates[k] = self.last_inv_rate
+
+    def _play_blocks(self, grads, next_points, inv_rates) -> None:
+        """The learner's ``_play_block`` on consecutive slices of at most 2^14 entries.
+
+        A slice's (rows, n) temporaries then stay in cache, where one (T, n)
+        pass would stream through memory several times.  If a slice raises,
+        the learner's state is put back as it was before the first; learners
+        rebind their arrays and never write into them, so a shallow copy keeps it.
+        """
+        state = dict(vars(self))
+        rows = max(1, 2 ** 14 // self.dim)
+        try:
+            for lo in range(0, len(grads), rows):
+                self._play_block(grads[lo:lo + rows], next_points[lo:lo + rows],
+                                 inv_rates[lo:lo + rows])
+        except BaseException:
+            vars(self).clear()
+            vars(self).update(state)
+            raise
 
 
 def _broadcast_inv(value, dim):
@@ -244,17 +269,23 @@ class QuadraticFtrl(OnlineLearner):
         return _project_quadratic(_l1_step(b, lam, inv, box), inv, fs, self.schedule)
 
     def _play_rows(self, grads, next_points, inv_rates):
-        """Centered and not linearized, all T steps in one pass; else the step loop.
-
-        Row t is x_{t+1} = the solve of g_{1:t} (``np.cumsum`` adds in round
-        order), t lam and the schedule's rate rows, bit for bit what step t
-        returns.  A rejected gradient raises ``step``'s error before any state moves.
-        """
-        if self.centering != CENTERED or self.linearized:
+        """Not linearized, ``_play_block`` slice by slice; else the step loop."""
+        if self.linearized:
             return super()._play_rows(grads, next_points, inv_rates)
+        self._play_blocks(grads, next_points, inv_rates)
+
+    def _play_block(self, grads, next_points, inv_rates):
+        """Every prefix in one pass, then the iterates.
+
+        The pass takes the squared sums, the schedule's rate rows and g_{1:t}
+        (``np.cumsum`` adds in round order).  Centered, row t is x_{t+1} = the
+        solve of g_{1:t}, t lam and rate row t, all rows at once.  Proximal,
+        sigma_t = max(inv_t - inv_{t-1}, 0) comes from the rate rows too, and
+        only the recurrence a_{1:t} = a_{1:t-1} + sigma_t x_t, x_{t+1} = the
+        solve of g_{1:t} - a_{1:t}, loops.  Either way each row is bit for bit
+        what step t returns.  A rejected gradient raises ``step``'s error.
+        """
         T = len(grads)
-        if T == 0:
-            return
         sq_sums = _add_square_rows(self.sq_sum, grads)
         ts = np.arange(self.t + 1, self.t + T + 1)
         if self._lagged:  # step t deploys the rate rounds 1..t-1 determine
@@ -263,13 +294,23 @@ class QuadraticFtrl(OnlineLearner):
         else:
             inv_rates[...] = self.schedule.inverse_rates(ts, sq_sums).reshape(T, -1)
         g_sums = _running_sums(self.g_sum, grads)
-        next_points[...] = self._solve(g_sums, ts[:, None] * self.lam, inv_rates)
+        if self.centering == CENTERED:
+            next_points[...] = self._solve(g_sums, ts[:, None] * self.lam, inv_rates)
+            x = next_points[-1].copy()
+        else:
+            sigmas = np.maximum(np.diff(inv_rates, axis=0, prepend=self.last_inv_rate[None]), 0.0)
+            adj, x = self.adj_sum, self.x
+            for t, g_sum, sigma, inv, out in zip(ts.tolist(), g_sums, sigmas, inv_rates,
+                                                 next_points):
+                adj = adj + sigma * x
+                x = out[...] = self._solve(g_sum - adj, t * self.lam, inv)
+            self.adj_sum = adj
         self.t += T
         self.g_sum = g_sums[-1].copy()
         if sq_sums is not None:
             self.sq_sum = sq_sums[-1].copy()
         self.last_inv_rate = inv_rates[-1].copy()
-        self.x = next_points[-1].copy()
+        self.x = x
 
 
 class DualAveraging(QuadraticFtrl):

@@ -19,6 +19,7 @@ import numpy as np
 from .core import (
     FeasibleSet,
     LearningRateSchedule,
+    _add_square_rows,
     _add_squares,
     _l1_step,
     as_point,
@@ -41,6 +42,8 @@ class MirrorDescent(OnlineLearner):
     sum_i w_i (x_i - x_{t,i})^2 / 2 with w = ``last_inv_rate``.  Closed form:
     per-coordinate soft thresholding, clamped to a box, or (with no penalty)
     projected onto an L2 ball.  State: the point and any sums its schedule reads.
+    A block of pre-drawn gradients (``_play_rows``) takes its sums and rates
+    in array passes and loops only the closed-form steps.
     """
 
     reg_kind = PROXIMAL  # the regularizer family bounds reads from the run trace
@@ -61,15 +64,39 @@ class MirrorDescent(OnlineLearner):
         self.t += 1
         w = _broadcast_inv(self.schedule.inverse_rate(self.t, self.sq_sum), self.dim)
         self.last_inv_rate = w
-        x_prev = self.x
+        self.x = self._next(self.x, g, w)
+        return self.x
+
+    def _next(self, x_prev, g, w) -> np.ndarray:
+        """The closed-form step from x_prev with g at weights w."""
         fs = self.feasible_set
         if fs.kind == FeasibleSet.L2_BALL:
             u = np.where(w > 0, x_prev - g / np.where(w > 0, w, 1.0), 0.0)
         else:
             box = fs.radius if fs.kind == FeasibleSet.BOX else None
             u = _l1_step(g - w * x_prev, self.lam, w, box)
-        self.x = _project_quadratic(u, w, fs, self.schedule)
-        return self.x
+        return _project_quadratic(u, w, fs, self.schedule)
+
+    _play_rows = OnlineLearner._play_blocks  # ``_play_block`` slice by slice
+
+    def _play_block(self, grads, next_points, inv_rates):
+        """The squared sums and the schedule's rate rows in one pass; only the steps loop.
+
+        Each row is bit for bit what step t returns.  A rejected gradient
+        raises ``step``'s error.
+        """
+        T = len(grads)
+        sq_sums = _add_square_rows(self.sq_sum, grads)
+        ts = np.arange(self.t + 1, self.t + T + 1)
+        inv_rates[...] = self.schedule.inverse_rates(ts, sq_sums).reshape(T, -1)
+        x = self.x
+        for g, w, out in zip(grads, inv_rates, next_points):
+            x = out[...] = self._next(x, g, w)
+        self.t += T
+        if sq_sums is not None:
+            self.sq_sum = sq_sums[-1].copy()
+        self.last_inv_rate = inv_rates[-1].copy()
+        self.x = x
 
 
 class MdAsFtrl(QuadraticFtrl):

@@ -1,13 +1,17 @@
 """Block play of an oblivious stream against the round loop, bit for bit.
 
 ``driver._play`` draws a ``RandomLinearStream``'s gradients up front, in one
-block, and hands them to the learner's row method: one array pass for the
-centered prefix-sum learners, the step loop over the drawn rows for the
-others.  A subclass that overrides ``event`` is played round by round, so it
-is the reference here.  Every ``RunTrace`` field, the ``RunResult``, the
-learner's end state and the stream's next event must be the same bits either
-way, at every T.  None of this depends on recorded digests, so it runs on
-every numpy the package supports.
+block, and hands them to the learner's row method.  ``EntropicFtrl`` and the
+centered ``QuadraticFtrl`` learners compute every iterate in array passes;
+proximal ``QuadraticFtrl`` and ``MirrorDescent`` compute every prefix in
+array passes and loop only the iterate recurrence; ``MdAsFtrl`` and
+``StronglyConvexOgd`` step through the drawn rows.  ``QuadraticFtrl`` and
+``MirrorDescent`` take the block in cache-sized slices, several at the
+WIDE sizes.  A subclass that overrides ``event`` is played round by round,
+so it is the reference here.  Every ``RunTrace`` field, the ``RunResult``,
+the learner's end state and the stream's next event must be the same bits
+either way, at every T.  None of this depends on recorded digests, so it
+runs on every numpy the package supports.
 """
 
 import dataclasses
@@ -24,9 +28,18 @@ from ocokit.core import (
     FeasibleSet,
     InverseSqrtRate,
     LearningRateSchedule,
+    UnsupportedCombination,
 )
 from ocokit.driver import _oblivious, _play, run_rounds
-from ocokit.learners import DualAveraging, EntropicFtrl, FtrlCompositeL1, QuadraticFtrl
+from ocokit.learners import (
+    PROXIMAL,
+    DualAveraging,
+    EntropicFtrl,
+    FtrlCompositeL1,
+    FtrlProximal,
+    QuadraticFtrl,
+)
+from ocokit.mirror import MirrorDescent
 from ocokit.streams import LINEAR, RandomLinearStream, StreamEvent
 
 
@@ -76,7 +89,8 @@ def assert_same_result(a, b):
 BOUNDS = {"dual-averaging": "da-closed-form", "constant-ogd": "non-adaptive",
           "ftrl-l1": "composite", "entropic": "entropic", "ftrl-proximal": "prox-closed-form",
           "adagrad-ftrl-proximal": "adagrad-per-coord", "md-l1": "mirror-descent"}
-KERNEL = {"dual-averaging", "constant-ogd", "ftrl-l1", "entropic"}
+KERNEL = {"dual-averaging", "constant-ogd", "ftrl-l1", "entropic", "ftrl-proximal",
+          "adagrad-ftrl-proximal", "md-l1"}
 CONFIGS = [(learner, stream) for learner in BOUNDS
            for stream in ("random-linear", "random-linear-sup")]
 
@@ -141,19 +155,33 @@ LIBRARY = {
     "centered-first-free-box": lambda n: QuadraticFtrl(n, _FirstCoordinateFree(), BOX, lam=0.1),
     "centered-rising-scalar": lambda n: QuadraticFtrl(n, _RisingScalar(), lam=0.05),
     "entropic-wide": lambda n: EntropicFtrl(n, 0.8),
+    "prox-sqrt-ball": lambda n: FtrlProximal(n, InverseSqrtRate(0.5), BALL),
+    "prox-adagrad-ball": lambda n: FtrlProximal(n, AdaGradRate(0.5), BALL),
+    "prox-adagrad-box": lambda n: FtrlProximal(n, AdaGradRate(0.5), BOX),
+    "prox-first-free-box": lambda n: QuadraticFtrl(n, _FirstCoordinateFree(), BOX, PROXIMAL,
+                                                   lam=0.1),
+    "prox-constant": lambda n: QuadraticFtrl(n, ConstantRate(0.4), centering=PROXIMAL, lam=0.1),
+    "prox-rising-scalar": lambda n: QuadraticFtrl(n, _RisingScalar(), centering=PROXIMAL,
+                                                  lam=0.05),
+    "md-constant": lambda n: MirrorDescent(n, ConstantRate(0.4), lam=0.1),
+    "md-adagrad-box": lambda n: MirrorDescent(n, AdaGradRate(0.5, offset=0.3), 0.1, BOX),
+    "md-adagrad-ball": lambda n: MirrorDescent(n, AdaGradRate(0.5, offset=0.3),
+                                               feasible_set=BALL),
 }
 
 
-SIZES = [(name, n) for name in LIBRARY for n in (1, 2, 17)
-         if n > 1 or not name.startswith("entropic")]  # the simplex needs n >= 2
+WIDE = 1100  # 2^14 // 1100 = 14 rows per slice of a sliced kernel: a 60-row block takes 5
+SIZES = [(name, n) for name in LIBRARY for n in (1, 2, 17, WIDE)  # the simplex needs n >= 2,
+         if n in (2, 17) or not name.startswith("entropic")]  # and its kernel takes no slices
 
 
 @pytest.mark.parametrize("name,n", SIZES, ids=[f"{a}-n{b}" for a, b in SIZES])
 def test_row_kernels_match_their_steps_on_every_set_and_schedule(name, n):
     a, b = LIBRARY[name](n), LIBRARY[name](n)
     a.step = _forbidden_step
-    got = _play(a, RandomLinearStream(n, n, 1.7), 60)
-    want = _play(b, _RoundByRound(n, n, 1.7), 60)
+    G = 1.7 if n < WIDE else 30.0  # coordinates of order 1 at WIDE too, so the sets bind
+    got = _play(a, RandomLinearStream(n, n, G), 60)
+    want = _play(b, _RoundByRound(n, n, G), 60)
     assert_same_trace(got, want)
     del a.step
     assert_same_state(a, b)
@@ -162,8 +190,8 @@ def test_row_kernels_match_their_steps_on_every_set_and_schedule(name, n):
     if name.endswith("box"):
         assert np.any(np.abs(got.next_iterates) == BOX.radius)
     # a second block continues from the first one's state
-    assert_same_trace(_play(a, RandomLinearStream(5, n, 1.7), 9),
-                      _play(b, _RoundByRound(5, n, 1.7), 9))
+    assert_same_trace(_play(a, RandomLinearStream(5, n, G), 9),
+                      _play(b, _RoundByRound(5, n, G), 9))
     assert_same_state(a, b)
 
 
@@ -209,6 +237,8 @@ LEARNERS = {
     "composite-l1": lambda: FtrlCompositeL1(2, ConstantRate(0.4), 0.1),
     "da-adagrad-box": lambda: DualAveraging(2, AdaGradRate(0.5, offset=0.3), BOX),
     "entropic": lambda: EntropicFtrl(2, 1.0),
+    "prox-adagrad-box": lambda: FtrlProximal(2, AdaGradRate(0.5), BOX),
+    "mirror-descent": lambda: MirrorDescent(2, AdaGradRate(0.5, offset=0.3), 0.1),
 }
 BAD_ROWS = {  # (row, the round that rejects it, whether only a kept squared sum rejects it)
     "nan": ([0.3, math.nan], 7, False),
@@ -218,7 +248,7 @@ BAD_ROWS = {  # (row, the round that rejects it, whether only a kept squared sum
     "sum-limit": ([2.0 ** 510, 0.0], 5, True),
 }
 CASES = [(name, bad) for name in LEARNERS for bad, (_, _, sums) in BAD_ROWS.items()
-         if not sums or name in ("da-adagrad-box", "entropic")]
+         if not sums or name not in ("dual-averaging", "composite-l1")]
 
 
 @pytest.mark.parametrize("name,bad", CASES, ids=[f"{a}-{b}" for a, b in CASES])
@@ -238,4 +268,30 @@ def test_a_rejected_row_raises_the_loop_error_before_any_state_moves(name, bad):
         _play(learner, _Rows(rows), len(rows))
     assert type(block_error.value) is type(loop_error.value)
     assert str(block_error.value) == str(loop_error.value)
+    assert_same_state(learner, fresh)
+
+
+FREE_FIRST = {  # unconstrained, so an infinite rate with an active linear term is unbounded
+    "proximal": lambda n: QuadraticFtrl(n, _FirstCoordinateFree(), centering=PROXIMAL, lam=0.5),
+    "mirror-descent": lambda n: MirrorDescent(n, _FirstCoordinateFree(), lam=0.5),
+}
+
+
+@pytest.mark.parametrize("n", [2, 2 ** 13 + 1])  # one slice; one row per slice
+@pytest.mark.parametrize("name", list(FREE_FIRST))
+def test_a_solve_that_raises_mid_block_leaves_the_learner_as_it_was(name, n):
+    rows = np.full((9, n), 0.5)
+    rows[:, 0] = 0.1
+    rows[5, 0] = 3.0  # round 6 makes coordinate 0's linear term exceed the penalty
+    looped = FREE_FIRST[name](n)
+    with pytest.raises(UnsupportedCombination) as loop_error:
+        _play(looped, _RowsRoundByRound(rows), len(rows))
+    assert looped.t == 6
+    learner, fresh = FREE_FIRST[name](n), FREE_FIRST[name](n)
+    learner.step = _forbidden_step
+    with pytest.raises(UnsupportedCombination) as block_error:
+        _play(learner, _Rows(rows), len(rows))
+    assert type(block_error.value) is type(loop_error.value)
+    assert str(block_error.value) == str(loop_error.value)
+    del learner.step
     assert_same_state(learner, fresh)

@@ -82,7 +82,8 @@ def test_after_a_block_play_the_state_shares_no_memory_with_the_trace(name):
     learner = LEARNERS[name]()
     trace = _play(learner, RandomLinearStream(3, 2, 1.0), 7)  # one pre-drawn block
     assert not learner.x.flags.writeable
-    for value in (learner.x, getattr(learner, "g_sum", None), learner.last_inv_rate):
+    for value in (learner.x, learner.last_inv_rate,
+                  *(getattr(learner, name, None) for name in ("g_sum", "sq_sum", "adj_sum"))):
         for column in (trace.points, trace.grads, trace.inv_rates):
             assert value is None or not np.shares_memory(value, column)
     points = trace.points.copy()
