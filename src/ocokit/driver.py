@@ -24,7 +24,7 @@ from .bounds import (
     best_comparator,
 )
 from .core import ConstantRate, FeasibleSet, _require_finite, as_point
-from .learners import BoundConfig, FtrlCompositeL1, OnlineLearner
+from .learners import BoundConfig, FtrlCompositeL1
 from .mirror import MirrorDescent
 from .streams import LINEAR, QUADRATIC, L1AdversaryStream, loss_column
 
@@ -55,9 +55,11 @@ def _play(learner, stream, T: int) -> RunTrace:
     ``_oblivious``) has linear losses that do not read the iterate, so its T
     gradients are drawn up front by ``stream.gradients(T)``, which returns
     the trace's own (T, n) ``grads``, and the learner takes them all in one
-    call of its row method, ``_play_rows``: array passes for the prefix sums
-    and rates, and a loop only where the iterate carries into the next step
-    (the step loop for a learner that has none).  Any other stream is played
+    call of ``OnlineLearner._play_rows``, which hands cache-sized slices to
+    the learner's ``_play_block``: array passes for the prefix sums and
+    rates, and a loop only where the iterate carries into the next step (the
+    step loop for ``MdAsFtrl`` and ``StronglyConvexOgd``); a block that raises
+    leaves the learner as it was.  Any other stream is played
     round by round, ``event`` then ``step``; every round must share one loss
     family.  The loss rows (the gradients for linear losses, else the events'
     parameter rows) are held by reference.  Either way the trace holds the
@@ -80,8 +82,7 @@ def _play(learner, stream, T: int) -> RunTrace:
             raise ValueError(f"stream.gradients({T}) has shape {grads.shape}, not {(T, dim)}")
         family = LINEAR if T else None
         points[0] = learner.x
-        play_rows = getattr(type(learner), "_play_rows", OnlineLearner._play_rows)
-        play_rows(learner, grads, points[1:], inv_rates)
+        learner._play_rows(grads, points[1:], inv_rates)
     else:
         grads = np.zeros((T, dim))
         for t in range(1, T + 1):

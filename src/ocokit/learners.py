@@ -5,18 +5,20 @@ its dimension first and rejects a gradient of any other size.  Beyond the
 round index, iterate and deployed inverse rate, it keeps only the O(n) state
 its step and rate read (gradient, squared-gradient and proximal adjustment sums).
 ``step(g)`` consumes g_t and returns the next iterate; the private
-``_play_rows`` takes T pre-drawn gradients at once (the driver's block play).
-Every prefix that does not read the iterate (squared sums, rates, g_{1:t})
-comes from array passes; the iterates follow in the same pass where they are
-a row-wise map of those prefixes (centered ``QuadraticFtrl`` that is not
-linearized, ``EntropicFtrl``), and by a loop of only the iterate recurrence
-where x_t carries into the next step (proximal ``QuadraticFtrl``,
-``mirror.MirrorDescent``).  The ``QuadraticFtrl`` and ``MirrorDescent``
-passes run over cache-sized slices of the block.  Loss linearization is the
-caller's job: learners only ever see g_t.  Learners keep no regret
-accounting: ``reg_kind`` names the family of their accumulated objective,
-and ``bounds`` evaluates it, the regularizer and the Strong FTRL stability
-terms from the run's trace (``bounds.RunTrace``).
+``OnlineLearner._play_rows`` takes T pre-drawn gradients at once (the
+driver's block play) and hands cache-sized slices of them to the learner's
+``_play_block``.  There every prefix that does not read the iterate (squared
+sums, rates, g_{1:t}) comes from array passes; the iterates follow in the
+same pass where they are a row-wise map of those prefixes (centered
+``QuadraticFtrl``, ``EntropicFtrl``), and by a loop of only the iterate
+recurrence where x_t carries into the next step (proximal ``QuadraticFtrl``,
+``mirror.MirrorDescent``).  ``mirror.MdAsFtrl`` and ``StronglyConvexOgd``
+keep the default block, the step loop.  A step or a block that raises leaves
+the learner as it was.  Loss linearization is the caller's job: learners only
+ever see g_t.  Learners keep no regret accounting: ``reg_kind`` names the
+family of their accumulated objective, and ``bounds`` evaluates it, the
+regularizer and the Strong FTRL stability terms from the run's trace
+(``bounds.RunTrace``).
 
 Dual averaging, proximal FTRL, composite-L1 FTRL and mirror descent's FTRL
 form are one solver, ``QuadraticFtrl``: they differ only in where the
@@ -94,6 +96,7 @@ class OnlineLearner:
     and the next step reads it back as x_prev; freezing it on assignment
     means a caller's write raises instead of silently changing the learner's
     state.  Learners always rebind ``x`` to a fresh array, never write into it.
+    Block play has one entry, ``_play_rows``; a learner supplies only ``_play_block``.
     """
 
     reg_kind = NONE
@@ -126,23 +129,12 @@ class OnlineLearner:
         """Take T steps, one per row of ``grads``: x_{t+1} into ``next_points[t - 1]``.
 
         ``inv_rates[t - 1]`` gets the inverse rate deployed at step t.  The
-        learner ends in the state of those T ``step`` calls.  This default is
-        the step loop, which reads nothing of the learner but ``step`` and
-        ``last_inv_rate``; a learner overrides it to compute its prefixes
-        (and, where they are a row-wise map of those, its iterates) in array
-        passes, slice by slice through ``_play_blocks``.
-        """
-        for k, g in enumerate(grads):
-            next_points[k] = self.step(g)
-            inv_rates[k] = self.last_inv_rate
-
-    def _play_blocks(self, grads, next_points, inv_rates) -> None:
-        """The learner's ``_play_block`` on consecutive slices of at most 2^14 entries.
-
-        A slice's (rows, n) temporaries then stay in cache, where one (T, n)
-        pass would stream through memory several times.  If a slice raises,
-        the learner's state is put back as it was before the first; learners
-        rebind their arrays and never write into them, so a shallow copy keeps it.
+        learner ends in the state of those T ``step`` calls.  ``_play_block``
+        takes consecutive slices of at most 2^14 entries, so a slice's (rows, n)
+        temporaries stay in cache where one (T, n) pass would stream through
+        memory several times.  If a slice raises, the learner's state is put
+        back as it was before the first; learners rebind their arrays and never
+        write into them, so a shallow copy keeps it.
         """
         state = dict(vars(self))
         rows = max(1, 2 ** 14 // self.dim)
@@ -154,6 +146,17 @@ class OnlineLearner:
             vars(self).clear()
             vars(self).update(state)
             raise
+
+    def _play_block(self, grads, next_points, inv_rates) -> None:
+        """One slice of ``_play_rows``: by default the step loop.
+
+        The loop reads nothing of the learner but ``step`` and ``last_inv_rate``;
+        a learner overrides it to compute its prefixes (and, where they are a
+        row-wise map of those, its iterates) in array passes.
+        """
+        for k, g in enumerate(grads):
+            next_points[k] = self.step(g)
+            inv_rates[k] = self.last_inv_rate
 
 
 def _broadcast_inv(value, dim):
@@ -231,48 +234,43 @@ class QuadraticFtrl(OnlineLearner):
         self.sq_sum = np.zeros(dim) if schedule.reads_sq_sum else None
         if centering == PROXIMAL:
             self.adj_sum = np.zeros(dim)  # a_{1:t}, which only the proximal step reads
-        self.last_inv_rate = self._inverse_rate()
+        self.last_inv_rate = self._inverse_rate(0, self.sq_sum)
 
     @property
     def reg_kind(self):
         return self.centering
 
-    def _inverse_rate(self):
-        return _broadcast_inv(self.schedule.inverse_rate(self.t, self.sq_sum), self.dim)
+    def _inverse_rate(self, t, sq_sum):
+        return _broadcast_inv(self.schedule.inverse_rate(t, sq_sum), self.dim)
 
     def step(self, g) -> np.ndarray:
+        """The next iterate; the state moves only once every part of the step has returned."""
         g = as_point(g, dim=self.dim)
-        sq_sum = _add_squares(self.sq_sum, g)  # may raise; no state has moved yet
-        x_prev = self.x
-        inv = self._inverse_rate() if self._lagged else None  # from rounds 1..t-1
-        self.t += 1
-        self.g_sum = self.g_sum + g
-        self.sq_sum = sq_sum
-        if inv is None:
-            inv = self._inverse_rate()
-        b = self.g_sum + self.g_psi_sum if self.linearized else self.g_sum
+        sq_sum = _add_squares(self.sq_sum, g)
+        t = self.t + 1
+        if self._lagged:  # step t deploys the rate rounds 1..t-1 determine
+            inv = self._inverse_rate(self.t, self.sq_sum)
+        else:
+            inv = self._inverse_rate(t, sq_sum)
+        g_sum = self.g_sum + g
+        b = g_sum + self.g_psi_sum if self.linearized else g_sum
         if self.centering == PROXIMAL:
             sigma = np.maximum(inv - self.last_inv_rate, 0.0)
-            self.adj_sum = self.adj_sum + sigma * x_prev
-            b = b - self.adj_sum
-        self.last_inv_rate = inv
-        self.x = self._solve(b, self.lam if self.linearized else self.t * self.lam, inv)
+            adj_sum = self.adj_sum + sigma * self.x
+            b = b - adj_sum
+        x = self._solve(b, self.lam if self.linearized else t * self.lam, inv)
         if self.linearized:  # unconstrained (MdAsFtrl): the solve projected nothing
-            self.last_g_psi = _psi_subgradient(x_prev, self.x, g, inv, self.lam)
-            self.g_psi_sum = self.g_psi_sum + self.last_g_psi
-        return self.x
+            self.g_psi_sum = self.g_psi_sum + _psi_subgradient(self.x, x, g, inv, self.lam)
+        if self.centering == PROXIMAL:
+            self.adj_sum = adj_sum
+        self.t, self.g_sum, self.sq_sum, self.last_inv_rate, self.x = t, g_sum, sq_sum, inv, x
+        return x
 
     def _solve(self, b, lam, inv) -> np.ndarray:
         """``_l1_step``, then the set's projection: one (n,) step, or one per row of (T, n)."""
         fs = self.feasible_set
         box = fs.radius if fs.kind == FeasibleSet.BOX else None
         return _project_quadratic(_l1_step(b, lam, inv, box), inv, fs, self.schedule)
-
-    def _play_rows(self, grads, next_points, inv_rates):
-        """Not linearized, ``_play_block`` slice by slice; else the step loop."""
-        if self.linearized:
-            return super()._play_rows(grads, next_points, inv_rates)
-        self._play_blocks(grads, next_points, inv_rates)
 
     def _play_block(self, grads, next_points, inv_rates):
         """Every prefix in one pass, then the iterates.
@@ -382,17 +380,15 @@ class EntropicFtrl(OnlineLearner):
 
     def step(self, g) -> np.ndarray:
         g = as_point(g, dim=self.dim)[None]
-        self._play_rows(g, np.empty_like(g), np.empty_like(g))
+        self._play_block(g, np.empty_like(g), np.empty_like(g))
         return self.x
 
-    def _play_rows(self, grads, next_points, inv_rates):
+    def _play_block(self, grads, next_points, inv_rates):
         """All T steps in one pass: x_{t+1} = softmax(-g_{1:t} / W_t), row by row.
 
         A rejected gradient raises before any state moves.
         """
         T = len(grads)
-        if T == 0:
-            return
         g_max = np.max(np.abs(grads), axis=1)
         # libm pow on Python floats, as the pinned runs were recorded: g_max * g_max,
         # and numpy's ** 2 on an array, differ from it in the last bit

@@ -6,10 +6,11 @@ simplex learner is ``learners.EntropicFtrl``).  Every learner here is a
 ``learners.OnlineLearner`` and takes its dimension first.  MirrorDescent
 carries the current point and the squared-gradient sums its schedule reads;
 MdAsFtrl, a ``QuadraticFtrl`` preset, carries gradient and
-penalty-subgradient accumulators.  MirrorDescent shares no step code with
-that solver, so their round-by-round agreement is a checked property, not a
-shared code path.  Both declare ``linearized``: ``RunTrace.psi`` reads their
-penalty subgradients off the run trace.
+penalty-subgradient accumulators, and plays a block by the step loop, since
+each step extracts g_psi_t at its own iterate.  MirrorDescent shares no step
+code with that solver, so their round-by-round agreement is a checked
+property, not a shared code path.  Both declare ``linearized``:
+``RunTrace.psi`` reads their penalty subgradients off the run trace.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ class MirrorDescent(OnlineLearner):
     sum_i w_i (x_i - x_{t,i})^2 / 2 with w = ``last_inv_rate``.  Closed form:
     per-coordinate soft thresholding, clamped to a box, or (with no penalty)
     projected onto an L2 ball.  State: the point and any sums its schedule reads.
-    A block of pre-drawn gradients (``_play_rows``) takes its sums and rates
+    A block of pre-drawn gradients (``_play_block``) takes its sums and rates
     in array passes and loops only the closed-form steps.
     """
 
@@ -59,13 +60,14 @@ class MirrorDescent(OnlineLearner):
         self.last_inv_rate = _broadcast_inv(schedule.inverse_rate(0, self.sq_sum), dim)
 
     def step(self, g) -> np.ndarray:
+        """The next point; the state moves only once the closed-form step has returned."""
         g = as_point(g, dim=self.dim)
-        self.sq_sum = _add_squares(self.sq_sum, g)  # may raise; no state has moved yet
-        self.t += 1
-        w = _broadcast_inv(self.schedule.inverse_rate(self.t, self.sq_sum), self.dim)
-        self.last_inv_rate = w
-        self.x = self._next(self.x, g, w)
-        return self.x
+        sq_sum = _add_squares(self.sq_sum, g)
+        t = self.t + 1
+        w = _broadcast_inv(self.schedule.inverse_rate(t, sq_sum), self.dim)
+        x = self._next(self.x, g, w)
+        self.t, self.sq_sum, self.last_inv_rate, self.x = t, sq_sum, w, x
+        return x
 
     def _next(self, x_prev, g, w) -> np.ndarray:
         """The closed-form step from x_prev with g at weights w."""
@@ -76,8 +78,6 @@ class MirrorDescent(OnlineLearner):
             box = fs.radius if fs.kind == FeasibleSet.BOX else None
             u = _l1_step(g - w * x_prev, self.lam, w, box)
         return _project_quadratic(u, w, fs, self.schedule)
-
-    _play_rows = OnlineLearner._play_blocks  # ``_play_block`` slice by slice
 
     def _play_block(self, grads, next_points, inv_rates):
         """The squared sums and the schedule's rate rows in one pass; only the steps loop.
@@ -115,4 +115,5 @@ class MdAsFtrl(QuadraticFtrl):
     def __init__(self, dim: int, schedule: LearningRateSchedule, lam: float = 0.0):
         super().__init__(dim, schedule, centering=PROXIMAL, lam=lam)
         self.g_psi_sum = np.zeros(dim)
-        self.last_g_psi = np.zeros(dim)
+
+    _play_block = OnlineLearner._play_block  # the step loop: each step extracts g_psi_t

@@ -19,7 +19,13 @@ from ocokit.core import (
     negative_entropy,
 )
 from ocokit.driver import run_rounds
-from ocokit.learners import BoundConfig, DualAveraging, FtrlCompositeL1, StronglyConvexOgd
+from ocokit.learners import (
+    BoundConfig,
+    DualAveraging,
+    FtrlCompositeL1,
+    OnlineLearner,
+    StronglyConvexOgd,
+)
 from ocokit.streams import (
     LINEAR,
     LOGISTIC,
@@ -126,17 +132,12 @@ def test_zero_rounds_give_empty_columns():
 # Validation where data enters
 # ---------------------------------------------------------------------------
 
-class _NonFiniteLearner:
+class _NonFiniteLearner(OnlineLearner):
     """A test-only learner whose iterate is nan for one round, finite otherwise."""
 
-    reg_kind = "none"
-    lam = 0.0
-
     def __init__(self, dim, bad_round):
-        self.dim, self.t, self.bad_round = dim, 0, bad_round
-        self.x = np.zeros(dim)
-        self.feasible_set = FeasibleSet.l2_ball(1.0)
-        self.last_inv_rate = np.zeros(dim)
+        super().__init__(dim, FeasibleSet.l2_ball(1.0))
+        self.bad_round = bad_round
 
     def step(self, g):
         self.t += 1

@@ -145,9 +145,9 @@ class TestMdAsFtrl:
         twin = MdAsFtrl(2, InverseSqrtRate(1.0, shift=0), lam=lam)
         for _ in range(12):
             g = rng.normal(size=2)
+            g_psi_sum = twin.g_psi_sum  # the penalty history through the previous round
             x = twin.step(g)
-            # the solve used the penalty history through the previous round
-            b = twin.g_sum + (twin.g_psi_sum - twin.last_g_psi) - twin.adj_sum
+            b = twin.g_sum + g_psi_sum - twin.adj_sum
             w = twin.last_inv_rate
             for i in range(2):
                 num = oracle.numeric_argmin_1d(

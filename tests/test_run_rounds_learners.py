@@ -105,17 +105,19 @@ def test_mirror_descent_and_its_ftrl_form_give_the_same_run(sched, seed):
 
 
 def _stepped_psi(learner, stream, T):
-    """Each step's penalty subgradient, taken right after the step."""
+    """Each step's penalty subgradient, taken right after the step.
+
+    ``MdAsFtrl``'s is checked to be the one its step added to ``g_psi_sum``.
+    """
     psi = np.empty((T, learner.dim))
     for t in range(1, T + 1):
-        x_prev = learner.x
+        x_prev, g_psi_sum = learner.x, getattr(learner, "g_psi_sum", None)
         event = stream.event(t, x_prev)
         learner.step(event.g)
+        psi[t - 1] = _psi_subgradient(x_prev, learner.x, event.g, learner.last_inv_rate,
+                                      learner.lam)
         if isinstance(learner, MdAsFtrl):
-            psi[t - 1] = learner.last_g_psi
-        else:
-            psi[t - 1] = _psi_subgradient(x_prev, learner.x, event.g, learner.last_inv_rate,
-                                          learner.lam)
+            assert (g_psi_sum + psi[t - 1]).tobytes() == learner.g_psi_sum.tobytes()
     return psi
 
 
