@@ -16,9 +16,9 @@ the name.  ``_stability_terms`` is the Strong FTRL Lemma's h_{0:t}(x_t) -
 h_{0:t}(x_{t+1}) - r_t(x_t) from those, so learners only ever ``step``.
 ``_bound_and_rhs`` is the whole accounting of a ``run_rounds`` call.  It
 builds sigma_t (``RunTrace.sigmas``) once, only for the families that read
-it, and r_{0:t}(x*) once, which the bound (``_trace_bound``) and the
-decomposition share.  Besides the trace and sigma, one (T, n) float buffer
-is alive at a time, with (T, n) boolean masks (an eighth of its size) for
+it, and r_{0:t}(x*) for t = 0..T once, which the bound (``_trace_bound``)
+and the decomposition share.  Besides the trace and sigma, one (T, n) float
+buffer is alive at a time, with (T, n) boolean masks (an eighth of its size) for
 the dual norms.
 """
 
@@ -81,9 +81,10 @@ class RunTrace:
     """The one record of a run, built by ``driver._play``: what the accounting reads.
 
     ``points`` is x_1..x_{T+1}; ``iterates`` (x_1..x_T, the points played)
-    and ``next_iterates`` are views of it.  ``inv_rates[t-1]`` is the
-    cumulative inverse rate (1/eta_t per coordinate) deployed at step t,
-    ``inv0`` the round-zero one.  ``loss_family``, ``loss_params`` and
+    and ``next_iterates`` are views of it.  Likewise ``rates[t]`` is the
+    cumulative inverse rate (1/eta_t per coordinate) deployed at step t for
+    t = 0..T, row 0 the learner's before its first step; ``inv_rates``
+    (t = 1..T) is a view of it.  ``loss_family``, ``loss_params`` and
     ``labels`` are ``streams.loss_column``'s inputs.  ``linearized`` is the
     learner's flag (mirror descent and its FTRL form): its penalty enters by
     the subgradients ``psi``, known only on an unconstrained ``feasible_set``.
@@ -91,8 +92,7 @@ class RunTrace:
 
     grads: np.ndarray
     points: np.ndarray
-    inv_rates: np.ndarray
-    inv0: np.ndarray
+    rates: np.ndarray
     reg_kind: str
     penalty_lam: float = 0.0
     linearized: bool = False
@@ -108,6 +108,10 @@ class RunTrace:
     @property
     def next_iterates(self) -> np.ndarray:
         return self.points[1:]
+
+    @property
+    def inv_rates(self) -> np.ndarray:
+        return self.rates[1:]
 
     @cached_property
     def psi(self) -> np.ndarray | None:
@@ -128,14 +132,11 @@ class RunTrace:
         return psi
 
     def sigmas(self) -> np.ndarray:
-        """sigma_t = inv_t - inv_{t-1} for t = 1..T, with inv_0 = ``inv0``.
+        """sigma_t = inv_t - inv_{t-1} for t = 1..T, the increments of ``rates``.
 
         InvariantViolation where an inverse rate falls (a negative increment).
         """
-        out = np.empty_like(self.inv_rates)
-        if len(out):
-            np.subtract(self.inv_rates[0], self.inv0, out=out[0])
-            np.subtract(self.inv_rates[1:], self.inv_rates[:-1], out=out[1:])
+        out = np.diff(self.rates, axis=0)
         if (out < 0.0).any():
             t, i = np.argwhere(out < 0.0)[0]
             raise InvariantViolation(f"the inverse rate fell at round {t + 1}, coordinate {i}")
@@ -179,24 +180,17 @@ class _Family:
     """What the accounting reads of one regularizer family; this base is the ``none`` kind.
 
     ``reads_sigma``: it reads ``trace.sigmas()``; ``sup_dual``: its dual norm
-    is the sup norm, at the first coordinate's rate.  The methods give r_0(x*),
-    r_{0:t}(x*) and r_{0:t-1}(x*) for t = 1..T, penalty excluded (``sigma`` is
-    ``trace.sigmas()`` or None), h_{0:t} at any points and r_t(x_t).  The
+    is the sup norm, at the first coordinate's rate.  The methods give
+    r_{0:t}(x*) for t = 0..T, penalty excluded (``sigma`` is ``trace.sigmas()``
+    or None), h_{0:t} at any points and r_t(x_t).  The
     ``none`` kind has no regularizer and an unknown objective: no h_{0:t}.
     """
 
     reads_sigma = False
     sup_dual = False
 
-    def reg0(self, trace: RunTrace, x_star: np.ndarray) -> float:
-        return 0.0
-
     def reg_rows(self, trace: RunTrace, x_star: np.ndarray, sigma) -> np.ndarray:
-        return np.zeros(trace.inv_rates.shape[0])
-
-    def prior_reg_rows(self, trace: RunTrace, x_star: np.ndarray, reg: np.ndarray) -> np.ndarray:
-        """r_{0:t-1}(x*) given ``reg`` = r_{0:t}(x*): r_0(x*), then ``reg`` shifted down one."""
-        return np.concatenate([[self.reg0(trace, x_star)], reg[:-1]]) if len(reg) else reg
+        return np.zeros(trace.rates.shape[0])
 
     def h_rows(self, trace: RunTrace, sigma, *points: np.ndarray) -> list | None:
         """(h_{0:t}(P[t-1]) for t = 1..T, row term of P) for each (T, n) point set P.
@@ -225,26 +219,16 @@ class _Quadratic(_Family):
     def __init__(self, proximal: bool):
         self.proximal = proximal
 
-    def reg0(self, trace, x_star):
-        return 0.5 * float(np.sum(trace.inv0 * x_star ** 2))
-
     def reg_rows(self, trace, x_star, sigma):
         if not self.proximal:
-            return 0.5 * trace.inv_rates @ (x_star ** 2)
+            return 0.5 * trace.rates @ (x_star ** 2)
         if sigma is None:
             sigma = trace.sigmas()
         d = np.subtract(x_star, trace.iterates)
-        return self.reg0(trace, x_star) + np.cumsum(_half_weighted_sq(sigma, d, d))
-
-    def prior_reg_rows(self, trace, x_star, reg):
-        if self.proximal or not len(reg):
-            return super().prior_reg_rows(trace, x_star, reg)
-        # centered: the same matrix-vector product as r_{0:t}, on the rows shifted
-        # down one; an r_0(x*) computed apart and prepended differs in the last bit
-        half = np.empty_like(trace.inv_rates)
-        np.multiply(0.5, trace.inv0, out=half[0])
-        np.multiply(0.5, trace.inv_rates[:-1], out=half[1:])
-        return half @ (x_star ** 2)
+        reg = np.empty(trace.rates.shape[0])
+        reg[0] = 0.5 * float(np.sum(trace.rates[0] * x_star ** 2))
+        np.add(reg[0], np.cumsum(_half_weighted_sq(sigma, d, d)), out=reg[1:])
+        return reg
 
     def h_rows(self, trace, sigma, *points):
         """h_{0:t} = ((g_{1:t}.x + inv_t.x^2/2 (- a_{1:t}.x, a_s = sigma_s x_s, when proximal))
@@ -296,11 +280,8 @@ class _Entropic(_Family):
     def _at(x_star):  # +inf where a coordinate is negative, off the entropy's domain
         return negative_entropy(x_star) if np.all(x_star >= 0) else math.inf
 
-    def reg0(self, trace, x_star):
-        return trace.inv0[0] * self._at(x_star)
-
     def reg_rows(self, trace, x_star, sigma):
-        return trace.inv_rates[:, 0] * self._at(x_star)
+        return trace.rates[:, 0] * self._at(x_star)
 
     def h_rows(self, trace, sigma, *points):
         """h_{0:t} = g_{1:t}.x + inv_t (negative entropy of x); the row term is the entropy."""
@@ -419,21 +400,18 @@ def bound_curve(rule: BoundRule, cfg: BoundConfig, grads, x_star=None,
 
 def _trace_bound(rule: BoundRule, grads: np.ndarray, trace: RunTrace, x_star: np.ndarray,
                  reg: np.ndarray) -> np.ndarray:
-    """A trace-based rule's curve, given ``reg`` = r_{0:t}(x*) from the trace's family.
+    """A trace-based rule's curve, given ``reg`` = r_{0:t}(x*), t = 0..T, from the family.
 
-    ``_bound_and_rhs`` shares ``reg`` with the decomposition RHS, so that a
-    run builds it once.
+    The general FTRL bound reads round t - 1 (r_{0:t-1}(x*) and the dual norms at
+    the rates of the round before), every other rule round t.  ``_bound_and_rhs``
+    shares ``reg`` with the decomposition RHS, so that a run builds it once.
     """
-    family = _family(trace.reg_kind)
-    sup = family.sup_dual
+    sup = _family(trace.reg_kind).sup_dual
     if rule is BoundRule.GENERAL_FTRL:
-        # the dual norms at the rates of the round before: inv0, then inv_{t-1}
-        duals = np.concatenate([_dual_sq_rows(grads[:1], trace.inv0[None, :], sup),
-                                _dual_sq_rows(grads[1:], trace.inv_rates[:-1], sup)])
-        return family.prior_reg_rows(trace, x_star, reg) + 0.5 * np.cumsum(duals)
+        return reg[:-1] + 0.5 * np.cumsum(_dual_sq_rows(grads, trace.rates[:-1], sup))
     duals = _dual_sq_rows(grads, trace.inv_rates, sup)
     factor = 1.0 if rule is BoundRule.WEAK_PROXIMAL else 0.5
-    curve = reg + factor * np.cumsum(duals)
+    curve = reg[1:] + factor * np.cumsum(duals)
     if rule in (BoundRule.COMPOSITE, BoundRule.MIRROR_DESCENT) and trace.penalty_lam > 0:
         curve = curve + _penalty_curve(trace, x_star)
     return curve
@@ -462,4 +440,4 @@ def _bound_and_rhs(trace: RunTrace, x_star: np.ndarray, rule: BoundRule | None,
         return bound, np.full(T, np.inf)
     penalty = np.cumsum(trace.psi @ x_star) if trace.psi is not None \
         else _penalty_curve(trace, x_star)
-    return bound, reg + penalty + np.cumsum(stability)
+    return bound, reg[1:] + penalty + np.cumsum(stability)

@@ -24,7 +24,7 @@ from .bounds import (
     best_comparator,
 )
 from .core import ConstantRate, FeasibleSet, _require_finite, as_point
-from .learners import BoundConfig, FtrlCompositeL1
+from .learners import BoundConfig, FtrlCompositeL1, OnlineLearner
 from .mirror import MirrorDescent
 from .streams import LINEAR, QUADRATIC, L1AdversaryStream, loss_column
 
@@ -49,23 +49,27 @@ def _oblivious(stream) -> bool:
 
 
 def _play(learner, stream, T: int) -> RunTrace:
-    """Play ``T`` rounds into their ``RunTrace``.
+    """Play ``T`` rounds of an ``OnlineLearner`` (else TypeError) into their ``RunTrace``.
 
-    The stream's ``dim`` must be the learner's.  An oblivious stream (see
-    ``_oblivious``) has linear losses that do not read the iterate, so its T
-    gradients are drawn up front by ``stream.gradients(T)``, which returns
-    the trace's own (T, n) ``grads``, and the learner takes them all in one
-    call of ``OnlineLearner._play_rows``, which hands cache-sized slices to
-    the learner's ``_play_block``: array passes for the prefix sums and
-    rates, and a loop only where the iterate carries into the next step (the
-    step loop for ``MdAsFtrl`` and ``StronglyConvexOgd``); a block that raises
-    leaves the learner as it was.  Any other stream is played
-    round by round, ``event`` then ``step``; every round must share one loss
-    family.  The loss rows (the gradients for linear losses, else the events'
-    parameter rows) are held by reference.  Either way the trace holds the
-    same bits.  Before anything reads them, x_1..x_{T+1} are checked finite,
-    with ``as_point``'s ValueError.
+    The stream's ``dim`` must be the learner's.  ``points`` and ``rates`` start
+    at the learner's x_1 and round-zero inverse rate, and each round fills the
+    next row of both.  An oblivious stream (see ``_oblivious``) has linear
+    losses that do not read the iterate, so its T gradients are drawn up front
+    by ``stream.gradients(T)``, which returns the trace's own (T, n)
+    ``grads``, and the learner takes them all in one call of
+    ``OnlineLearner._play_rows``, which hands cache-sized slices to the
+    learner's ``_play_block``: array passes for the prefix sums and rates, and
+    a loop only where the iterate carries into the next step (the step loop
+    for ``MdAsFtrl`` and ``StronglyConvexOgd``); a block that raises leaves
+    the learner as it was.  Any other stream is played round by round,
+    ``event`` then ``step``; every round must share one loss family.  The loss
+    rows (the gradients for linear losses, else the events' parameter rows)
+    are held by reference.  Either way the trace holds the same bits.  Before
+    anything reads them, x_1..x_{T+1} are checked finite, with ``as_point``'s
+    ValueError.
     """
+    if not isinstance(learner, OnlineLearner):
+        raise TypeError(f"learner must be an OnlineLearner, got {type(learner).__name__}")
     if T < 0:
         raise ValueError(f"round count must be >= 0, got {T}")
     dim = learner.dim
@@ -74,15 +78,15 @@ def _play(learner, stream, T: int) -> RunTrace:
     family = None
     rows, labels = [], []
     points = np.zeros((T + 1, dim))
-    inv_rates = np.zeros((T, dim))
-    inv0 = np.broadcast_to(np.asarray(learner.last_inv_rate, dtype=float), (dim,)).copy()
+    rates = np.zeros((T + 1, dim))
+    rates[0] = learner.last_inv_rate
     if _oblivious(stream):
         grads = stream.gradients(T)
         if grads.shape != (T, dim):
             raise ValueError(f"stream.gradients({T}) has shape {grads.shape}, not {(T, dim)}")
         family = LINEAR if T else None
         points[0] = learner.x
-        learner._play_rows(grads, points[1:], inv_rates)
+        learner._play_rows(grads, points[1:], rates[1:])
     else:
         grads = np.zeros((T, dim))
         for t in range(1, T + 1):
@@ -98,12 +102,12 @@ def _play(learner, stream, T: int) -> RunTrace:
             grads[t - 1] = event.g
             points[t - 1] = learner.x
             learner.step(event.g)
-            inv_rates[t - 1] = learner.last_inv_rate
+            rates[t] = learner.last_inv_rate
         points[T] = learner.x
     _require_finite(points)
-    return RunTrace(grads=grads, points=points, inv_rates=inv_rates, inv0=inv0,
+    return RunTrace(grads=grads, points=points, rates=rates,
                     reg_kind=learner.reg_kind, penalty_lam=learner.lam,
-                    linearized=getattr(learner, "linearized", False),
+                    linearized=learner.linearized,
                     feasible_set=learner.feasible_set, loss_family=family,
                     loss_params=grads if family == LINEAR else rows, labels=labels)
 

@@ -415,11 +415,11 @@ def suite_core() -> SuiteResult:
     for _ in range(200):
         sched = _random_schedule(rng)
         sq = np.cumsum(rng.uniform(0, 2, size=29))  # the squared sums through rounds 1..29
-        inv = np.array([[sched.inverse_rate(t, s)] for t, s in enumerate(sq, start=1)])
-        trace = RunTrace(grads=np.zeros_like(inv), points=np.zeros((30, 1)), inv_rates=inv,
-                         inv0=np.atleast_1d(sched.inverse_rate(0, 0.0)), reg_kind=CENTERED)
-        total = trace.inv0 + np.cumsum(trace.sigmas(), axis=0)
-        ok = ok and float(np.max(np.abs(total - inv))) <= 1e-9
+        rates = np.array([[sched.inverse_rate(t, s)] for t, s in enumerate([0.0, *sq])])
+        trace = RunTrace(grads=np.zeros((29, 1)), points=np.zeros((30, 1)), rates=rates,
+                         reg_kind=CENTERED)
+        total = rates[0] + np.cumsum(trace.sigmas(), axis=0)
+        ok = ok and float(np.max(np.abs(total - trace.inv_rates))) <= 1e-9
     res.check(ok, "sigma increments sum back to the inverse rate (1e-09)")
 
     ok = True

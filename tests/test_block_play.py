@@ -42,7 +42,7 @@ from ocokit.learners import (
     StronglyConvexOgd,
 )
 from ocokit.mirror import MdAsFtrl, MirrorDescent
-from ocokit.streams import LINEAR, RandomLinearStream, StreamEvent
+from ocokit.streams import LINEAR, RandomLinearStream, StreamEvent, StronglyConvexQuadraticStream
 
 
 class _RoundByRound(RandomLinearStream):
@@ -305,3 +305,27 @@ def test_a_solve_that_raises_mid_block_leaves_the_learner_as_it_was(name, n):
     assert str(block_error.value) == str(loop_error.value)
     del learner.step
     assert_same_state(learner, fresh)
+
+
+class _DuckLearner:
+    """Every attribute the round loop reads, on a class that is not an ``OnlineLearner``."""
+
+    dim, lam, reg_kind = 2, 0.0, "none"
+    feasible_set = FeasibleSet.unconstrained()
+
+    def __init__(self):
+        self.x, self.last_inv_rate = np.zeros(2), np.ones(2)
+
+    def step(self, g):
+        self.x = self.x - g
+        return self.x
+
+
+@pytest.mark.parametrize("stream", [StronglyConvexQuadraticStream(0, 2),
+                                    RandomLinearStream(0, 2, 1.0)],
+                         ids=["round-by-round", "oblivious"])
+def test_a_learner_that_is_not_an_online_learner_is_refused_on_every_stream(stream):
+    learner = _DuckLearner()
+    with pytest.raises(TypeError, match="OnlineLearner"):
+        _play(learner, stream, 4)
+    assert np.array_equal(learner.x, np.zeros(2))

@@ -24,8 +24,8 @@ class _SidewaysOgd(StronglyConvexOgd):
 
 def test_an_unknown_regularizer_kind_raises_instead_of_reading_as_none():
     zeros = np.zeros((3, 2))
-    trace = RunTrace(grads=zeros, points=np.zeros((4, 2)), inv_rates=np.ones((3, 2)),
-                     inv0=np.ones(2), reg_kind="sideways")
+    trace = RunTrace(grads=zeros, points=np.zeros((4, 2)), rates=np.ones((4, 2)),
+                     reg_kind="sideways")
     x_star = np.zeros(2)
     calls = [
         lambda: _bound_and_rhs(trace, x_star, BoundRule.GENERAL_FTRL, BoundConfig()),

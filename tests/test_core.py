@@ -140,14 +140,14 @@ def schedule_trace(sched, sq_sums):
     ``sq_sums[t-1]`` is the squared-gradient sum through round t; round zero
     has sum 0.
     """
-    inv = np.array([[sched.inverse_rate(t, sq)] for t, sq in enumerate(sq_sums, start=1)])
-    return RunTrace(grads=np.zeros_like(inv), points=np.zeros((len(inv) + 1, 1)), inv_rates=inv,
-                    inv0=np.atleast_1d(sched.inverse_rate(0, 0.0)), reg_kind=CENTERED)
+    rates = np.array([[sched.inverse_rate(t, sq)] for t, sq in enumerate([0.0, *sq_sums])])
+    return RunTrace(grads=np.zeros((len(sq_sums), 1)), points=np.zeros((len(rates), 1)),
+                    rates=rates, reg_kind=CENTERED)
 
 
 def test_trace_sigmas_constant():
     trace = schedule_trace(ConstantRate(0.5), [0.0] * 4)
-    assert trace.inv0 == pytest.approx([2.0])
+    assert trace.rates[0] == pytest.approx([2.0])
     assert np.all(trace.sigmas() == 0.0)
 
 
@@ -170,7 +170,7 @@ def test_trace_sigma_increments_sum_to_inverse_rate():
                  AdaGradRate(1.1, offset=0.4)]
     for sched in schedules:
         trace = schedule_trace(sched, np.cumsum(rng.uniform(0, 2, size=39)))
-        total = trace.inv0 + np.cumsum(trace.sigmas(), axis=0)
+        total = trace.rates[0] + np.cumsum(trace.sigmas(), axis=0)
         assert np.max(np.abs(total - trace.inv_rates)) <= 1e-9
 
 

@@ -251,7 +251,7 @@ def assert_stability_matches_oracle(make, T):
     trace, x_star = result.trace, result.x_star
     penalty = np.cumsum(trace.psi @ x_star) if trace.psi is not None \
         else _penalty_curve(trace, x_star)
-    reg = _family(trace.reg_kind).reg_rows(trace, x_star, None)
+    reg = _family(trace.reg_kind).reg_rows(trace, x_star, None)[1:]
     expected = reg + penalty + np.cumsum(stability)
     np.testing.assert_allclose(result.record.strong_ftrl_rhs, expected, rtol=1e-13, atol=0)
 

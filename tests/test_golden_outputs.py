@@ -9,6 +9,9 @@ AdaGrad on a box and on logistic losses, composite L1 on the 1-D
 adversary, mirror descent with L1, entropic, strongly convex), from three
 ``compare`` configs at seed 0
 (seven learners on logistic, random-linear and strongly convex streams),
+from four ``run`` configs at seed 0 that read the general FTRL bound
+(dual averaging, constant OGD and entropic) and the weak proximal bound
+(FTRL-Proximal),
 from ``repro-l1``, and from the five record arrays of every run of
 ``suites.run_bound_experiments()`` (200 streams per pairing, T = 64), the
 runs that ``verify bounds`` and ``verify stability-diagnostic`` check.  A
@@ -21,6 +24,7 @@ numpy is not checked, so the test skips there.
 """
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,7 +91,30 @@ RUNS = {  # name: (subcommand, config, sha256 of the CSV at seed 0)
         "compare",
         "learners = dual-averaging, entropic\nstream = strongly-convex\nT = 40\nn = 3\n",
         "ea18d54a4c7cb333d5d89729b6be27f3ee7631ba5aefd154336f96561ee49bdc"),
+    # the general FTRL bound reads r_{0:t-1}(x*) and the rates of the round before
+    "da-general-ftrl": (
+        "run",
+        "learner = dual-averaging\nstream = random-linear\nbound = general-ftrl\n"
+        "T = 300\nn = 4\n",
+        "3187a0782ee4e3c31f7825d8e0d2b6b5b9a7e6e05fa82d6fb951ee6854bb4c23"),
+    "ogd-general-ftrl": (
+        "run",
+        "learner = constant-ogd\nstream = random-linear\nbound = general-ftrl\n"
+        "T = 300\nn = 4\n",
+        "b9bded3bb6f7831db7dd8068356e0f1d05767f00742bfae13b26a924ac655ccc"),
+    "entropic-general-ftrl": (
+        "run",
+        "learner = entropic\nstream = random-linear-sup\nbound = general-ftrl\n"
+        "T = 300\nn = 4\n",
+        "9d5ace9ba4cc5564c3a20b036f718668c4371e37c5c7e2ca888d3f780022881b"),
+    "prox-weak-proximal": (
+        "run",
+        "learner = ftrl-proximal\nstream = random-linear\nbound = weak-proximal\n"
+        "T = 300\nn = 4\n",
+        "023fe947fbb2f03704c90b80c5bc0b17998d5d94b6dd4b06a0e237edacb32ac6"),
 }
+# the suites that finish in well under a second; ``verify all`` runs every suite
+CHEAP_SUITES = ("core", "streams", "percoord-dominance", "l1-example", "sparsity")
 REPRO_L1 = "9889c9132cae1c674e60eb1985de0493b24185bafe2118fb0438bf3fc3d4b55a"
 BOUND_RUNS = "102ef75b69fcf64f009aa1dc2b9ef2daa55beb0d18b579680ef26a9807ac7a42"
 
@@ -120,3 +147,10 @@ def test_bound_run_arrays_are_pinned():
                            rec.strong_ftrl_rhs):
                 digest.update(np.ascontiguousarray(column, dtype=float).tobytes())
     assert digest.hexdigest() == BOUND_RUNS
+
+
+def test_the_cheap_suites_print_their_expected_verify_lines():
+    expected = (Path(__file__).parent / "verify_all.expected").read_text().splitlines()
+    for name in CHEAP_SUITES:
+        got = [f"[{name}] {line}" for line in suites.run_suite(name).lines]
+        assert got == [line for line in expected if line.startswith(f"[{name}] ")], name

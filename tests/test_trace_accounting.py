@@ -67,7 +67,7 @@ def same_bits(a, b):
 # ---------------------------------------------------------------------------
 
 def ref_sigmas(trace):
-    prev = np.vstack([trace.inv0[None, :], trace.inv_rates])[:-1]
+    prev = np.vstack([trace.rates[0][None, :], trace.inv_rates])[:-1]
     return np.maximum(np.subtract(trace.inv_rates, prev, out=prev), 0.0, out=prev)
 
 
@@ -85,7 +85,7 @@ def ref_dual_sq_rows(grads, inv_rows, sup):
 
 def ref_reg_curve(trace, x_star, shifted):
     T = trace.inv_rates.shape[0]
-    rows = np.vstack([trace.inv0[None, :], trace.inv_rates[:-1]]) if shifted \
+    rows = np.vstack([trace.rates[0][None, :], trace.inv_rates[:-1]]) if shifted \
         else trace.inv_rates
     if trace.reg_kind == "centered":
         return 0.5 * rows @ (x_star ** 2)
@@ -94,7 +94,7 @@ def ref_reg_curve(trace, x_star, shifted):
     if trace.reg_kind == "proximal":
         contrib = 0.5 * np.sum(ref_sigmas(trace) * (x_star[None, :] - trace.iterates) ** 2,
                                axis=1)
-        base = 0.5 * float(np.sum(trace.inv0 * x_star ** 2))
+        base = 0.5 * float(np.sum(trace.rates[0] * x_star ** 2))
         curve = base + np.cumsum(contrib)
         if shifted:
             curve = np.concatenate([[base], curve[:-1]]) if T else curve
@@ -171,7 +171,7 @@ def ref_trace_bound(rule, grads, trace, x_star):
     T = grads.shape[0]
     sup = trace.reg_kind == "entropic"
     if rule is BoundRule.GENERAL_FTRL:
-        inv_prev = np.vstack([trace.inv0[None, :], trace.inv_rates[:-1]]) if T \
+        inv_prev = np.vstack([trace.rates[0][None, :], trace.inv_rates[:-1]]) if T \
             else trace.inv_rates
         duals = ref_dual_sq_rows(grads, inv_prev, sup)
         return ref_reg_curve(trace, x_star, shifted=True) + 0.5 * np.cumsum(duals)
@@ -460,7 +460,7 @@ def test_the_returned_trace_is_what_the_loop_recorded(pair_name):
     assert same_bits(tr.grads, grads)
     assert same_bits(tr.iterates, iterates)
     assert same_bits(tr.inv_rates, inv_rates)
-    assert same_bits(tr.inv0, inv0)
+    assert same_bits(tr.rates[0], inv0)
     assert (tr.psi is None) == (psi is None)
     if psi is not None:
         assert same_bits(tr.psi, psi)
@@ -486,5 +486,5 @@ def test_bound_curve_twice_on_one_trace_matches_fresh_evaluations(pair_name):
         fresh_b = bound_curve(generic, cfg, snapshot.grads, x_star=x_b,
                               trace=copy.deepcopy(snapshot))
         assert same_bits(first, fresh_a) and same_bits(second, fresh_b), generic
-    for name in ("grads", "iterates", "inv_rates", "inv0"):
+    for name in ("grads", "iterates", "rates"):
         assert same_bits(getattr(trace, name), getattr(snapshot, name)), name
