@@ -156,26 +156,33 @@ def _nonzero_g(cfg) -> float:
     return cfg["G"]
 
 
-def _horizon_rate(cfg) -> float:
-    """The config's eta, else R / (G sqrt(T)), which is stored for the bound."""
-    if cfg.get("eta") is None:
+_HORIZON_RATE = ("constant-ogd", "ftrl-l1", "md-l1")  # a fixed rate even without eta
+
+
+def _eta(name, cfg) -> float | None:
+    """The config's eta, else R / (G sqrt(T)) for a ``_HORIZON_RATE`` learner; cfg is unchanged.
+
+    ``build_learner`` builds the rate and ``build_run`` hands it to the bound.
+    """
+    eta = cfg.get("eta")
+    if eta is None and name in _HORIZON_RATE:
         _require(cfg, "T")
         if cfg["T"] == 0:
             raise UsageError("T = 0 leaves the rate R / (G sqrt(T)) undefined (set eta)")
-        cfg["eta"] = cfg["R"] / (_nonzero_g(cfg) * math.sqrt(cfg["T"]))
-    return cfg["eta"]
+        eta = cfg["R"] / (_nonzero_g(cfg) * math.sqrt(cfg["T"]))
+    return eta
 
 
 def build_learner(name, cfg):
     n = cfg["n"]
     R = cfg["R"]
-    eta = cfg.get("eta")
+    eta = _eta(name, cfg)
     if name == "dual-averaging":
         sched = ConstantRate(eta) if eta is not None else InverseSqrtRate(
             R / (math.sqrt(2) * _nonzero_g(cfg)), shift=1)
         return DualAveraging(n, sched)
     if name == "constant-ogd":
-        return DualAveraging(n, ConstantRate(_horizon_rate(cfg)))
+        return DualAveraging(n, ConstantRate(eta))
     if name == "ftrl-proximal":
         sched = ConstantRate(eta) if eta is not None else InverseSqrtRate(
             math.sqrt(2) * R / _nonzero_g(cfg), shift=0)
@@ -184,9 +191,9 @@ def build_learner(name, cfg):
         return FtrlProximal(n, AdaGradRate(math.sqrt(2) * cfg["R_inf"]),
                             FeasibleSet.box(cfg["R_inf"]))
     if name == "ftrl-l1":
-        return FtrlCompositeL1(n, ConstantRate(_horizon_rate(cfg)), cfg["lambda"])
+        return FtrlCompositeL1(n, ConstantRate(eta), cfg["lambda"])
     if name == "md-l1":
-        return MirrorDescent(n, ConstantRate(_horizon_rate(cfg)), lam=cfg["lambda"])
+        return MirrorDescent(n, ConstantRate(eta), lam=cfg["lambda"])
     if name == "entropic":
         return EntropicFtrl(n, cfg["G_inf"])
     if name == "ogd-strongly-convex":
@@ -220,7 +227,7 @@ def build_run(cfg):
     rule = _bound_rule(cfg)
     stream = build_stream(cfg)
     bc = BoundConfig(R=cfg["R"], R_inf=cfg["R_inf"], G=cfg["G"], G_inf=cfg["G_inf"],
-                     eta=cfg.get("eta"))
+                     eta=_eta(cfg["learner"], cfg))
     # an unconstrained learner is compared with the points of the ball of radius R
     comparator_set = FeasibleSet.l2_ball(cfg["R"]) if \
         learner.feasible_set.kind == FeasibleSet.UNCONSTRAINED else learner.feasible_set
@@ -261,7 +268,7 @@ def cmd_run(args) -> int:
     rec = result.record
     columns = (rec.loss, rec.comp_loss, rec.cum_regret, rec.bound, rec.strong_ftrl_rhs)
     lines = ["round,loss,comp_loss,cum_regret,bound,decomposition"]
-    lines += [",".join([str(t), *map(_fmt, row)])
+    lines += ["%d,%.12g,%.12g,%.12g,%.12g,%.12g" % (t, *row)  # _fmt's format, one call a row
               for t, row in enumerate(zip(*(c.tolist() for c in columns)), start=1)]
     _emit(lines, args.out or cfg.get("out"))
     if result.bound_ok:

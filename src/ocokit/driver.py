@@ -59,14 +59,16 @@ def _play(learner, stream, T: int) -> RunTrace:
     ``grads``, and the learner takes them all in one call of
     ``OnlineLearner._play_rows``, which hands cache-sized slices to the
     learner's ``_play_block``: array passes for the prefix sums and rates, and
-    a loop only where the iterate carries into the next step (the step loop
-    for ``MdAsFtrl`` and ``StronglyConvexOgd``); a block that raises leaves
-    the learner as it was.  Any other stream is played round by round,
-    ``event`` then ``step``; every round must share one loss family.  The loss
-    rows (the gradients for linear losses, else the events' parameter rows)
-    are held by reference.  Either way the trace holds the same bits.  Before
-    anything reads them, x_1..x_{T+1} are checked finite, with ``as_point``'s
-    ValueError.
+    a loop only where the iterate carries into the next step (by coordinate
+    on Python floats for proximal ``QuadraticFtrl`` and ``MirrorDescent`` on
+    a box or unconstrained at small n, by row on the ball or at larger n, the
+    step loop for ``MdAsFtrl`` and ``StronglyConvexOgd``); a block that
+    raises leaves the learner as it was.  Any other stream is played round
+    by round, ``event`` then ``step``; every round must share one loss
+    family.  The loss rows (the gradients for linear losses, else the events'
+    parameter rows) are held by reference.  Either way the trace holds the
+    same bits.  Before anything reads them, x_1..x_{T+1} are checked finite,
+    with ``as_point``'s ValueError.
     """
     if not isinstance(learner, OnlineLearner):
         raise TypeError(f"learner must be an OnlineLearner, got {type(learner).__name__}")

@@ -12,13 +12,16 @@ sums, rates, g_{1:t}) comes from array passes; the iterates follow in the
 same pass where they are a row-wise map of those prefixes (centered
 ``QuadraticFtrl``, ``EntropicFtrl``), and by a loop of only the iterate
 recurrence where x_t carries into the next step (proximal ``QuadraticFtrl``,
-``mirror.MirrorDescent``).  ``mirror.MdAsFtrl`` and ``StronglyConvexOgd``
-keep the default block, the step loop.  A step or a block that raises leaves
-the learner as it was.  Loss linearization is the caller's job: learners only
-ever see g_t.  Learners keep no regret accounting: ``reg_kind`` names the
-family of their accumulated objective, and ``bounds`` evaluates it, the
-regularizer and the Strong FTRL stability terms from the run's trace
-(``bounds.RunTrace``).
+``mirror.MirrorDescent``).  That loop runs one coordinate at a time on
+Python floats on a box or with no constraint at n up to ``_SCALAR_DIM``,
+where a step is a scalar soft threshold and clamp and costs less than one
+numpy call on a row, and row by row on the ball or at larger n.
+``mirror.MdAsFtrl`` and ``StronglyConvexOgd`` keep the default block, the
+step loop.  A step or a block that raises leaves the learner as it was.
+Loss linearization is the caller's job: learners only ever see g_t.
+Learners keep no regret accounting: ``reg_kind`` names the family of their
+accumulated objective, and ``bounds`` evaluates it, the regularizer and the
+Strong FTRL stability terms from the run's trace (``bounds.RunTrace``).
 
 Dual averaging, proximal FTRL, composite-L1 FTRL and mirror descent's FTRL
 form are one solver, ``QuadraticFtrl``: they differ only in where the
@@ -50,6 +53,7 @@ from .core import (
     UnsupportedCombination,
     _add_square_rows,
     _add_squares,
+    _all,
     _clamp_box,
     _l1_step,
     _project_l2_ball,
@@ -67,6 +71,14 @@ PROXIMAL = "proximal"
 ENTROPIC = "entropic"
 STRONGLY_CONVEX = "strongly-convex"  # follow the leader on quadratic lower bounds
 NONE = "none"  # accumulated objective unknown: no stability terms
+
+# Up to this dimension, on a box or with no constraint, proximal QuadraticFtrl and
+# MirrorDescent run a block's iterate recurrence one coordinate at a time on Python
+# floats, where each step is a scalar soft threshold and clamp; above it, and on the
+# ball, they loop over rows of numpy calls.  A scalar step costs about 0.25-0.3 us
+# per coordinate and a row step about 5-7 us whatever n, so the two cross between
+# n = 22 and 24 (kernel timings in BENCH_scalar_recurrence.json).
+_SCALAR_DIM = 22
 
 
 @dataclass
@@ -163,6 +175,19 @@ def _broadcast_inv(value, dim):
     inv = np.empty(dim)
     inv[...] = value  # a scalar rate or a per-coordinate array, copied
     return inv
+
+
+def _scalar_width(learner, inv_rates) -> float | None:
+    """The half-width a block's scalar recurrence clamps to (inf: no constraint), or None.
+
+    None (the row loop) on a ball, above ``_SCALAR_DIM`` coordinates, and where
+    a rate is not finite.
+    """
+    fs = learner.feasible_set
+    if fs.kind == FeasibleSet.L2_BALL or learner.dim > _SCALAR_DIM \
+            or not _all(np.isfinite(inv_rates)):
+        return None
+    return fs.radius if fs.kind == FeasibleSet.BOX else math.inf
 
 
 def _quadratic_set(feasible_set, lam: float) -> FeasibleSet:
@@ -280,8 +305,9 @@ class QuadraticFtrl(OnlineLearner):
         solve of g_{1:t}, t lam and rate row t, all rows at once.  Proximal,
         sigma_t = max(inv_t - inv_{t-1}, 0) comes from the rate rows too, and
         only the recurrence a_{1:t} = a_{1:t-1} + sigma_t x_t, x_{t+1} = the
-        solve of g_{1:t} - a_{1:t}, loops.  Either way each row is bit for bit
-        what step t returns.  A rejected gradient raises ``step``'s error.
+        solve of g_{1:t} - a_{1:t}, loops: by coordinate where ``_scalar_width``
+        allows (``_proximal_columns``), else by row.  Either way each row is bit
+        for bit what step t returns.  A rejected gradient raises ``step``'s error.
         """
         T = len(grads)
         sq_sums = _add_square_rows(self.sq_sum, grads)
@@ -294,21 +320,60 @@ class QuadraticFtrl(OnlineLearner):
         g_sums = _running_sums(self.g_sum, grads)
         if self.centering == CENTERED:
             next_points[...] = self._solve(g_sums, ts[:, None] * self.lam, inv_rates)
-            x = next_points[-1].copy()
         else:
             sigmas = np.maximum(np.diff(inv_rates, axis=0, prepend=self.last_inv_rate[None]), 0.0)
-            adj, x = self.adj_sum, self.x
-            for t, g_sum, sigma, inv, out in zip(ts.tolist(), g_sums, sigmas, inv_rates,
-                                                 next_points):
-                adj = adj + sigma * x
-                x = out[...] = self._solve(g_sum - adj, t * self.lam, inv)
+            width = _scalar_width(self, inv_rates)
+            adj = None if width is None else \
+                self._proximal_columns(ts, g_sums, sigmas, inv_rates, next_points, width)
+            if adj is None:
+                adj, x = self.adj_sum, self.x
+                for t, g_sum, sigma, inv, out in zip(ts.tolist(), g_sums, sigmas, inv_rates,
+                                                     next_points):
+                    adj = adj + sigma * x
+                    x = out[...] = self._solve(g_sum - adj, t * self.lam, inv)
             self.adj_sum = adj
         self.t += T
         self.g_sum = g_sums[-1].copy()
         if sq_sums is not None:
             self.sq_sum = sq_sums[-1].copy()
         self.last_inv_rate = inv_rates[-1].copy()
-        self.x = x
+        self.x = next_points[-1].copy()
+
+    def _proximal_columns(self, ts, g_sums, sigmas, inv_rates, next_points, width):
+        """The proximal recurrence one coordinate at a time on Python floats: a_{1:T}, or None.
+
+        Each step is ``_solve``'s: ``_soft_threshold``, where np.maximum and
+        np.minimum keep their second operand on ties (signed zeros included),
+        ``_l1_step``'s cases for an infinite rate, and ``_clamp_box`` to
+        ``width`` (inf with no constraint).  Python floats overflow silently,
+        where numpy warns: so at the first iterate that is not finite before
+        the clamp (an overflow, or an infinite rate with no constraint) it
+        returns None, and the row loop raises or computes exactly as ``step``
+        does.  a_{1:t} moves only where sigma_t > 0, a live coordinate, so an
+        overflow there makes that round's iterate infinite too.
+        """
+        lams = (ts * self.lam).tolist()
+        adj_end = []
+        columns = zip(self.x.tolist(), self.adj_sum.tolist(), g_sums.T.tolist(),
+                      sigmas.T.tolist(), inv_rates.T.tolist())
+        for i, (x, adj, g_col, s_col, w_col) in enumerate(columns):
+            col = []
+            for lam, g_sum, s, w in zip(lams, g_col, s_col, w_col):
+                adj = adj + s * x
+                b = g_sum - adj
+                if w > 0:
+                    m = b if b > -lam else -lam
+                    x = ((m if m < lam else lam) - b) / w
+                else:
+                    x = 0.0 if abs(b) <= lam else -math.copysign(width, b)
+                if not -width < x < width:
+                    if x - x != 0.0:  # inf or nan
+                        return None
+                    x = width if x > 0 else -width
+                col.append(x)
+            next_points[:, i] = col
+            adj_end.append(adj)
+        return np.array(adj_end)
 
 
 class DualAveraging(QuadraticFtrl):

@@ -7,13 +7,18 @@ simplex learner is ``learners.EntropicFtrl``).  Every learner here is a
 carries the current point and the squared-gradient sums its schedule reads;
 MdAsFtrl, a ``QuadraticFtrl`` preset, carries gradient and
 penalty-subgradient accumulators, and plays a block by the step loop, since
-each step extracts g_psi_t at its own iterate.  MirrorDescent shares no step
-code with that solver, so their round-by-round agreement is a checked
-property, not a shared code path.  Both declare ``linearized``:
+each step extracts g_psi_t at its own iterate.  MirrorDescent plays a block
+by its own loop, one coordinate at a time on Python floats on a box or with
+no constraint up to ``learners._SCALAR_DIM`` coordinates, else row by row.
+MirrorDescent shares no step code with that solver, not even the scalar
+loop of proximal ``QuadraticFtrl``, so their round-by-round agreement is a
+checked property, not a shared code path.  Both declare ``linearized``:
 ``RunTrace.psi`` reads their penalty subgradients off the run trace.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -33,6 +38,7 @@ from .learners import (
     _broadcast_inv,
     _project_quadratic,
     _quadratic_set,
+    _scalar_width,
 )
 
 
@@ -44,7 +50,7 @@ class MirrorDescent(OnlineLearner):
     per-coordinate soft thresholding, clamped to a box, or (with no penalty)
     projected onto an L2 ball.  State: the point and any sums its schedule reads.
     A block of pre-drawn gradients (``_play_block``) takes its sums and rates
-    in array passes and loops only the closed-form steps.
+    in array passes and loops only the closed-form steps, by coordinate or by row.
     """
 
     reg_kind = PROXIMAL  # the regularizer family bounds reads from the run trace
@@ -82,21 +88,55 @@ class MirrorDescent(OnlineLearner):
     def _play_block(self, grads, next_points, inv_rates):
         """The squared sums and the schedule's rate rows in one pass; only the steps loop.
 
-        Each row is bit for bit what step t returns.  A rejected gradient
-        raises ``step``'s error.
+        The steps run by coordinate where ``learners._scalar_width`` allows
+        (``_columns``), else by row.  Each row is bit for bit what step t
+        returns.  A rejected gradient raises ``step``'s error.
         """
         T = len(grads)
         sq_sums = _add_square_rows(self.sq_sum, grads)
         ts = np.arange(self.t + 1, self.t + T + 1)
         inv_rates[...] = self.schedule.inverse_rates(ts, sq_sums).reshape(T, -1)
-        x = self.x
-        for g, w, out in zip(grads, inv_rates, next_points):
-            x = out[...] = self._next(x, g, w)
+        width = _scalar_width(self, inv_rates)
+        if width is None or not self._columns(grads, inv_rates, next_points, width):
+            x = self.x
+            for g, w, out in zip(grads, inv_rates, next_points):
+                x = out[...] = self._next(x, g, w)
         self.t += T
         if sq_sums is not None:
             self.sq_sum = sq_sums[-1].copy()
         self.last_inv_rate = inv_rates[-1].copy()
-        self.x = x
+        self.x = next_points[-1].copy()
+
+    def _columns(self, grads, inv_rates, next_points, width) -> bool:
+        """The steps one coordinate at a time on Python floats; False where one is not finite.
+
+        Each step is ``_next``'s off the ball: a soft threshold, where
+        np.maximum and np.minimum keep their second operand on ties (signed
+        zeros included), ``_l1_step``'s cases for an infinite rate, and a clamp
+        to ``width`` (inf with no constraint).  Python floats overflow
+        silently, where numpy warns: so at the first point that is not finite
+        before the clamp (an overflow, or an infinite rate with no constraint)
+        it returns False, and the row loop raises or computes exactly as
+        ``step`` does.
+        """
+        lam = self.lam
+        for i, (x, g_col, w_col) in enumerate(zip(self.x.tolist(), grads.T.tolist(),
+                                                  inv_rates.T.tolist())):
+            col = []
+            for g, w in zip(g_col, w_col):
+                b = g - w * x
+                if w > 0:
+                    m = b if b > -lam else -lam
+                    x = ((m if m < lam else lam) - b) / w
+                else:
+                    x = 0.0 if abs(b) <= lam else -math.copysign(width, b)
+                if not -width < x < width:
+                    if x - x != 0.0:  # inf or nan
+                        return False
+                    x = width if x > 0 else -width
+                col.append(x)
+            next_points[:, i] = col
+        return True
 
 
 class MdAsFtrl(QuadraticFtrl):

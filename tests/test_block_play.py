@@ -5,7 +5,13 @@ block, and hands them to ``OnlineLearner._play_rows``, which gives the
 learner's ``_play_block`` cache-sized slices, several at the WIDE sizes.
 ``EntropicFtrl`` and the centered ``QuadraticFtrl`` learners compute every
 iterate in array passes; proximal ``QuadraticFtrl`` and ``MirrorDescent``
-compute every prefix in array passes and loop only the iterate recurrence;
+compute every prefix in array passes and loop only the iterate recurrence,
+one coordinate at a time on Python floats on a box or unconstrained up to
+``learners._SCALAR_DIM`` coordinates (the measured crossover with the row
+loop), and row by row past it or on the ball; both sides of that limit are
+checked, with the other loop forbidden, and so are signed zeros, exact
+threshold ties and overflows, where Python floats and numpy part ways unless
+the coordinate loop hands the block back to the row loop.
 ``MdAsFtrl`` and ``StronglyConvexOgd`` take the default block, the step loop.
 A step or a block that raises leaves the learner as it was.  A subclass that
 overrides ``event`` is played round by round, so it is the reference here.
@@ -17,6 +23,7 @@ supports.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +40,7 @@ from ocokit.core import (
 )
 from ocokit.driver import _oblivious, _play, run_rounds
 from ocokit.learners import (
+    _SCALAR_DIM,
     PROXIMAL,
     DualAveraging,
     EntropicFtrl,
@@ -54,6 +62,10 @@ class _RoundByRound(RandomLinearStream):
 
 def _forbidden_step(g):
     raise AssertionError("a row-kernel learner was stepped one round at a time")
+
+
+def _forbidden_loop(*args):
+    raise AssertionError("a block ran the recurrence loop its set and dimension do not choose")
 
 
 def _same(a, b):
@@ -173,14 +185,24 @@ LIBRARY = {
 
 
 WIDE = 1100  # 2^14 // 1100 = 14 rows per slice: a 60-row block takes 5
-SIZES = [(name, n) for name in LIBRARY for n in (1, 2, 17, WIDE)
-         if n != 1 or not name.startswith("entropic")]  # the simplex needs n >= 2
+# the scalar recurrences' limit and one past it, on the box and unconstrained
+EDGES = (_SCALAR_DIM, _SCALAR_DIM + 1)
+SIZES = [(name, n) for name in LIBRARY for n in (1, 2, 17, *EDGES, WIDE)
+         if (n != 1 or not name.startswith("entropic"))  # the simplex needs n >= 2
+         and (n not in EDGES or not name.endswith("ball") and not name.startswith("entropic"))]
+# the per-row solve and the per-coordinate loop of each recurrence that has both
+LOOPS = {"prox": ("_solve", "_proximal_columns"), "md": ("_next", "_columns")}
 
 
 @pytest.mark.parametrize("name,n", SIZES, ids=[f"{a}-n{b}" for a, b in SIZES])
 def test_row_kernels_match_their_steps_on_every_set_and_schedule(name, n):
     a, b = LIBRARY[name](n), LIBRARY[name](n)
     a.step = _forbidden_step
+    loops = LOOPS.get(name.split("-")[0])
+    if loops:  # up to _SCALAR_DIM off the ball the block never calls the row loop's solve
+        scalar = n <= _SCALAR_DIM and not name.endswith("ball")
+        forbidden = loops[0] if scalar else loops[1]
+        setattr(a, forbidden, _forbidden_loop)
     G = 1.7 if n < WIDE else 30.0  # coordinates of order 1 at WIDE too, so the sets bind
     got = _play(a, RandomLinearStream(n, n, G), 60)
     want = _play(b, _RoundByRound(n, n, G), 60)
@@ -195,6 +217,66 @@ def test_row_kernels_match_their_steps_on_every_set_and_schedule(name, n):
     assert_same_trace(_play(a, RandomLinearStream(5, n, G), 9),
                       _play(b, _RoundByRound(5, n, G), 9))
     assert_same_state(a, b)
+
+
+TIES = {  # the scalar recurrences, with an infinite rate on coordinate 0
+    "proximal": lambda lam, fs: QuadraticFtrl(4, _FirstCoordinateFree(), fs, PROXIMAL, lam=lam),
+    "mirror-descent": lambda lam, fs: MirrorDescent(4, _FirstCoordinateFree(), lam, fs),
+}
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+@pytest.mark.parametrize("fs", [FeasibleSet.unconstrained(), BOX], ids=["unconstrained", "box"])
+@pytest.mark.parametrize("name", list(TIES))
+def test_signed_zeros_and_exact_ties_play_as_their_steps_bit_for_bit(name, fs, lam):
+    # Coordinates 0 (inverse rate 0) and 1 start at 0 and sit on the threshold every
+    # round: |b| = t lam for proximal FTRL's b = g_{1:t} - a_{1:t}, and |b| = lam for
+    # mirror descent's b = g_t - w x_t.  Coordinates 2 and 3 see +-0.0 among other rows.
+    T = 12
+    rows = np.zeros((T, 4))
+    rows[:, 0], rows[:, 1] = lam, -lam  # at lam = 0: +0.0 and -0.0
+    rows[:, 2] = np.copysign(0.0, np.tile([1.0, -1.0], T // 2))
+    rows[:, 3] = [-0.0, 1.75, 0.0, -4.0, -0.0, 3.0, -0.3, 0.0, -0.0, 2.0, -0.0, -0.5]
+    learner, reference = TIES[name](lam, fs), TIES[name](lam, fs)
+    learner.step = _forbidden_step
+    setattr(learner, "_solve" if name == "proximal" else "_next", _forbidden_loop)
+    got = _play(learner, _Rows(rows), T)
+    want = _play(reference, _RowsRoundByRound(rows), T)
+    assert_same_trace(got, want)
+    assert got.next_iterates[:, :2].tobytes() == np.zeros((T, 2)).tobytes()
+    assert np.any(got.next_iterates[:, 3] != 0.0)
+    del learner.step
+    assert_same_state(learner, reference)
+
+
+OVERFLOW = {  # 1 / eta = 1e-300 against gradients near 1e10: the soft threshold's quotient
+    "prox-box": lambda n: FtrlProximal(n, ConstantRate(1e300), FeasibleSet.box(1.0)),
+    "prox-unconstrained": lambda n: FtrlProximal(n, ConstantRate(1e300),
+                                                 FeasibleSet.unconstrained()),
+    "md-box": lambda n: MirrorDescent(n, ConstantRate(1e300), feasible_set=FeasibleSet.box(1.0)),
+    "md-unconstrained": lambda n: MirrorDescent(n, ConstantRate(1e300)),
+}
+
+
+@pytest.mark.parametrize("warn", ["error", "ignore"])  # numpy's RuntimeWarning
+@pytest.mark.parametrize("n", [2, _SCALAR_DIM + 1])  # the scalar recurrence; the row loop
+@pytest.mark.parametrize("name", list(OVERFLOW))
+def test_a_step_that_overflows_ends_block_play_as_it_ends_the_round_loop(name, n, warn):
+    streams = (RandomLinearStream(0, n, 1e10), _RoundByRound(0, n, 1e10))
+    learners = [OVERFLOW[name](n) for _ in streams]
+    with warnings.catch_warnings():
+        warnings.simplefilter(warn, RuntimeWarning)
+        if warn == "ignore" and name.endswith("box"):  # the inf quotient clamps to a corner
+            got, want = [_play(learner, stream, 5) for learner, stream in zip(learners, streams)]
+            assert_same_trace(got, want)
+            assert np.all(np.abs(got.next_iterates) == 1.0)
+        else:  # round 1 raises numpy's warning, or the inf iterate _play's ValueError
+            error, message = (RuntimeWarning, "overflow encountered in divide") \
+                if warn == "error" else (ValueError, "point has non-finite coordinates")
+            for learner, stream in zip(learners, streams):
+                with pytest.raises(error, match=f"^{message}$"):
+                    _play(learner, stream, 5)
+    assert_same_state(*learners)
 
 
 def test_the_entropic_rate_squares_each_sup_norm_with_libm_pow():

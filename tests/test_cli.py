@@ -397,6 +397,22 @@ eta = 0.5
         assert code == 0
         assert len(out.strip().splitlines()) == 17
 
+    @pytest.mark.parametrize("learner,bound", [("constant-ogd", "non-adaptive"),
+                                               ("ftrl-l1", "composite"),
+                                               ("md-l1", "mirror-descent")])
+    def test_one_config_dict_built_at_two_horizons_gets_each_horizon_rate(self, learner,
+                                                                          bound):
+        # eta = R / (G sqrt(T)): 0.25 at T = 16 and 0.125 at T = 64, the dict unchanged
+        cfg = dict(cli._DEFAULTS, learner=learner, stream="random-linear", bound=bound, T=16)
+        given = dict(cfg)
+        built, _, _, bc, _ = cli.build_run(cfg)
+        assert cfg == given
+        assert bc.eta == built.schedule.eta == 0.25
+        cfg["T"] = 64
+        built, _, _, bc, _ = cli.build_run(cfg)
+        assert bc.eta == built.schedule.eta == 0.125
+        assert "eta" not in cfg
+
 
 class TestCompare:
     def test_side_by_side_with_nonzeros(self, tmp_path, capsys):

@@ -11,7 +11,9 @@ adversary, mirror descent with L1, entropic, strongly convex), from three
 (seven learners on logistic, random-linear and strongly convex streams),
 from four ``run`` configs at seed 0 that read the general FTRL bound
 (dual averaging, constant OGD and entropic) and the weak proximal bound
-(FTRL-Proximal),
+(FTRL-Proximal), from the two ``run`` configs of the ``long-horizon``
+benchmark workload at seed 0 (mirror descent with L1 at T = 1024 and
+AdaGrad FTRL-Proximal on a box at T = 4096, both at n = 5),
 from ``repro-l1``, and from the five record arrays of every run of
 ``suites.run_bound_experiments()`` (200 streams per pairing, T = 64), the
 runs that ``verify bounds`` and ``verify stability-diagnostic`` check.  A
@@ -112,6 +114,17 @@ RUNS = {  # name: (subcommand, config, sha256 of the CSV at seed 0)
         "learner = ftrl-proximal\nstream = random-linear\nbound = weak-proximal\n"
         "T = 300\nn = 4\n",
         "023fe947fbb2f03704c90b80c5bc0b17998d5d94b6dd4b06a0e237edacb32ac6"),
+    # the two long-horizon benchmark runs; 4096 x 5 entries take two _play_rows slices
+    "long-md-l1": (
+        "run",
+        "learner = md-l1\nstream = random-linear\nbound = mirror-descent\nT = 1024\n"
+        "n = 5\nlambda = 0.1\n",
+        "f4b9a013a775824f832a0a7b3b1894718eafb4c5ed2bb49b2bc611c601914ed3"),
+    "long-adagrad-ftrl-proximal": (
+        "run",
+        "learner = adagrad-ftrl-proximal\nstream = random-linear-sup\nbound = ftrl-proximal\n"
+        "T = 4096\nn = 5\n",
+        "9c37d0afc4e59ccae2bb7f3ee167b0c031814b71dba878cdd7c40f1c34bf22cd"),
 }
 # the suites that finish in well under a second; ``verify all`` runs every suite
 CHEAP_SUITES = ("core", "streams", "percoord-dominance", "l1-example", "sparsity")
