@@ -221,7 +221,7 @@ class _Quadratic(_Family):
 
     def reg_rows(self, trace, x_star, sigma):
         if not self.proximal:
-            return 0.5 * trace.rates @ (x_star ** 2)
+            return 0.5 * _row_dots(trace.rates, x_star ** 2)
         if sigma is None:
             sigma = trace.sigmas()
         d = np.subtract(x_star, trace.iterates)
@@ -438,6 +438,6 @@ def _bound_and_rhs(trace: RunTrace, x_star: np.ndarray, rule: BoundRule | None,
     stability = _stability_terms(trace, sigma)
     if not np.all(np.isfinite(stability)):
         return bound, np.full(T, np.inf)
-    penalty = np.cumsum(trace.psi @ x_star) if trace.psi is not None \
+    penalty = np.cumsum(_row_dots(trace.psi, x_star)) if trace.psi is not None \
         else _penalty_curve(trace, x_star)
     return bound, reg[1:] + penalty + np.cumsum(stability)

@@ -289,11 +289,14 @@ def cmd_compare(args) -> int:
     names = [name.strip() for name in cfg["learners"].split(",") if name.strip()]
     if len(names) < 2:
         raise UsageError("compare needs at least two learners (learners = a, b)")
+    twice = [name for k, name in enumerate(names) if name in names[:k]]
+    if twice:  # each learner names three CSV columns
+        raise UsageError(f"compare lists learner {twice[0]!r} more than once")
     T = _rounds(cfg)
     columns = {}
     for name in names:
-        learner = build_learner(name, dict(cfg))
-        stream = build_stream(dict(cfg))  # same seed: every learner sees the same draw
+        learner = build_learner(name, cfg)
+        stream = build_stream(cfg)  # same seed: every learner sees the same draw
         run = _play(learner, stream, T)
         losses = loss_column(run.loss_family, run.loss_params, run.iterates,
                              run.labels) if T else np.zeros(0)

@@ -67,9 +67,9 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class FeasibleSet:
     """Unconstrained space, L2 ball, coordinate box, or probability simplex.
 
-    Supplies the minimizer of a linear objective over the set (used for
-    hindsight comparators) and Euclidean projection onto every set but the
-    simplex, which only ``EntropicFtrl`` runs on, through its softmax.
+    Supplies the minimizer of a linear objective over the set (for hindsight
+    comparators) and the projection of every quadratic learner's step: onto
+    every set but the simplex (``EntropicFtrl``'s, through its softmax).
     """
 
     UNCONSTRAINED = "unconstrained"
@@ -105,13 +105,25 @@ class FeasibleSet:
     def project(self, v) -> np.ndarray:
         """Euclidean projection of v onto the set."""
         v = as_point(v)
+        if self.kind == self.SIMPLEX:
+            raise UnsupportedCombination("no Euclidean projection onto the simplex")
+        return self._project(v)
+
+    def _project(self, x: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+        """``project`` of a finite x, unchecked; ``weights`` (x's shape) weigh the ball's norm.
+
+        A (T, n) x is projected row by row, each row with its row of weights.
+        """
         if self.kind == self.UNCONSTRAINED:
-            return v
-        if self.kind == self.L2_BALL:
-            return _project_l2_ball(v, self.radius)
+            return x
         if self.kind == self.BOX:
-            return _clamp_box(v, self.radius)
-        raise UnsupportedCombination("no Euclidean projection onto the simplex")
+            return _clamp_box(x, self.radius)
+        if x.ndim == 2:
+            return np.array([self._project(x[k], None if weights is None else weights[k])
+                             for k in range(len(x))])
+        if weights is None:
+            return _project_l2_ball(x, self.radius)
+        return _project_l2_ball_weighted(x, weights, self.radius)
 
     def linear_minimizer(self, g) -> np.ndarray:
         """argmin of g . x over the set (minimum-norm choice on ties)."""

@@ -18,6 +18,8 @@ where a step is a scalar soft threshold and clamp and costs less than one
 numpy call on a row, and row by row on the ball or at larger n.
 ``mirror.MdAsFtrl`` and ``StronglyConvexOgd`` keep the default block, the
 step loop.  A step or a block that raises leaves the learner as it was.
+Every learner takes a step's (n,) inverse rate from ``_inverse_rate`` and
+its projection from ``FeasibleSet._project`` (in the rates' norm under AdaGrad).
 Loss linearization is the caller's job: learners only ever see g_t.
 Learners keep no regret accounting: ``reg_kind`` names the family of their
 accumulated objective, and ``bounds`` evaluates it, the regularizer and the
@@ -53,11 +55,7 @@ from .core import (
     UnsupportedCombination,
     _add_square_rows,
     _add_squares,
-    _all,
-    _clamp_box,
     _l1_step,
-    _project_l2_ball,
-    _project_l2_ball_weighted,
     _psi_subgradient,
     _require_finite,
     _running_sums,
@@ -171,21 +169,21 @@ class OnlineLearner:
             inv_rates[k] = self.last_inv_rate
 
 
-def _broadcast_inv(value, dim):
-    inv = np.empty(dim)
-    inv[...] = value  # a scalar rate or a per-coordinate array, copied
+def _inverse_rate(learner, t: int, sq_sum) -> np.ndarray:
+    """The inverse rate ``learner.schedule`` deploys at step t as a new (n,) array."""
+    inv = np.empty(learner.dim)
+    inv[...] = learner.schedule.inverse_rate(t, sq_sum)
     return inv
 
 
-def _scalar_width(learner, inv_rates) -> float | None:
+def _scalar_width(learner) -> float | None:
     """The half-width a block's scalar recurrence clamps to (inf: no constraint), or None.
 
-    None (the row loop) on a ball, above ``_SCALAR_DIM`` coordinates, and where
-    a rate is not finite.
+    None (the row loop) on a ball and above ``_SCALAR_DIM`` coordinates.  An
+    infinite rate needs no check: a non-finite iterate sends a block to the row loop.
     """
     fs = learner.feasible_set
-    if fs.kind == FeasibleSet.L2_BALL or learner.dim > _SCALAR_DIM \
-            or not _all(np.isfinite(inv_rates)):
+    if fs.kind == FeasibleSet.L2_BALL or learner.dim > _SCALAR_DIM:
         return None
     return fs.radius if fs.kind == FeasibleSet.BOX else math.inf
 
@@ -198,24 +196,6 @@ def _quadratic_set(feasible_set, lam: float) -> FeasibleSet:
     if feasible_set.kind == FeasibleSet.L2_BALL and lam > 0:
         raise UnsupportedCombination("no closed form for ball + L1")
     return feasible_set
-
-
-def _project_quadratic(x, inv, feasible_set, schedule):
-    """x on the feasible set: box clamp, or ball weighted by inv under AdaGrad, else radial.
-
-    A (T, n) x is projected row by row, each row with its own inv.
-    """
-    kind = feasible_set.kind
-    if kind == FeasibleSet.UNCONSTRAINED:
-        return x
-    if kind == FeasibleSet.BOX:
-        return _clamp_box(x, feasible_set.radius)
-    if x.ndim == 2:
-        return np.array([_project_quadratic(row, w, feasible_set, schedule)
-                         for row, w in zip(x, inv)])
-    if isinstance(schedule, AdaGradRate):
-        return _project_l2_ball_weighted(x, inv, feasible_set.radius)
-    return _project_l2_ball(x, feasible_set.radius)
 
 
 class QuadraticFtrl(OnlineLearner):
@@ -259,14 +239,11 @@ class QuadraticFtrl(OnlineLearner):
         self.sq_sum = np.zeros(dim) if schedule.reads_sq_sum else None
         if centering == PROXIMAL:
             self.adj_sum = np.zeros(dim)  # a_{1:t}, which only the proximal step reads
-        self.last_inv_rate = self._inverse_rate(0, self.sq_sum)
+        self.last_inv_rate = _inverse_rate(self, 0, self.sq_sum)
 
     @property
     def reg_kind(self):
         return self.centering
-
-    def _inverse_rate(self, t, sq_sum):
-        return _broadcast_inv(self.schedule.inverse_rate(t, sq_sum), self.dim)
 
     def step(self, g) -> np.ndarray:
         """The next iterate; the state moves only once every part of the step has returned."""
@@ -274,9 +251,9 @@ class QuadraticFtrl(OnlineLearner):
         sq_sum = _add_squares(self.sq_sum, g)
         t = self.t + 1
         if self._lagged:  # step t deploys the rate rounds 1..t-1 determine
-            inv = self._inverse_rate(self.t, self.sq_sum)
+            inv = _inverse_rate(self, self.t, self.sq_sum)
         else:
-            inv = self._inverse_rate(t, sq_sum)
+            inv = _inverse_rate(self, t, sq_sum)
         g_sum = self.g_sum + g
         b = g_sum + self.g_psi_sum if self.linearized else g_sum
         if self.centering == PROXIMAL:
@@ -292,22 +269,23 @@ class QuadraticFtrl(OnlineLearner):
         return x
 
     def _solve(self, b, lam, inv) -> np.ndarray:
-        """``_l1_step``, then the set's projection: one (n,) step, or one per row of (T, n)."""
+        """``_l1_step``, projected (in inv's norm under AdaGrad): one (n,) step, or (T, n)."""
         fs = self.feasible_set
         box = fs.radius if fs.kind == FeasibleSet.BOX else None
-        return _project_quadratic(_l1_step(b, lam, inv, box), inv, fs, self.schedule)
+        weights = inv if isinstance(self.schedule, AdaGradRate) else None
+        return fs._project(_l1_step(b, lam, inv, box), weights)
 
     def _play_block(self, grads, next_points, inv_rates):
         """Every prefix in one pass, then the iterates.
 
         The pass takes the squared sums, the schedule's rate rows and g_{1:t}
         (``np.cumsum`` adds in round order).  Centered, row t is x_{t+1} = the
-        solve of g_{1:t}, t lam and rate row t, all rows at once.  Proximal,
-        sigma_t = max(inv_t - inv_{t-1}, 0) comes from the rate rows too, and
-        only the recurrence a_{1:t} = a_{1:t-1} + sigma_t x_t, x_{t+1} = the
-        solve of g_{1:t} - a_{1:t}, loops: by coordinate where ``_scalar_width``
-        allows (``_proximal_columns``), else by row.  Either way each row is bit
-        for bit what step t returns.  A rejected gradient raises ``step``'s error.
+        solve of g_{1:t}, t lam and rate row t, all rows at once.  Proximal, only
+        the recurrence a_{1:t} = a_{1:t-1} + sigma_t x_t, x_{t+1} = the solve of
+        g_{1:t} - a_{1:t}, with sigma_t = max(inv_t - inv_{t-1}, 0), loops: by
+        coordinate where ``_scalar_width`` allows (``_proximal_columns``), else
+        by row, the step's own code.  Either way each row is bit for bit what
+        step t returns.  A rejected gradient raises ``step``'s error.
         """
         T = len(grads)
         sq_sums = _add_square_rows(self.sq_sum, grads)
@@ -321,16 +299,15 @@ class QuadraticFtrl(OnlineLearner):
         if self.centering == CENTERED:
             next_points[...] = self._solve(g_sums, ts[:, None] * self.lam, inv_rates)
         else:
-            sigmas = np.maximum(np.diff(inv_rates, axis=0, prepend=self.last_inv_rate[None]), 0.0)
-            width = _scalar_width(self, inv_rates)
+            width = _scalar_width(self)
             adj = None if width is None else \
-                self._proximal_columns(ts, g_sums, sigmas, inv_rates, next_points, width)
-            if adj is None:
-                adj, x = self.adj_sum, self.x
-                for t, g_sum, sigma, inv, out in zip(ts.tolist(), g_sums, sigmas, inv_rates,
-                                                     next_points):
-                    adj = adj + sigma * x
+                self._proximal_columns(ts, g_sums, inv_rates, next_points, width)
+            if adj is None:  # the step's own code, sigma_t included
+                adj, x, prev = self.adj_sum, self.x, self.last_inv_rate
+                for t, g_sum, inv, out in zip(ts.tolist(), g_sums, inv_rates, next_points):
+                    adj = adj + np.maximum(inv - prev, 0.0) * x
                     x = out[...] = self._solve(g_sum - adj, t * self.lam, inv)
+                    prev = inv
             self.adj_sum = adj
         self.t += T
         self.g_sum = g_sums[-1].copy()
@@ -339,7 +316,7 @@ class QuadraticFtrl(OnlineLearner):
         self.last_inv_rate = inv_rates[-1].copy()
         self.x = next_points[-1].copy()
 
-    def _proximal_columns(self, ts, g_sums, sigmas, inv_rates, next_points, width):
+    def _proximal_columns(self, ts, g_sums, inv_rates, next_points, width):
         """The proximal recurrence one coordinate at a time on Python floats: a_{1:T}, or None.
 
         Each step is ``_solve``'s: ``_soft_threshold``, where np.maximum and
@@ -349,9 +326,13 @@ class QuadraticFtrl(OnlineLearner):
         where numpy warns: so at the first iterate that is not finite before
         the clamp (an overflow, or an infinite rate with no constraint) it
         returns None, and the row loop raises or computes exactly as ``step``
-        does.  a_{1:t} moves only where sigma_t > 0, a live coordinate, so an
-        overflow there makes that round's iterate infinite too.
+        does.  An infinite inverse rate makes a nan iterate (inf * 0, inf / inf,
+        or inf - inf in sigma_t), so the rates need no check.  a_{1:t} moves only
+        where sigma_t > 0, a live coordinate, so an overflow there makes that
+        round's iterate infinite too.
         """
+        with np.errstate(invalid="ignore"):  # an inf - inf is handed back as a nan iterate
+            sigmas = np.maximum(np.diff(inv_rates, axis=0, prepend=self.last_inv_rate[None]), 0.0)
         lams = (ts * self.lam).tolist()
         adj_end = []
         columns = zip(self.x.tolist(), self.adj_sum.tolist(), g_sums.T.tolist(),
@@ -441,7 +422,7 @@ class EntropicFtrl(OnlineLearner):
         self.g_sum = np.zeros(dim)
         self.sup_sq_sum = 0.0
         self.x = np.full(dim, 1.0 / dim)
-        self.last_inv_rate = np.full(dim, self.schedule.inverse_rate(0, 0.0))
+        self.last_inv_rate = _inverse_rate(self, 0, 0.0)
 
     def step(self, g) -> np.ndarray:
         g = as_point(g, dim=self.dim)[None]
@@ -455,10 +436,8 @@ class EntropicFtrl(OnlineLearner):
         """
         T = len(grads)
         g_max = np.max(np.abs(grads), axis=1)
-        # libm pow on Python floats, as the pinned runs were recorded: g_max * g_max,
-        # and numpy's ** 2 on an array, differ from it in the last bit
-        squares = np.array([v ** 2 if v < GRAD_LIMIT else math.inf for v in g_max.tolist()])
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):  # the bound's squares, np.square(g_max)
+            squares = np.where(g_max < GRAD_LIMIT, g_max * g_max, math.inf)
             sums = _running_sums(self.sup_sq_sum, squares)
         if not sums[-1] <= SQ_SUM_LIMIT:  # sums of squares never fall, and nan stays
             k = int(np.argmin(sums <= SQ_SUM_LIMIT))

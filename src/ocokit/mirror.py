@@ -10,6 +10,8 @@ penalty-subgradient accumulators, and plays a block by the step loop, since
 each step extracts g_psi_t at its own iterate.  MirrorDescent plays a block
 by its own loop, one coordinate at a time on Python floats on a box or with
 no constraint up to ``learners._SCALAR_DIM`` coordinates, else row by row.
+Its rate is ``learners._inverse_rate``'s and its projection the feasible
+set's (``FeasibleSet._project``), as for every quadratic learner.
 MirrorDescent shares no step code with that solver, not even the scalar
 loop of proximal ``QuadraticFtrl``, so their round-by-round agreement is a
 checked property, not a shared code path.  Both declare ``linearized``:
@@ -23,6 +25,7 @@ import math
 import numpy as np
 
 from .core import (
+    AdaGradRate,
     FeasibleSet,
     LearningRateSchedule,
     _add_square_rows,
@@ -35,8 +38,7 @@ from .learners import (
     PROXIMAL,
     OnlineLearner,
     QuadraticFtrl,
-    _broadcast_inv,
-    _project_quadratic,
+    _inverse_rate,
     _quadratic_set,
     _scalar_width,
 )
@@ -63,27 +65,27 @@ class MirrorDescent(OnlineLearner):
         self.lam = lam
         self.schedule = schedule
         self.sq_sum = np.zeros(dim) if schedule.reads_sq_sum else None
-        self.last_inv_rate = _broadcast_inv(schedule.inverse_rate(0, self.sq_sum), dim)
+        self.last_inv_rate = _inverse_rate(self, 0, self.sq_sum)
 
     def step(self, g) -> np.ndarray:
         """The next point; the state moves only once the closed-form step has returned."""
         g = as_point(g, dim=self.dim)
         sq_sum = _add_squares(self.sq_sum, g)
         t = self.t + 1
-        w = _broadcast_inv(self.schedule.inverse_rate(t, sq_sum), self.dim)
+        w = _inverse_rate(self, t, sq_sum)
         x = self._next(self.x, g, w)
         self.t, self.sq_sum, self.last_inv_rate, self.x = t, sq_sum, w, x
         return x
 
     def _next(self, x_prev, g, w) -> np.ndarray:
-        """The closed-form step from x_prev with g at weights w."""
+        """The closed-form step from x_prev with g at weights w (the ball's norm under AdaGrad)."""
         fs = self.feasible_set
         if fs.kind == FeasibleSet.L2_BALL:
             u = np.where(w > 0, x_prev - g / np.where(w > 0, w, 1.0), 0.0)
         else:
             box = fs.radius if fs.kind == FeasibleSet.BOX else None
             u = _l1_step(g - w * x_prev, self.lam, w, box)
-        return _project_quadratic(u, w, fs, self.schedule)
+        return fs._project(u, w if isinstance(self.schedule, AdaGradRate) else None)
 
     def _play_block(self, grads, next_points, inv_rates):
         """The squared sums and the schedule's rate rows in one pass; only the steps loop.
@@ -96,7 +98,7 @@ class MirrorDescent(OnlineLearner):
         sq_sums = _add_square_rows(self.sq_sum, grads)
         ts = np.arange(self.t + 1, self.t + T + 1)
         inv_rates[...] = self.schedule.inverse_rates(ts, sq_sums).reshape(T, -1)
-        width = _scalar_width(self, inv_rates)
+        width = _scalar_width(self)
         if width is None or not self._columns(grads, inv_rates, next_points, width):
             x = self.x
             for g, w, out in zip(grads, inv_rates, next_points):
@@ -117,7 +119,8 @@ class MirrorDescent(OnlineLearner):
         silently, where numpy warns: so at the first point that is not finite
         before the clamp (an overflow, or an infinite rate with no constraint)
         it returns False, and the row loop raises or computes exactly as
-        ``step`` does.
+        ``step`` does.  An infinite inverse rate makes a nan point (inf * 0 or
+        inf / inf), so the rates need no check.
         """
         lam = self.lam
         for i, (x, g_col, w_col) in enumerate(zip(self.x.tolist(), grads.T.tolist(),

@@ -10,8 +10,8 @@ one coordinate at a time on Python floats on a box or unconstrained up to
 ``learners._SCALAR_DIM`` coordinates (the measured crossover with the row
 loop), and row by row past it or on the ball; both sides of that limit are
 checked, with the other loop forbidden, and so are signed zeros, exact
-threshold ties and overflows, where Python floats and numpy part ways unless
-the coordinate loop hands the block back to the row loop.
+threshold ties, overflows and infinite inverse rates, where Python floats and
+numpy part ways unless the coordinate loop hands the block back to the row loop.
 ``MdAsFtrl`` and ``StronglyConvexOgd`` take the default block, the step loop.
 A step or a block that raises leaves the learner as it was.  A subclass that
 overrides ``event`` is played round by round, so it is the reference here.
@@ -29,6 +29,7 @@ import numpy as np
 import pytest
 
 from ocokit import cli
+from ocokit.bounds import BoundRule, _dual_sq_rows, bound_curve
 from ocokit.core import (
     GRAD_LIMIT,
     AdaGradRate,
@@ -42,6 +43,7 @@ from ocokit.driver import _oblivious, _play, run_rounds
 from ocokit.learners import (
     _SCALAR_DIM,
     PROXIMAL,
+    BoundConfig,
     DualAveraging,
     EntropicFtrl,
     FtrlCompositeL1,
@@ -249,21 +251,21 @@ def test_signed_zeros_and_exact_ties_play_as_their_steps_bit_for_bit(name, fs, l
     assert_same_state(learner, reference)
 
 
-OVERFLOW = {  # 1 / eta = 1e-300 against gradients near 1e10: the soft threshold's quotient
-    "prox-box": lambda n: FtrlProximal(n, ConstantRate(1e300), FeasibleSet.box(1.0)),
-    "prox-unconstrained": lambda n: FtrlProximal(n, ConstantRate(1e300),
-                                                 FeasibleSet.unconstrained()),
-    "md-box": lambda n: MirrorDescent(n, ConstantRate(1e300), feasible_set=FeasibleSet.box(1.0)),
-    "md-unconstrained": lambda n: MirrorDescent(n, ConstantRate(1e300)),
+RECURRENCES = {  # the two recurrences that carry x_t, on a box and unconstrained
+    "prox-box": lambda n, rate: FtrlProximal(n, rate, FeasibleSet.box(1.0)),
+    "prox-unconstrained": lambda n, rate: FtrlProximal(n, rate, FeasibleSet.unconstrained()),
+    "md-box": lambda n, rate: MirrorDescent(n, rate, feasible_set=FeasibleSet.box(1.0)),
+    "md-unconstrained": lambda n, rate: MirrorDescent(n, rate),
 }
 
 
 @pytest.mark.parametrize("warn", ["error", "ignore"])  # numpy's RuntimeWarning
 @pytest.mark.parametrize("n", [2, _SCALAR_DIM + 1])  # the scalar recurrence; the row loop
-@pytest.mark.parametrize("name", list(OVERFLOW))
+@pytest.mark.parametrize("name", list(RECURRENCES))
 def test_a_step_that_overflows_ends_block_play_as_it_ends_the_round_loop(name, n, warn):
+    # 1 / eta = 1e-300 against gradients near 1e10: the soft threshold's quotient overflows
     streams = (RandomLinearStream(0, n, 1e10), _RoundByRound(0, n, 1e10))
-    learners = [OVERFLOW[name](n) for _ in streams]
+    learners = [RECURRENCES[name](n, ConstantRate(1e300)) for _ in streams]
     with warnings.catch_warnings():
         warnings.simplefilter(warn, RuntimeWarning)
         if warn == "ignore" and name.endswith("box"):  # the inf quotient clamps to a corner
@@ -279,20 +281,60 @@ def test_a_step_that_overflows_ends_block_play_as_it_ends_the_round_loop(name, n
     assert_same_state(*learners)
 
 
-def test_the_entropic_rate_squares_each_sup_norm_with_libm_pow():
-    # At this seed the running sum of libm pow squares, v ** 2 on Python floats, ends
-    # an ulp away from the sum of v * v, which numpy's ** 2 on an array computes.
+class _FirstCoordinateInfinite(LearningRateSchedule):
+    """AdaGrad with offset 1 and inverse rate +inf on coordinate 0 from round ``start`` on."""
+
+    def __init__(self, start):
+        self.start = start
+
+    def inverse_rate(self, t, sq_sum=0.0):
+        inv = np.sqrt(1.0 + np.asarray(sq_sum, dtype=float))
+        if t >= self.start:
+            inv[0] = math.inf
+        return inv
+
+
+@pytest.mark.parametrize("warn", ["error", "ignore"])  # numpy's RuntimeWarning
+@pytest.mark.parametrize("start", [4, 0])  # mid-run; from the learner's first rate on
+@pytest.mark.parametrize("n", [2, _SCALAR_DIM, _SCALAR_DIM + 1])  # scalar, scalar, row loop
+@pytest.mark.parametrize("name", list(RECURRENCES))
+def test_an_infinite_rate_ends_block_play_as_it_ends_the_round_loop(name, n, start, warn):
+    # The step meets inf * 0, inf / inf or inf - inf: numpy's warning, or a nan iterate
+    # that _play rejects.  The scalar recurrence hands the block back to the row loop,
+    # which takes sigma_t as the step does, so the first such operation raises first.
+    streams = (RandomLinearStream(3, n, 1.0), _RoundByRound(3, n, 1.0))
+    learners = [RECURRENCES[name](n, _FirstCoordinateInfinite(start)) for _ in streams]
+    errors = []
+    with warnings.catch_warnings():
+        warnings.simplefilter(warn, RuntimeWarning)
+        for learner, stream in zip(learners, streams):
+            with pytest.raises((ValueError, RuntimeWarning)) as error:
+                _play(learner, stream, 9)
+            errors.append((type(error.value), str(error.value)))
+    assert errors[0] == errors[1]
+    if warn == "ignore":  # both played every round; a block that raises restores the learner
+        assert_same_state(*learners)
+
+
+def test_the_entropic_rate_squares_each_sup_norm_as_its_bound_does():
+    # At this seed a running sum of libm pow squares, v ** 2 on Python floats, ends an
+    # ulp away from the sum of the products v * v that np.square computes.
     learner = EntropicFtrl(3, 1.0)
     trace = _play(learner, RandomLinearStream(2296, 3, 1.0), 37)
-    by_pow, by_product = [0.0], [0.0]
-    for g in trace.grads:
-        v = float(np.max(np.abs(g)))
-        by_pow.append(by_pow[-1] + v ** 2)
-        by_product.append(by_product[-1] + v * v)
-    assert by_pow != by_product
-    assert learner.sup_sq_sum == by_pow[-1]
-    rates = AdaGradRate(math.sqrt(math.log(3)), offset=1.0).inverse_rate(0, by_pow[1:])
+    sup_sq = np.square(np.max(np.abs(trace.grads), axis=1))  # what the bounds square
+    sums = np.cumsum(sup_sq)
+    assert sum(float(v) ** 2 for v in np.max(np.abs(trace.grads), axis=1)) != sums[-1]
+    assert learner.sup_sq_sum == sums[-1]
+    rates = AdaGradRate(math.sqrt(math.log(3)), offset=1.0).inverse_rate(0, sums)
     assert _same(trace.inv_rates, np.repeat(rates[:, None], 3, axis=1))
+    # bound_curve(ENTROPIC) reads the same sums of round t - 1, _dual_sq_rows the squares
+    log_n = math.log(3)
+    prior = np.concatenate([[0.0], sums[:-1]])
+    want = np.minimum(2.0 * np.sqrt((1.0 + prior) * log_n),
+                      2.0 * np.sqrt(np.arange(1.0, 38.0) * log_n))
+    got = bound_curve(BoundRule.ENTROPIC, BoundConfig(G_inf=1.0), trace.grads)
+    assert _same(got, want)
+    assert _same(_dual_sq_rows(trace.grads, trace.inv_rates, sup=True), sup_sq / rates)
 
 
 class _Rows:

@@ -414,6 +414,22 @@ eta = 0.5
         assert "eta" not in cfg
 
 
+@pytest.mark.parametrize("stream", cli.STREAMS)
+def test_the_builders_leave_the_config_unchanged(stream, tmp_path):
+    # compare hands one config dict to every learner's builders
+    data = tmp_path / "rows.svm"
+    data.write_text("".join(f"{(-1) ** k} 1:0.5 2:-0.25\n" for k in range(8)))
+    cfg = dict(cli._DEFAULTS, stream=stream, T=8, n=1 if stream == "l1-adversary" else 3)
+    if stream == "logistic":
+        cfg["data"] = str(data)
+    given = dict(cfg)
+    for learner in cli.LEARNERS:
+        if cfg["n"] > 1 or learner != "entropic":  # the simplex needs n >= 2
+            cli.build_learner(learner, cfg)
+        cli.build_stream(cfg)
+        assert cfg == given, learner
+
+
 class TestCompare:
     def test_side_by_side_with_nonzeros(self, tmp_path, capsys):
         cfg = write_config(tmp_path, """
@@ -497,6 +513,15 @@ eta = 0.1
 """)
         code, _, err = run_cli(["compare", "--config", cfg], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("learners", ["md-l1, md-l1", "ftrl-l1, md-l1 , ftrl-l1"])
+    def test_a_learner_named_twice_is_usage_error(self, tmp_path, capsys, learners):
+        # its three CSV columns would appear twice under one name
+        cfg = write_config(tmp_path, f"learners = {learners}\nstream = random-linear\n"
+                                     "T = 5\nn = 2\nlambda = 0.1\n")
+        name = learners.split(",")[0]
+        assert run_cli(["compare", "--config", cfg], capsys) == (
+            2, "", f"ocokit: compare lists learner {name!r} more than once\n")
 
     def test_invalid_config_value_is_usage_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "learners = ftrl-l1, md-l1\nstream = random-linear\n"

@@ -126,10 +126,14 @@ RUNS = {  # name: (subcommand, config, sha256 of the CSV at seed 0)
         "T = 4096\nn = 5\n",
         "9c37d0afc4e59ccae2bb7f3ee167b0c031814b71dba878cdd7c40f1c34bf22cd"),
 }
-# the suites that finish in well under a second; ``verify all`` runs every suite
-CHEAP_SUITES = ("core", "streams", "percoord-dominance", "l1-example", "sparsity")
+# the suites that finish in under a second; ``verify all`` runs every suite
+CHEAP_SUITES = ("core", "learners", "mirror", "streams", "percoord-dominance", "l1-example",
+                "sparsity")
 REPRO_L1 = "9889c9132cae1c674e60eb1985de0493b24185bafe2118fb0438bf3fc3d4b55a"
-BOUND_RUNS = "102ef75b69fcf64f009aa1dc2b9ef2daa55beb0d18b579680ef26a9807ac7a42"
+# re-recorded when r_{0:t}(x*) and the mirror penalty's tangents became per-row
+# products, whose bits do not depend on the run's length: only the decomposition
+# column of dual averaging and constant OGD moved, by at most 4.4e-16 relative
+BOUND_RUNS = "b87e8c532a275d94c262023c80a0bc92edd18945365a58b00f2c6718b753b4b2"
 
 
 def _digest(path):
@@ -167,3 +171,22 @@ def test_the_cheap_suites_print_their_expected_verify_lines():
     for name in CHEAP_SUITES:
         got = [f"[{name}] {line}" for line in suites.run_suite(name).lines]
         assert got == [line for line in expected if line.startswith(f"[{name}] ")], name
+
+
+def test_verify_all_prefixes_and_merges_every_suite_in_order(monkeypatch):
+    def tiny(name, checks):
+        def suite():
+            result = suites.SuiteResult(name)
+            for ok, label in checks:
+                result.check(ok, label)
+            return result
+        return suite
+
+    monkeypatch.setattr(suites, "SUITES", {
+        "first": tiny("first", [(True, "a"), (False, "b")]),
+        "second": tiny("second", [(True, "c")]),
+    })
+    merged = suites.run_suite("all")
+    assert merged.name == "all" and not merged.passed
+    assert merged.lines == ["[first] PASS  a", "[first] FAIL  b", "[second] PASS  c"]
+    assert merged.failures == ["[first] b"]

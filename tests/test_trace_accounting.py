@@ -2,10 +2,11 @@
 
 The reference functions below keep the plain form of that accounting:
 sigma and the shifted inverse rates built with ``np.vstack``, the dual norms
-with nested ``np.where``, column prefix sums with ``np.cumsum(axis=0)``, and
-r_{0:t}(x*) rebuilt by every caller.  The fast path computes sigma and
-r_{0:t}(x*) once per run, shares them, sums wide columns row by row and
-divides the dual norms in one masked buffer.  Every output must equal the
+with nested ``np.where``, column prefix sums with ``np.cumsum(axis=0)``,
+r_{0:t}(x*) rebuilt by every caller, and each row's product with x* taken
+one row at a time (``_rows``), whose bits do not depend on the row count.
+The fast path computes sigma and r_{0:t}(x*) once per run, shares them, sums
+wide columns row by row and divides the dual norms in one masked buffer.  Every output must equal the
 reference bit for bit: the bound, the decomposition RHS and the stability
 terms of ``run_rounds``, and ``bound_curve`` under every trace-based rule.
 
@@ -88,7 +89,7 @@ def ref_reg_curve(trace, x_star, shifted):
     rows = np.vstack([trace.rates[0][None, :], trace.inv_rates[:-1]]) if shifted \
         else trace.inv_rates
     if trace.reg_kind == "centered":
-        return 0.5 * rows @ (x_star ** 2)
+        return 0.5 * _rows(rows, x_star ** 2)
     if trace.reg_kind == "entropic":
         return rows[:, 0] * negative_entropy(x_star)
     if trace.reg_kind == "proximal":
@@ -197,7 +198,7 @@ def ref_rhs(trace, x_star, next_iterates, no_objective):
     stability = np.full(T, np.inf) if no_objective else ref_stability_terms(trace, next_iterates)
     if not np.all(np.isfinite(stability)):
         return np.full(T, np.inf)
-    penalty = np.cumsum(trace.psi @ x_star) if trace.psi is not None \
+    penalty = np.cumsum(_rows(trace.psi, x_star)) if trace.psi is not None \
         else ref_penalty_curve(trace, x_star)
     return ref_reg_curve(trace, x_star, shifted=False) + penalty + np.cumsum(stability)
 

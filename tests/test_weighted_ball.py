@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ocokit import learners
+from ocokit import core, learners
 from ocokit.bounds import BoundRule
 from ocokit.core import AdaGradRate, FeasibleSet, project_l2_ball_weighted
 from ocokit.driver import run_rounds
@@ -110,18 +110,19 @@ def test_signed_zero_and_zero_weight_coordinates():
 def test_newton_agrees_with_bisection_on_recorded_high_dim_calls(monkeypatch):
     """The inputs FtrlProximal (AdaGrad, unit ball) projects on a sparse
     logistic stream at n = 10^4, the shape of the benchmark's high-dim runs."""
-    calls = []
+    calls, project = [], core._project_l2_ball_weighted
 
     def record(u, w, radius):
         calls.append((np.array(u), np.array(w), radius))
-        return project_l2_ball_weighted(u, w, radius)
+        return project(u, w, radius)
 
-    monkeypatch.setattr(learners, "_project_l2_ball_weighted", record)
+    monkeypatch.setattr(core, "_project_l2_ball_weighted", record)
     n, T = 10_000, 24
     stream = LogisticStream.synthetic(1, n, T, density=0.01)
     learner = learners.FtrlProximal(n, AdaGradRate(math.sqrt(2.0)), FeasibleSet.l2_ball(1.0))
     run_rounds(learner, stream, T, BoundRule.FTRL_PROXIMAL, learners.BoundConfig(),
                FeasibleSet.l2_ball(1.0))
+    monkeypatch.undo()  # the checks below project through the public function
     assert len(calls) == T
     for u, w, radius in calls[::6]:
         assert np.linalg.norm(np.where(w > 0, u, 0.0)) > radius  # the ball binds
