@@ -83,6 +83,7 @@ def parse_config(path: str) -> dict:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as err:
         raise UsageError(f"cannot read config: {err}")
+    seen = {}  # key -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -90,6 +91,9 @@ def parse_config(path: str) -> dict:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in seen:
+            raise UsageError(f"{path}:{lineno}: {key} is set twice (first on line {seen[key]})")
+        seen[key] = lineno
         if key in _INT_KEYS:
             try:
                 cfg[key] = int(value)

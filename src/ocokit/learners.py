@@ -8,18 +8,21 @@ its step and rate read (gradient, squared-gradient and proximal adjustment sums)
 ``OnlineLearner._play_rows`` takes T pre-drawn gradients at once (the
 driver's block play) and hands cache-sized slices of them to the learner's
 ``_play_block``.  There every prefix that does not read the iterate (squared
-sums, rates, g_{1:t}) comes from array passes; the iterates follow in the
-same pass where they are a row-wise map of those prefixes (centered
-``QuadraticFtrl``, ``EntropicFtrl``), and by a loop of only the iterate
-recurrence where x_t carries into the next step (proximal ``QuadraticFtrl``,
-``mirror.MirrorDescent``).  That loop runs one coordinate at a time on
-Python floats on a box or with no constraint at n up to ``_SCALAR_DIM``,
-where a step is a scalar soft threshold and clamp and costs less than one
-numpy call on a row, and row by row on the ball or at larger n.
-``mirror.MdAsFtrl`` and ``StronglyConvexOgd`` keep the default block, the
-step loop.  A step or a block that raises leaves the learner as it was.
+sums, rates, g_{1:t}) comes from array passes, the sums and rates from one
+prelude, ``_block_rates``, and each kernel closes in ``_end_block``.  The
+iterates follow in the same pass where they are a row-wise map of those
+prefixes (centered ``QuadraticFtrl``, ``EntropicFtrl``), and by a loop of
+only the iterate recurrence where x_t carries into the next step (proximal
+``QuadraticFtrl``, ``mirror.MirrorDescent``).  That loop runs one coordinate
+at a time on Python floats on a box or with no constraint at n up to
+``_SCALAR_DIM``, where a step is a scalar soft threshold and clamp and costs
+less than one numpy call on a row, and row by row on the ball or at larger
+n.  ``mirror.MdAsFtrl`` and ``StronglyConvexOgd`` keep the default block,
+the step loop.  A step or a block that raises leaves the learner as it was.
 Every learner takes a step's (n,) inverse rate from ``_inverse_rate`` and
 its projection from ``FeasibleSet._project`` (in the rates' norm under AdaGrad).
+An adaptive rate reads ``sq_sum``, running sums of squared gradients in its
+regularizer's norm: per coordinate, or one sum of sup norms (``EntropicFtrl``).
 Loss linearization is the caller's job: learners only ever see g_t.
 Learners keep no regret accounting: ``reg_kind`` names the family of their
 accumulated objective, and ``bounds`` evaluates it, the regularizer and the
@@ -45,9 +48,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    GRAD_LIMIT,
-    SQ_SUM_LIMIT,
-    SQ_SUM_MESSAGE,
     AdaGradRate,
     FeasibleSet,
     InverseSqrtRate,
@@ -57,7 +57,6 @@ from .core import (
     _add_squares,
     _l1_step,
     _psi_subgradient,
-    _require_finite,
     _running_sums,
     _softmax,
     as_point,
@@ -176,6 +175,34 @@ def _inverse_rate(learner, t: int, sq_sum) -> np.ndarray:
     return inv
 
 
+def _block_rates(learner, magnitudes, inv_rates, lagged=False):
+    """A block's prelude: its rounds ts and the running squared sums of ``magnitudes``.
+
+    The sums come from ``_add_square_rows``, so a rejected row raises ``step``'s
+    error before any state moves.  Row k of ``inv_rates`` gets the rate the
+    schedule deploys at round ts[k]; ``lagged`` (centered AdaGrad), the rate
+    rounds 1..ts[k]-1 determine.
+    """
+    T = len(magnitudes)
+    sq_sums = _add_square_rows(learner.sq_sum, magnitudes)
+    ts = np.arange(learner.t + 1, learner.t + T + 1)
+    if lagged:
+        prev = np.concatenate([learner.sq_sum[None], sq_sums[:-1]])
+        inv_rates[...] = learner.schedule.inverse_rates(ts - 1, prev).reshape(T, -1)
+    else:
+        inv_rates[...] = learner.schedule.inverse_rates(ts, sq_sums).reshape(T, -1)
+    return ts, sq_sums
+
+
+def _end_block(learner, sq_sums, next_points, inv_rates) -> None:
+    """A block's close: ``t``, ``sq_sum``, ``last_inv_rate`` and ``x`` move to its last row."""
+    learner.t += len(next_points)
+    if sq_sums is not None:
+        learner.sq_sum = sq_sums[-1].copy()
+    learner.last_inv_rate = inv_rates[-1].copy()
+    learner.x = next_points[-1].copy()
+
+
 def _scalar_width(learner) -> float | None:
     """The half-width a block's scalar recurrence clamps to (inf: no constraint), or None.
 
@@ -278,7 +305,8 @@ class QuadraticFtrl(OnlineLearner):
     def _play_block(self, grads, next_points, inv_rates):
         """Every prefix in one pass, then the iterates.
 
-        The pass takes the squared sums, the schedule's rate rows and g_{1:t}
+        The pass takes the squared sums and the schedule's rate rows
+        (``_block_rates``, lagged when centered under AdaGrad) and g_{1:t}
         (``np.cumsum`` adds in round order).  Centered, row t is x_{t+1} = the
         solve of g_{1:t}, t lam and rate row t, all rows at once.  Proximal, only
         the recurrence a_{1:t} = a_{1:t-1} + sigma_t x_t, x_{t+1} = the solve of
@@ -287,14 +315,7 @@ class QuadraticFtrl(OnlineLearner):
         by row, the step's own code.  Either way each row is bit for bit what
         step t returns.  A rejected gradient raises ``step``'s error.
         """
-        T = len(grads)
-        sq_sums = _add_square_rows(self.sq_sum, grads)
-        ts = np.arange(self.t + 1, self.t + T + 1)
-        if self._lagged:  # step t deploys the rate rounds 1..t-1 determine
-            prev = np.concatenate([self.sq_sum[None], sq_sums[:-1]])
-            inv_rates[...] = self.schedule.inverse_rates(ts - 1, prev).reshape(T, -1)
-        else:
-            inv_rates[...] = self.schedule.inverse_rates(ts, sq_sums).reshape(T, -1)
+        ts, sq_sums = _block_rates(self, grads, inv_rates, self._lagged)
         g_sums = _running_sums(self.g_sum, grads)
         if self.centering == CENTERED:
             next_points[...] = self._solve(g_sums, ts[:, None] * self.lam, inv_rates)
@@ -309,12 +330,8 @@ class QuadraticFtrl(OnlineLearner):
                     x = out[...] = self._solve(g_sum - adj, t * self.lam, inv)
                     prev = inv
             self.adj_sum = adj
-        self.t += T
         self.g_sum = g_sums[-1].copy()
-        if sq_sums is not None:
-            self.sq_sum = sq_sums[-1].copy()
-        self.last_inv_rate = inv_rates[-1].copy()
-        self.x = next_points[-1].copy()
+        _end_block(self, sq_sums, next_points, inv_rates)
 
     def _proximal_columns(self, ts, g_sums, inv_rates, next_points, width):
         """The proximal recurrence one coordinate at a time on Python floats: a_{1:T}, or None.
@@ -408,6 +425,7 @@ class EntropicFtrl(OnlineLearner):
 
     eta_t = sqrt(log n) / sqrt(G_inf^2 + sum_s ||g_s||_inf^2), AdaGrad's rate on the sup
     norm, and x_{t+1} = softmax(-eta_t g_{1:t}); starts at the uniform distribution.
+    ``sq_sum`` holds sum_s ||g_s||_inf^2 as one entry.
     """
 
     reg_kind = ENTROPIC
@@ -420,9 +438,9 @@ class EntropicFtrl(OnlineLearner):
         super().__init__(dim, FeasibleSet.simplex())
         self.schedule = AdaGradRate(math.sqrt(math.log(dim)), offset=g_inf)
         self.g_sum = np.zeros(dim)
-        self.sup_sq_sum = 0.0
+        self.sq_sum = np.zeros(1)
         self.x = np.full(dim, 1.0 / dim)
-        self.last_inv_rate = _inverse_rate(self, 0, 0.0)
+        self.last_inv_rate = _inverse_rate(self, 0, self.sq_sum)
 
     def step(self, g) -> np.ndarray:
         g = as_point(g, dim=self.dim)[None]
@@ -432,26 +450,14 @@ class EntropicFtrl(OnlineLearner):
     def _play_block(self, grads, next_points, inv_rates):
         """All T steps in one pass: x_{t+1} = softmax(-g_{1:t} / W_t), row by row.
 
-        A rejected gradient raises before any state moves.
+        The rates are ``_block_rates``' on the sup norms max_i |g_{t,i}|, so a
+        rejected gradient raises ``step``'s error before any state moves.
         """
-        T = len(grads)
-        g_max = np.max(np.abs(grads), axis=1)
-        with np.errstate(over="ignore"):  # the bound's squares, np.square(g_max)
-            squares = np.where(g_max < GRAD_LIMIT, g_max * g_max, math.inf)
-            sums = _running_sums(self.sup_sq_sum, squares)
-        if not sums[-1] <= SQ_SUM_LIMIT:  # sums of squares never fall, and nan stays
-            k = int(np.argmin(sums <= SQ_SUM_LIMIT))
-            _require_finite(grads[k])
-            raise ValueError(f"{SQ_SUM_MESSAGE}; got max |g_i| = {g_max[k]:.3g}")
-        inv = self.schedule.inverse_rates(np.arange(self.t + 1, self.t + T + 1), sums)[:, None]
-        inv_rates[...] = inv
+        _, sq_sums = _block_rates(self, np.max(np.abs(grads), axis=1, keepdims=True), inv_rates)
         g_sums = _running_sums(self.g_sum, grads)
-        next_points[...] = _softmax(-g_sums / inv)
-        self.t += T
+        next_points[...] = _softmax(-g_sums / inv_rates[:, :1])
         self.g_sum = g_sums[-1].copy()
-        self.sup_sq_sum = float(sums[-1])
-        self.last_inv_rate = inv_rates[-1].copy()
-        self.x = next_points[-1].copy()
+        _end_block(self, sq_sums, next_points, inv_rates)
 
 
 class StronglyConvexOgd(OnlineLearner):

@@ -10,12 +10,12 @@ penalty-subgradient accumulators, and plays a block by the step loop, since
 each step extracts g_psi_t at its own iterate.  MirrorDescent plays a block
 by its own loop, one coordinate at a time on Python floats on a box or with
 no constraint up to ``learners._SCALAR_DIM`` coordinates, else row by row.
-Its rate is ``learners._inverse_rate``'s and its projection the feasible
-set's (``FeasibleSet._project``), as for every quadratic learner.
-MirrorDescent shares no step code with that solver, not even the scalar
-loop of proximal ``QuadraticFtrl``, so their round-by-round agreement is a
-checked property, not a shared code path.  Both declare ``linearized``:
-``RunTrace.psi`` reads their penalty subgradients off the run trace.
+Its soft threshold, projection, rate and block rate prelude and close are
+``QuadraticFtrl``'s; its recurrence is its own: each step solves from the
+one-step b_t = g_t - w_t x_t, where MdAsFtrl accumulates the FTRL-form b.
+So their round-by-round agreement (``verify equivalence``) checks two
+recurrences.  Both declare ``linearized``: ``RunTrace.psi`` reads their
+penalty subgradients off the run trace.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .core import (
     AdaGradRate,
     FeasibleSet,
     LearningRateSchedule,
-    _add_square_rows,
     _add_squares,
     _l1_step,
     as_point,
@@ -38,6 +37,8 @@ from .learners import (
     PROXIMAL,
     OnlineLearner,
     QuadraticFtrl,
+    _block_rates,
+    _end_block,
     _inverse_rate,
     _quadratic_set,
     _scalar_width,
@@ -88,26 +89,19 @@ class MirrorDescent(OnlineLearner):
         return fs._project(u, w if isinstance(self.schedule, AdaGradRate) else None)
 
     def _play_block(self, grads, next_points, inv_rates):
-        """The squared sums and the schedule's rate rows in one pass; only the steps loop.
+        """The squared sums and rate rows in one pass (``_block_rates``); only the steps loop.
 
         The steps run by coordinate where ``learners._scalar_width`` allows
         (``_columns``), else by row.  Each row is bit for bit what step t
         returns.  A rejected gradient raises ``step``'s error.
         """
-        T = len(grads)
-        sq_sums = _add_square_rows(self.sq_sum, grads)
-        ts = np.arange(self.t + 1, self.t + T + 1)
-        inv_rates[...] = self.schedule.inverse_rates(ts, sq_sums).reshape(T, -1)
+        _, sq_sums = _block_rates(self, grads, inv_rates)
         width = _scalar_width(self)
         if width is None or not self._columns(grads, inv_rates, next_points, width):
             x = self.x
             for g, w, out in zip(grads, inv_rates, next_points):
                 x = out[...] = self._next(x, g, w)
-        self.t += T
-        if sq_sums is not None:
-            self.sq_sum = sq_sums[-1].copy()
-        self.last_inv_rate = inv_rates[-1].copy()
-        self.x = next_points[-1].copy()
+        _end_block(self, sq_sums, next_points, inv_rates)
 
     def _columns(self, grads, inv_rates, next_points, width) -> bool:
         """The steps one coordinate at a time on Python floats; False where one is not finite.

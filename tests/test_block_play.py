@@ -79,7 +79,7 @@ def _same(a, b):
     return type(a) is type(b) and a == b
 
 
-STATE = ("t", "x", "g_sum", "sq_sum", "sup_sq_sum", "last_inv_rate", "adj_sum", "g_psi_sum")
+STATE = ("t", "x", "g_sum", "sq_sum", "last_inv_rate", "adj_sum", "g_psi_sum")
 
 
 def assert_same_state(a, b):
@@ -324,7 +324,7 @@ def test_the_entropic_rate_squares_each_sup_norm_as_its_bound_does():
     sup_sq = np.square(np.max(np.abs(trace.grads), axis=1))  # what the bounds square
     sums = np.cumsum(sup_sq)
     assert sum(float(v) ** 2 for v in np.max(np.abs(trace.grads), axis=1)) != sums[-1]
-    assert learner.sup_sq_sum == sums[-1]
+    assert _same(learner.sq_sum, sums[-1:])
     rates = AdaGradRate(math.sqrt(math.log(3)), offset=1.0).inverse_rate(0, sums)
     assert _same(trace.inv_rates, np.repeat(rates[:, None], 3, axis=1))
     # bound_curve(ENTROPIC) reads the same sums of round t - 1, _dual_sq_rows the squares

@@ -175,6 +175,12 @@ class TestRun:
         code, _, err = run_cli(["run", "--config", cfg], capsys)
         assert code == 2
 
+    def test_a_key_set_twice_is_usage_error(self, tmp_path, capsys):
+        # RUN_CFG sets T on its line 5 (after a blank first line); the last value used to win
+        cfg = write_config(tmp_path, RUN_CFG.replace("T = 25\n", "T = 3\nT = 4\n"))
+        assert run_cli(["run", "--config", cfg], capsys) == (
+            2, "", f"ocokit: {cfg}:6: T is set twice (first on line 5)\n")
+
     def test_missing_config_file_is_usage_error(self, capsys):
         code, _, err = run_cli(["run", "--config", "/nonexistent/x.cfg"], capsys)
         assert code == 2
@@ -522,6 +528,12 @@ eta = 0.1
         name = learners.split(",")[0]
         assert run_cli(["compare", "--config", cfg], capsys) == (
             2, "", f"ocokit: compare lists learner {name!r} more than once\n")
+
+    def test_a_key_set_twice_is_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "learners = ftrl-l1, md-l1\nstream = random-linear\n"
+                                     "T = 5\nn = 2\nstream = logistic  # the second\n")
+        assert run_cli(["compare", "--config", cfg], capsys) == (
+            2, "", f"ocokit: {cfg}:5: stream is set twice (first on line 2)\n")
 
     def test_invalid_config_value_is_usage_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "learners = ftrl-l1, md-l1\nstream = random-linear\n"

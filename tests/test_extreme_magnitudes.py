@@ -24,6 +24,7 @@ from ocokit.core import (
     InverseSqrtRate,
     project_l2_ball,
 )
+from ocokit.driver import _play
 from ocokit.learners import (
     DualAveraging,
     EntropicFtrl,
@@ -104,14 +105,39 @@ def test_a_gradient_past_the_squared_sum_limit_is_rejected_before_the_state_move
     assert np.all(np.isfinite(x))
 
 
-def test_a_running_squared_sum_past_its_limit_is_rejected():
-    learner = FtrlProximal(1, AdaGradRate(1.0), FeasibleSet.box(1.0))
-    g = [0.6 * GRAD_LIMIT]  # each square is 0.36 of the sum's limit
+class _Rows:
+    """An oblivious linear stream of fixed rows, which ``_play`` takes in one block."""
+
+    def __init__(self, rows):
+        self.rows, self.dim = np.array(rows, dtype=float), len(rows[0])
+
+    def gradients(self, T):
+        return self.rows[:T].copy()
+
+    def event(self, t, x_t):
+        raise AssertionError("a fixed-row stream was played round by round")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FtrlProximal(2, AdaGradRate(1.0), BOX),
+    lambda: MirrorDescent(2, AdaGradRate(1.0), feasible_set=BOX),
+    lambda: EntropicFtrl(2, 1.0),  # its sum is of the squared sup norms
+], ids=["ftrl-proximal", "mirror-descent", "entropic"])
+def test_a_running_squared_sum_past_its_limit_is_rejected(make):
+    g = [0.6 * GRAD_LIMIT, 0.0]  # each square is 0.36 of the sum's limit
+    learner = make()
     learner.step(g)
     learner.step(g)
-    with pytest.raises(ValueError, match=r"2\^1022"):
+    x = learner.x
+    with pytest.raises(ValueError, match=r"2\^1022 \(about 4\.5e307\); the sum reached ") as step:
         learner.step(g)
-    assert learner.t == 2
+    assert learner.t == 2 and learner.x is x
+    block = make()
+    x = block.x
+    with pytest.raises(ValueError) as play:  # the third row of one block
+        _play(block, _Rows([g] * 3), 3)
+    assert str(play.value) == str(step.value)
+    assert block.t == 0 and block.x is x
 
 
 def test_constants_that_join_a_squared_sum_are_limited_at_construction():
