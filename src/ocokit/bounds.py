@@ -372,8 +372,8 @@ def bound_curve(rule: BoundRule, cfg: BoundConfig, grads, x_star=None,
     if rule is BoundRule.ENTROPIC:
         cfg.require("G_inf")
         log_n = math.log(grads.shape[1])
-        sup_sq = np.max(np.abs(grads), axis=1) ** 2 if T else np.zeros(0)
-        prior = np.concatenate([[0.0], np.cumsum(sup_sq)[:-1]]) if T else sup_sq
+        sup_sq = np.max(np.abs(grads), axis=1) ** 2
+        prior = np.concatenate([[0.0], np.cumsum(sup_sq)])[:T]
         adaptive = 2.0 * np.sqrt((cfg.G_inf ** 2 + prior) * log_n)
         cap = 2.0 * cfg.G_inf * np.sqrt(ts * log_n)
         return np.minimum(adaptive, cap)

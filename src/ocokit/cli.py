@@ -128,6 +128,8 @@ def _rounds(cfg) -> int:
 def build_stream(cfg):
     name = cfg["stream"]
     seed, n = cfg["seed"], cfg["n"]
+    if seed < 0:
+        raise UsageError(f"seed must be >= 0, got {seed}")
     if name == "random-linear":
         return RandomLinearStream(seed, n, cfg["G"], "l2")
     if name == "random-linear-sup":
@@ -254,8 +256,13 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _emit(lines, out_path):
-    text = "\n".join(lines) + "\n"
+def _csv(out_path, header, row_format, columns):
+    """Write ``header`` and one ``row_format % row`` line per row of ``columns``.
+
+    Floats print as ``_fmt`` prints them (``%.12g``), one ``%`` call per row.
+    The CSV goes to ``out_path``, else stdout.
+    """
+    text = "\n".join([header] + [row_format % row for row in zip(*columns)]) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -271,10 +278,8 @@ def cmd_run(args) -> int:
     result = run_rounds(learner, stream, cfg["T"], rule, bc, comparator_set)
     rec = result.record
     columns = (rec.loss, rec.comp_loss, rec.cum_regret, rec.bound, rec.strong_ftrl_rhs)
-    lines = ["round,loss,comp_loss,cum_regret,bound,decomposition"]
-    lines += ["%d,%.12g,%.12g,%.12g,%.12g,%.12g" % (t, *row)  # _fmt's format, one call a row
-              for t, row in enumerate(zip(*(c.tolist() for c in columns)), start=1)]
-    _emit(lines, args.out or cfg.get("out"))
+    _csv(args.out or cfg.get("out"), "round,loss,comp_loss,cum_regret,bound,decomposition",
+         "%d" + ",%.12g" * 5, [range(1, cfg["T"] + 1), *(c.tolist() for c in columns)])
     if result.bound_ok:
         return EXIT_OK
     # the first row that fails run_rounds' bound check, cum_regret <= bound + 1e-9
@@ -297,7 +302,7 @@ def cmd_compare(args) -> int:
     if twice:  # each learner names three CSV columns
         raise UsageError(f"compare lists learner {twice[0]!r} more than once")
     T = _rounds(cfg)
-    columns = {}
+    header, columns = "round", [range(1, T + 1)]
     for name in names:
         learner = build_learner(name, cfg)
         stream = build_stream(cfg)  # same seed: every learner sees the same draw
@@ -306,27 +311,15 @@ def cmd_compare(args) -> int:
                              run.labels) if T else np.zeros(0)
         # the nonzeros of x_2..x_{T+1}, the iterate each round's step returned
         nonzeros = np.count_nonzero(run.next_iterates, axis=1)
-        columns[name] = (losses.tolist(), np.cumsum(losses).tolist(), nonzeros.tolist())
-    header = ["round"]
-    for name in names:
-        header += [f"loss_{name}", f"cum_loss_{name}", f"nonzeros_{name}"]
-    lines = [",".join(header)]
-    for t in range(T):
-        row = [str(t + 1)]
-        for name in names:
-            losses, cum, nz = columns[name]
-            row += [_fmt(losses[t]), _fmt(cum[t]), str(nz[t])]
-        lines.append(",".join(row))
-    _emit(lines, args.out or cfg.get("out"))
+        header += f",loss_{name},cum_loss_{name},nonzeros_{name}"
+        columns += [losses.tolist(), np.cumsum(losses).tolist(), nonzeros.tolist()]
+    _csv(args.out or cfg.get("out"), header, "%d" + ",%.12g,%.12g,%d" * len(names), columns)
     return EXIT_OK
 
 
 def cmd_repro_l1(args) -> int:
     result = repro_l1_example()
-    lines = ["t,x_md,x_ftrl"]
-    for t, x_md, x_ftrl in result.rows:
-        lines.append(f"{t},{_fmt(x_md)},{_fmt(x_ftrl)}")
-    _emit(lines, args.out)
+    _csv(args.out, "t,x_md,x_ftrl", "%d,%.12g,%.12g", zip(*result.rows))
     if not result.ok:
         for msg in result.failures:
             print(f"repro-l1: {msg}", file=sys.stderr)

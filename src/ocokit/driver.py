@@ -51,13 +51,14 @@ def _oblivious(stream) -> bool:
 def _play(learner, stream, T: int) -> RunTrace:
     """Play ``T`` rounds of an ``OnlineLearner`` (else TypeError) into their ``RunTrace``.
 
-    The stream's ``dim`` must be the learner's.  ``points`` and ``rates`` start
-    at the learner's x_1 and round-zero inverse rate, and each round fills the
-    next row of both.  An oblivious stream (see ``_oblivious``) has linear
-    losses that do not read the iterate, so its T gradients are drawn up front
-    by ``stream.gradients(T)``, which returns the trace's own (T, n)
-    ``grads``, and the learner takes them all in one call of
-    ``OnlineLearner._play_rows``, which hands cache-sized slices to the
+    The stream's ``dim`` must be the learner's.  Row 0 of ``points`` and
+    ``rates`` is the learner's x_1 and round-zero inverse rate, written before
+    either path runs; on both paths row t is what step t returned, x_{t+1},
+    and the inverse rate it deployed.  An oblivious stream (see
+    ``_oblivious``) has linear losses that do not read the iterate, so its T
+    gradients are drawn up front by ``stream.gradients(T)``, which returns the
+    trace's own (T, n) ``grads``, and the learner takes them all in one call
+    of ``OnlineLearner._play_rows``, which hands cache-sized slices to the
     learner's ``_play_block``: array passes for the prefix sums and rates, and
     a loop only where the iterate carries into the next step (by coordinate
     on Python floats for proximal ``QuadraticFtrl`` and ``MirrorDescent`` on
@@ -81,13 +82,12 @@ def _play(learner, stream, T: int) -> RunTrace:
     rows, labels = [], []
     points = np.zeros((T + 1, dim))
     rates = np.zeros((T + 1, dim))
-    rates[0] = learner.last_inv_rate
+    points[0], rates[0] = learner.x, learner.last_inv_rate
     if _oblivious(stream):
         grads = stream.gradients(T)
         if grads.shape != (T, dim):
             raise ValueError(f"stream.gradients({T}) has shape {grads.shape}, not {(T, dim)}")
         family = LINEAR if T else None
-        points[0] = learner.x
         learner._play_rows(grads, points[1:], rates[1:])
     else:
         grads = np.zeros((T, dim))
@@ -102,10 +102,8 @@ def _play(learner, stream, T: int) -> RunTrace:
                 rows.append(event.param)
                 labels.append(event.label)
             grads[t - 1] = event.g
-            points[t - 1] = learner.x
-            learner.step(event.g)
+            points[t] = learner.step(event.g)
             rates[t] = learner.last_inv_rate
-        points[T] = learner.x
     _require_finite(points)
     return RunTrace(grads=grads, points=points, rates=rates,
                     reg_kind=learner.reg_kind, penalty_lam=learner.lam,

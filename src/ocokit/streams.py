@@ -56,12 +56,12 @@ def loss_column(family: str, params, points: np.ndarray, labels=()) -> np.ndarra
     ``params`` holds the rounds' parameter rows in order: a (T, n) array for
     the linear family (the run's gradients), a (T, n) array or a sequence of
     T rows otherwise; ``labels`` are the logistic labels.  ``points`` is the
-    (T, n) column of points, or one (n,) point (the comparator x*) at which
-    every round is evaluated.  Callers validate the points.
+    (T, n) column of points, or one (n,) point (the comparator x*), which
+    every family broadcasts to the T rows.  Callers validate the points.
 
     Every value equals the per-round formula bit for bit: g_t . x as a
     batched matmul (``core._row_dots``), 0.5 * sum((x - c_t)^2) as a row-wise
-    sum, and the logistic loss from one ``np.dot(a_t, x)`` per row, so that
+    sum, and the logistic loss from one ``np.dot(a_t, x_t)`` per row, so that
     the stream's example rows are read where they are, not copied.
     """
     if family == LINEAR:
@@ -70,10 +70,8 @@ def loss_column(family: str, params, points: np.ndarray, labels=()) -> np.ndarra
         centers = np.asarray(params, dtype=float).reshape(-1, points.shape[-1])
         return 0.5 * np.sum((points - centers) ** 2, axis=1)
     if family == LOGISTIC:
-        if points.ndim == 1:
-            z = np.array([np.dot(a, points) for a in params], dtype=float)
-        else:
-            z = np.array([np.dot(a, x) for a, x in zip(params, points)], dtype=float)
+        rows = np.broadcast_to(points, (len(params), points.shape[-1]))
+        z = np.array([np.dot(a, x) for a, x in zip(params, rows)], dtype=float)
         return np.logaddexp(0.0, -z) + (1.0 - np.asarray(labels, dtype=float)) * z
     raise ValueError(f"unknown loss family {family!r}")
 

@@ -220,7 +220,7 @@ def suite_percoord_dominance() -> SuiteResult:
         n = int(rng.integers(1, 6))
         G, R_inf = 1.0, 1.0
         stream = RandomLinearStream(seed, n, G / math.sqrt(n), "sup")
-        grads = np.array([stream.event(t, np.zeros(n)).g for t in range(1, 65)])
+        grads = stream.gradients(64)
         cfg = BoundConfig(R=R_inf * math.sqrt(n), R_inf=R_inf, G=G)
         per = bound_curve(BoundRule.ADAGRAD_PER_COORD, cfg, grads)
         fixed = bound_curve(BoundRule.PROX_CLOSED_FORM, cfg, grads)

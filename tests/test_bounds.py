@@ -177,3 +177,17 @@ def test_composite_bound_holds_for_the_accumulated_penalty_learner():
                             BoundConfig(R=1.0, G=1.0), FeasibleSet.l2_ball(1.0))
         assert result.bound_ok
         assert result.decomposition_ok
+
+
+def test_bound_curve_rejects_an_unknown_rule_and_a_trace_rule_without_its_trace():
+    grads, cfg = np.ones((3, 2)), BoundConfig(R=1.0, G=1.0)
+    with pytest.raises(ValueError, match="^unknown bound rule 'no-such-rule'$"):
+        bound_curve("no-such-rule", cfg, grads)
+    for rule in (BoundRule.GENERAL_FTRL, BoundRule.COMPOSITE):
+        with pytest.raises(ValueError, match=f"^{rule.value} needs a run trace and a comparator$"):
+            bound_curve(rule, cfg, grads, x_star=np.zeros(2))
+
+
+def test_the_entropic_bound_at_zero_rounds_is_empty():
+    curve = bound_curve(BoundRule.ENTROPIC, BoundConfig(G_inf=1.0), np.zeros((0, 3)))
+    assert curve.shape == (0,)

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import os
 import subprocess
 import sys
@@ -8,9 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ocokit import cli
+from ocokit import cli, suites
 from ocokit.core import FeasibleSet
-from ocokit.driver import run_rounds
+from ocokit.driver import L1ExampleResult, run_rounds
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
@@ -635,3 +636,74 @@ class TestVerify:
 
 def test_missing_subcommand_is_usage_error(capsys):
     assert cli.main([]) == 2
+
+
+class TestNegativeSeed:
+    def test_a_negative_seed_key_is_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "learners = ftrl-l1, md-l1\nstream = random-linear\n"
+                                     "T = 3\nn = 2\nseed = -2\n")
+        code, out, err = run_cli(["compare", "--config", cfg], capsys)
+        assert (code, out, err) == (2, "", "ocokit: seed must be >= 0, got -2\n")
+
+    def test_a_negative_seed_flag_is_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, RUN_CFG)
+        code, out, err = run_cli(["run", "--config", cfg, "--seed", "-1"], capsys)
+        assert (code, out, err) == (2, "", "ocokit: seed must be >= 0, got -1\n")
+
+
+# (config text, the message after "ocokit: "; {path} is the config file's path)
+_USAGE_MESSAGES = {
+    "no-equals": (RUN_CFG + "T 25\n", "{path}:10: expected 'key = value', got 'T 25'"),
+    "int-key": (RUN_CFG.replace("T = 25", "T = 2.5"), "{path}:5: T must be an integer"),
+    "float-key": (RUN_CFG.replace("R = 1.0", "R = big"), "{path}:8: R must be a number"),
+    "missing-T": (RUN_CFG.replace("T = 25\n", ""), "config is missing required key 'T'"),
+    "adversary-n": ("learner = md-l1\nstream = l1-adversary\nbound = mirror-descent\n"
+                    "T = 8\nn = 2\n",
+                    "the l1-adversary stream is one-dimensional (set n = 1)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_USAGE_MESSAGES))
+def test_a_rejected_config_prints_its_one_line_message(tmp_path, capsys, case):
+    text, message = _USAGE_MESSAGES[case]
+    cfg = write_config(tmp_path, text)
+    code, out, err = run_cli(["run", "--config", cfg], capsys)
+    assert (code, out, err) == (2, "", f"ocokit: {message.format(path=cfg)}\n")
+
+
+def test_a_failing_suite_prints_its_fail_line_and_exits_1(capsys, monkeypatch):
+    def failing():
+        res = suites.SuiteResult("l1-example")
+        res.check(False, "an injected failure")
+        return res
+
+    monkeypatch.setitem(suites.SUITES, "l1-example", failing)
+    code, out, err = run_cli(["verify", "l1-example"], capsys)
+    assert (code, out, err) == (1, "FAIL  an injected failure\n",
+                                "verify l1-example: an injected failure\n")
+
+
+def test_a_failing_l1_check_still_writes_the_csv_and_exits_1(capsys, monkeypatch):
+    _, csv, _ = run_cli(["repro-l1"], capsys)
+    real = cli.repro_l1_example()
+    monkeypatch.setattr(cli, "repro_l1_example",
+                        lambda: L1ExampleResult(rows=real.rows, failures=["an injected failure"]))
+    code, out, err = run_cli(["repro-l1"], capsys)
+    assert (code, out, err) == (1, csv, "repro-l1: an injected failure\n")
+
+
+def test_the_module_entry_point_writes_the_pinned_repro_bytes():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "ocokit.cli", "repro-l1"], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == \
+        "9889c9132cae1c674e60eb1985de0493b24185bafe2118fb0438bf3fc3d4b55a"
+
+
+def test_the_console_entry_exits_with_mains_code(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["ocokit", "repro-l1"])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.entry()
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("t,x_md,x_ftrl\n")

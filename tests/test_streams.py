@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -132,6 +133,17 @@ class TestRandomLinear:
     def test_zero_rounds_is_fine(self):
         s = RandomLinearStream(5, 3, 0.7)
         assert s.dim == 3  # nothing consumed
+
+    @pytest.mark.parametrize("norm", ["l2", "sup"])
+    def test_a_zero_norm_draw_becomes_a_positive_zero_row(self, norm, monkeypatch):
+        s = RandomLinearStream(5, 3, 0.7, norm)
+        draws = np.array([[3.0, -4.0, 0.0], [-0.0, 0.0, -0.0], [0.0, 0.0, 2.0]])
+        monkeypatch.setattr(s, "_rng", SimpleNamespace(standard_normal=lambda shape: draws.copy()))
+        g = s.gradients(3)
+        assert g[1].tolist() == [0.0] * 3 and not np.any(np.signbit(g[1]))
+        first = 5.0 if norm == "l2" else 4.0  # the norm of (3, -4, 0)
+        assert np.array_equal(g[0], draws[0] * (0.7 / first))
+        assert np.array_equal(g[2], draws[2] * (0.7 / 2.0))
 
 
 class TestStronglyConvexStream:
